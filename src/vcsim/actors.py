@@ -515,17 +515,15 @@ class Chain:
     def ship_orders(self, provider: str, now: float) -> list[Order]:
         """Ship every fully reserved, hold-free order of this provider."""
         shippable = [
-            o
-            for o in self.ledger.orders.values()
-            if o.provider == provider
-            and o.status is OrderStatus.FGI
-            and o.shippable_after <= now + _EPS
+            o for o in self.ledger.fgi_orders(provider) if o.shippable_after <= now + _EPS
         ]
-        shippable.sort(key=lambda o: (o.created_at, o.order_id))
+        if not shippable:
+            return shippable
         rng = self.engine.streams.stream(f"{provider}:transport")
+        lead_time = self.lead_times[provider]
         for order in shippable:
             self.ledger.transition(order.order_id, OrderStatus.IN_TRANSIT, now)
-            lead = self.lead_times[provider].draw(rng)
+            lead = lead_time.draw(rng)
             self.engine.schedule(
                 now + lead, order.client, "order-arrival", {"order_id": order.order_id}
             )

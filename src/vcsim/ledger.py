@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Iterable
 
 
 class LedgerError(Exception):
@@ -176,11 +177,24 @@ class SupportTicket:
     resolved_at: float | None = None
 
 
+_OLDEST_FIRST = attrgetter("created_at", "order_id")
+
+# reading a member through its Enum class costs a descriptor call on
+# Python 3.11; the per-transition bucket upkeep compares against these
+_OPEN = OrderStatus.OPEN
+_FGI = OrderStatus.FGI
+_IN_TRANSIT = OrderStatus.IN_TRANSIT
+_DELIVERED = OrderStatus.DELIVERED
+
+
 class Ledger:
     """Append-only store of orders, status transitions, and support tickets.
 
     Single-writer within a run; the transition log replays to the current
-    state, which the test suite uses as an oracle.
+    state, which the test suite uses as an oracle. ``append_order`` and
+    ``transition`` are the only writers of ``Order.status``, and they keep
+    three status buckets current, so each demand view costs O(matching
+    orders) rather than a scan of every order ever placed.
     """
 
     def __init__(
@@ -193,6 +207,11 @@ class Ledger:
         self.transitions: list[tuple[int, str, float]] = []  # (order_id, status, at)
         self._known_actors = set(known_actors) if known_actors is not None else None
         self._known_items = set(known_items) if known_items is not None else None
+        # status buckets: Open orders per (provider, item), FGI orders per
+        # provider, and the count of OUTSTANDING orders per (client, item)
+        self._open: dict[tuple[str, Item], dict[int, Order]] = {}
+        self._fgi: dict[str, dict[int, Order]] = {}
+        self._outstanding: dict[tuple[str, Item], int] = {}
         self._next_order_id = 1
         self._next_ticket_id = 1
 
@@ -225,7 +244,7 @@ class Ledger:
     def append_order(self, order: Order) -> int:
         if order.order_id in self.orders:
             raise CorruptionError(f"duplicate order id {order.order_id}")
-        if order.status is not OrderStatus.OPEN:
+        if order.status is not _OPEN:
             raise OrderValidationError(
                 f"new orders must be Open, got {order.status.value}"
             )
@@ -240,8 +259,16 @@ class Ledger:
         if self._known_items is not None and order.item not in self._known_items:
             raise OrderValidationError(f"unknown item: {order.item.code}")
         self.orders[order.order_id] = order
-        self.transitions.append((order.order_id, order.status.value, order.created_at))
-        order.history.append((order.status.value, order.created_at))
+        value = order.status.value
+        self.transitions.append((order.order_id, value, order.created_at))
+        order.history.append((value, order.created_at))
+        key = (order.provider, order.item)
+        bucket = self._open.get(key)
+        if bucket is None:
+            bucket = self._open[key] = {}
+        bucket[order.order_id] = order
+        key = (order.client, order.item)
+        self._outstanding[key] = self._outstanding.get(key, 0) + 1
         self._next_order_id = max(self._next_order_id, order.order_id + 1)
         return order.order_id
 
@@ -258,13 +285,24 @@ class Ledger:
             raise TransitionError(
                 f"transition at t={at} precedes last transition of order {order_id}"
             )
+        if order.status is _OPEN:
+            del self._open[(order.provider, order.item)][order_id]
+        elif order.status is _FGI:
+            del self._fgi[order.provider][order_id]
         order.status = new_status
-        if new_status is OrderStatus.IN_TRANSIT:
+        if new_status is _FGI:
+            bucket = self._fgi.get(order.provider)
+            if bucket is None:
+                bucket = self._fgi[order.provider] = {}
+            bucket[order_id] = order
+        elif new_status is _IN_TRANSIT:
             order.shipped_at = at
-        elif new_status is OrderStatus.DELIVERED:
+        elif new_status is _DELIVERED:
             order.delivered_at = at
-        order.history.append((new_status.value, at))
-        self.transitions.append((order_id, new_status.value, at))
+            self._outstanding[(order.client, order.item)] -= 1
+        value = new_status.value
+        order.history.append((value, at))
+        self.transitions.append((order_id, value, at))
 
     def open_ticket(
         self, order: Order, defective_qty: float, customer: str, at: float
@@ -291,25 +329,27 @@ class Ledger:
 
     def open_orders(self, provider: str, item: Item | None = None) -> list[Order]:
         """Current Open orders of one provider, oldest first."""
-        found = [
-            o
-            for o in self.orders.values()
-            if o.provider == provider
-            and o.status is OrderStatus.OPEN
-            and (item is None or o.item == item)
-        ]
-        found.sort(key=lambda o: (o.created_at, o.order_id))
+        if item is None:
+            found = [
+                o
+                for (owner, _), bucket in self._open.items()
+                if owner == provider
+                for o in bucket.values()
+            ]
+        else:
+            found = list(self._open.get((provider, item), {}).values())
+        found.sort(key=_OLDEST_FIRST)
         return found
 
-    def orders_of(self, provider: str) -> Iterator[Order]:
-        return (o for o in self.orders.values() if o.provider == provider)
+    def fgi_orders(self, provider: str) -> list[Order]:
+        """Current FGI orders of one provider, oldest first."""
+        found = list(self._fgi.get(provider, {}).values())
+        found.sort(key=_OLDEST_FIRST)
+        return found
 
     def outstanding_replenishment(self, client: str, item: Item) -> bool:
         """True while the client has any not-yet-delivered order for the item."""
-        return any(
-            o.client == client and o.item == item and o.status in OUTSTANDING
-            for o in self.orders.values()
-        )
+        return self._outstanding.get((client, item), 0) > 0
 
     def census(self) -> dict[str, int]:
         counts = {status.value: 0 for status in OrderStatus}
@@ -371,9 +411,16 @@ class Ledger:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "Ledger":
-        """Rebuild a ledger by replaying exported records."""
+        """Rebuild a ledger by replaying exported records.
+
+        Replay goes through the live writers. An order record waits until
+        its Open transition record, which is the entry ``append_order`` logs,
+        so the rebuilt transition log keeps the exported interleaving; every
+        later record goes through ``transition``. Illegal moves, time
+        reversals and transitions of unknown orders raise ``TransitionError``.
+        """
         ledger = cls()
-        transitions: list[tuple[int, str, float]] = []
+        pending: dict[int, Order] = {}
         for line in lines:
             line = line.strip()
             if not line:
@@ -392,12 +439,27 @@ class Ledger:
                     created_at=rec["created_at"],
                     replacement_for=rec.get("replacement_for"),
                     shippable_after=rec.get("shippable_after", rec["created_at"]),
+                    defective_qty=rec.get("defective_qty", 0.0),
                 )
-                order.defective_qty = rec.get("defective_qty", 0.0)
-                ledger.orders[order.order_id] = order
-                ledger._next_order_id = max(ledger._next_order_id, order.order_id + 1)
+                if order.order_id in pending:
+                    raise CorruptionError(f"duplicate order id {order.order_id}")
+                pending[order.order_id] = order
             elif kind == "transition":
-                transitions.append((rec["order_id"], rec["status"], rec["at"]))
+                order_id, at = rec["order_id"], rec["at"]
+                try:
+                    status = OrderStatus(rec["status"])
+                except ValueError:
+                    raise CorruptionError(f"unknown order status: {rec['status']!r}") from None
+                order = pending.pop(order_id, None)
+                if order is None:
+                    ledger.transition(order_id, status, at)
+                elif status is OrderStatus.OPEN and at == order.created_at:
+                    ledger.append_order(order)
+                else:
+                    raise CorruptionError(
+                        f"order {order_id} must first be logged Open at "
+                        f"t={order.created_at}, got {status.value} at t={at}"
+                    )
             elif kind == "ticket":
                 ticket = SupportTicket(
                     ticket_id=rec["ticket_id"],
@@ -413,17 +475,8 @@ class Ledger:
                 ledger._next_ticket_id = max(ledger._next_ticket_id, ticket.ticket_id + 1)
             else:
                 raise CorruptionError(f"unknown ledger record: {line[:80]}")
-        for order_id, status, at in transitions:
-            order = ledger.orders.get(order_id)
-            if order is None:
-                raise CorruptionError(f"transition for unknown order {order_id}")
-            ledger.transitions.append((order_id, status, at))
-            order.history.append((status, at))
-            order.status = OrderStatus(status)
-            if order.status is OrderStatus.IN_TRANSIT:
-                order.shipped_at = at
-            elif order.status is OrderStatus.DELIVERED:
-                order.delivered_at = at
+        if pending:
+            raise CorruptionError(f"order {min(pending)} has no Open transition record")
         return ledger
 
 

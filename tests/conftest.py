@@ -1,4 +1,4 @@
-"""Shared scenario builder for process-level tests.
+"""Shared scenario builder for process-level tests, and the ledger view oracle.
 
 Builds a small two-product chain (one supplier covering both raws, firm,
 retailer, one or two customers) with every knob overridable, so each test
@@ -7,10 +7,13 @@ states only the parameters it is actually about.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import pytest
 
 from vcsim.actors import Chain
 from vcsim.engine import Engine
+from vcsim.ledger import OUTSTANDING, Item, Ledger, OrderStatus
 from vcsim.satisfaction import SatisfactionParams
 from vcsim.scenario import (
     CustomerSpec,
@@ -166,3 +169,47 @@ def chain_builder():
         return build_chain(build_scenario(**kwargs))
 
     return _build
+
+
+def assert_views_match_scan(
+    ledger: Ledger,
+    providers: Iterable[str] = (),
+    items: Iterable[Item] = (),
+    clients: Iterable[str] = (),
+) -> None:
+    """Check every demand view against a brute-force scan of ``ledger.orders``.
+
+    The parties and items checked are those given plus every one that
+    appears in the ledger.
+    """
+    oldest_first = sorted(ledger.orders.values(), key=lambda o: (o.created_at, o.order_id))
+    providers = set(providers) | {o.provider for o in oldest_first}
+    items = set(items) | {o.item for o in oldest_first}
+    clients = set(clients) | {o.client for o in oldest_first}
+
+    def scan(provider: str, status: OrderStatus, item: Item | None = None) -> list[int]:
+        return [
+            o.order_id
+            for o in oldest_first
+            if o.provider == provider
+            and o.status is status
+            and (item is None or o.item == item)
+        ]
+
+    for provider in providers:
+        assert [o.order_id for o in ledger.open_orders(provider)] == scan(
+            provider, OrderStatus.OPEN
+        )
+        assert [o.order_id for o in ledger.fgi_orders(provider)] == scan(
+            provider, OrderStatus.FGI
+        )
+        for item in items:
+            assert [o.order_id for o in ledger.open_orders(provider, item)] == scan(
+                provider, OrderStatus.OPEN, item
+            )
+    for client in clients:
+        for item in items:
+            assert ledger.outstanding_replenishment(client, item) == any(
+                o.client == client and o.item == item and o.status in OUTSTANDING
+                for o in oldest_first
+            )

@@ -1,9 +1,13 @@
 """Order ledger: validation, transitions, demand views, inventory, replay."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import assert_views_match_scan
 from vcsim.ledger import (
+    LEGAL_TRANSITIONS,
     CorruptionError,
     InventoryRecord,
     Ledger,
@@ -174,6 +178,39 @@ class TestOpenOrders:
         assert not ledger.outstanding_replenishment("retailer", product(1))
 
 
+PROVIDERS = ("firm", "retailer")
+ITEMS = (product(1), product(2))
+CLIENTS = ("retailer", "customer1")
+
+
+@given(st.data())
+def test_status_buckets_agree_with_scans_after_every_step(data):
+    ledger = Ledger()
+    for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
+        movable = [o for o in ledger.orders.values() if LEGAL_TRANSITIONS[o.status]]
+        if not movable or data.draw(st.booleans()):
+            # creation times out of id order exercise the oldest-first sort
+            ledger.place(
+                data.draw(st.sampled_from(CLIENTS)),
+                data.draw(st.sampled_from(PROVIDERS)),
+                data.draw(st.sampled_from(ITEMS)),
+                1.0,
+                at=data.draw(st.sampled_from([0.0, 1.0, 2.0])),
+            )
+        else:
+            order = data.draw(st.sampled_from(movable))
+            legal = sorted(LEGAL_TRANSITIONS[order.status], key=lambda s: s.value)
+            ledger.transition(
+                order.order_id,
+                data.draw(st.sampled_from(legal)),
+                at=order.last_transition_time() + data.draw(st.sampled_from([0.0, 1.0])),
+            )
+        assert_views_match_scan(ledger, PROVIDERS, ITEMS, CLIENTS)
+    assert_views_match_scan(
+        Ledger.from_lines(ledger.export_lines()), PROVIDERS, ITEMS, CLIENTS
+    )
+
+
 class TestCensus:
     def test_counts_by_status(self):
         ledger = make_ledger()
@@ -222,6 +259,33 @@ class TestExportImport:
         assert clone.orders[a.order_id].delivered_at == 4.0
         assert clone.orders[b.order_id].status is OrderStatus.OPEN
         assert clone.tickets[1].defective_qty == 2.0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"order_id": 1, "status": "Resolved", "at": 2.0},  # Open -> Resolved
+            {"order_id": 1, "status": "InTransit", "at": 0.5},  # before its FGI move
+            {"order_id": 99, "status": "FGI", "at": 2.0},  # unknown order
+        ],
+        ids=["illegal-edge", "time-reversed", "unknown-order"],
+    )
+    def test_replay_enforces_live_transition_rules(self, bad):
+        ledger = make_ledger()
+        order = ledger.place("retailer", "firm", product(1), 5.0, at=0.0)
+        ledger.transition(order.order_id, OrderStatus.FGI, at=1.0)
+        lines = ledger.export_lines()
+        lines.append(json.dumps({"record": "transition", **bad}))
+        with pytest.raises(TransitionError):
+            Ledger.from_lines(lines)
+
+    def test_replay_requires_each_order_to_start_open_at_creation(self):
+        ledger = make_ledger()
+        ledger.place("retailer", "firm", product(1), 5.0, at=3.0)
+        order_line, open_line = ledger.export_lines()
+        with pytest.raises(CorruptionError):
+            Ledger.from_lines([order_line])  # no Open record
+        with pytest.raises(CorruptionError):
+            Ledger.from_lines([order_line, open_line.replace('"at":3.0', '"at":1.0')])
 
 
 class TestInventory:

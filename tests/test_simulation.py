@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import assert_views_match_scan
 from vcsim.ledger import Ledger
 from vcsim.scenario import case_study_scenario
 from vcsim.simulation import inventory_snapshot, run_scenario
@@ -149,10 +150,12 @@ class TestArtifactFiles:
         assert kpi["seed"] == 3
 
     def test_exported_ledger_replays_to_identical_state(self, tmp_path):
-        run_scenario(case_study_scenario(mode="vcor", seed=5), out_dir=tmp_path)
+        artifacts = run_scenario(case_study_scenario(mode="vcor", seed=5), out_dir=tmp_path)
         lines = (tmp_path / "ledger.jsonl").read_text().splitlines()
         clone = Ledger.from_lines(lines)
         assert clone.export_lines() == lines[1:]  # header aside, order-for-order
+        assert_views_match_scan(artifacts.ledger)
+        assert_views_match_scan(clone)
 
     def test_inventory_snapshot_covers_all_actors(self, scor_run):
         snapshot = inventory_snapshot(scor_run)
