@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .engine import Engine, Event
 from .ledger import (
-    BillOfMaterials,
     InventoryRecord,
     Item,
     Ledger,
@@ -173,11 +172,6 @@ class Chain:
             )
 
         # firm production state; recipes may be swapped by a product renewal
-        BillOfMaterials(
-            recipes={
-                pid: tuple(sorted(needs.items())) for pid, needs in scenario.bom.items()
-            }
-        ).validate(scenario.raws)
         self.bom: dict[int, dict[int, float]] = {
             pid: dict(needs) for pid, needs in scenario.bom.items()
         }

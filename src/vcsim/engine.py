@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import random
 from dataclasses import dataclass
 from typing import Any, Callable
+
+from .jsonl import _ENCODE, _Quoted, _trace_line
 
 
 class SchedulingError(Exception):
@@ -45,8 +46,7 @@ class Event:
         """Short stable digest of the payload, for trace export."""
         if self.payload is None:
             return "-"
-        blob = json.dumps(self.payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+        return hashlib.sha256(_ENCODE(self.payload).encode("utf-8")).hexdigest()[:12]
 
 
 class SimClock:
@@ -111,6 +111,8 @@ class Engine:
         self._queue: list[tuple[float, int, Event]] = []
         self._next_seq = 0
         self._periodics: list[_Periodic] = []
+        # (target, kind) -> its spec; the first registration of a pair wins
+        self._periodic_of: dict[tuple[str, str], _Periodic] = {}
         self._handlers: dict[str, Handler] = {}
 
     # -- scheduling ---------------------------------------------------
@@ -150,15 +152,14 @@ class Engine:
         """
         if interval <= 0:
             raise SchedulingError(f"periodic interval must be positive, got {interval}")
-        self._periodics.append(_Periodic(target, kind, interval))
+        spec = _Periodic(target, kind, interval)
+        self._periodics.append(spec)
+        self._periodic_of.setdefault((target, kind), spec)
 
     def on(self, kind: str, handler: Handler) -> None:
         self._handlers[kind] = handler
 
     # -- execution ----------------------------------------------------
-
-    def peek_time(self) -> float | None:
-        return self._queue[0][0] if self._queue else None
 
     def advance(self) -> tuple[float, Event]:
         """Pop and return the minimum-key event, advancing the clock to it."""
@@ -187,36 +188,18 @@ class Engine:
             handler = self._handlers.get(event.kind)
             if handler is not None:
                 handler(self, event)
-            self._reschedule_periodic(event, t_end)
-        return self.trace
-
-    def _reschedule_periodic(self, event: Event, t_end: float) -> None:
-        for spec in self._periodics:
-            if spec.target == event.target and spec.kind == event.kind:
+            spec = self._periodic_of.get((event.target, event.kind))
+            if spec is not None:
                 # occurrence times are k*interval, not accumulated sums,
                 # so the count over a horizon is exact
                 nxt = (spec.fired + 1) * spec.interval
                 if nxt <= t_end:
                     self.schedule(nxt, spec.target, spec.kind, None)
                     spec.fired += 1
-                return
+        return self.trace
 
 
 def trace_lines(trace: list[Event]) -> list[str]:
     """Serialize a fired-event trace, one JSON record per line."""
-    lines = []
-    for e in trace:
-        lines.append(
-            json.dumps(
-                {
-                    "t": e.fire_time,
-                    "seq": e.sequence_no,
-                    "target": e.target,
-                    "kind": e.kind,
-                    "digest": e.payload_digest(),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    return lines
+    q = _Quoted()
+    return [_trace_line(e, q) for e in trace]

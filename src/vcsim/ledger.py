@@ -13,6 +13,8 @@ from enum import Enum
 from operator import attrgetter
 from typing import Iterable
 
+from .jsonl import _Quoted, _order_line, _ticket_line, _transition_line
+
 
 class LedgerError(Exception):
     """Base class for ledger failures."""
@@ -361,52 +363,10 @@ class Ledger:
 
     def export_lines(self) -> list[str]:
         """One JSON record per order plus one per transition, replayable."""
-        lines = []
-        for o in sorted(self.orders.values(), key=lambda o: o.order_id):
-            lines.append(
-                json.dumps(
-                    {
-                        "record": "order",
-                        "order_id": o.order_id,
-                        "client": o.client,
-                        "provider": o.provider,
-                        "item": o.item.code,
-                        "quantity": o.quantity,
-                        "created_at": o.created_at,
-                        "replacement_for": o.replacement_for,
-                        "shippable_after": o.shippable_after,
-                        "defective_qty": o.defective_qty,
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        for order_id, status, at in self.transitions:
-            lines.append(
-                json.dumps(
-                    {"record": "transition", "order_id": order_id, "status": status, "at": at},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        for t in sorted(self.tickets.values(), key=lambda t: t.ticket_id):
-            lines.append(
-                json.dumps(
-                    {
-                        "record": "ticket",
-                        "ticket_id": t.ticket_id,
-                        "order_id": t.order_id,
-                        "customer": t.customer,
-                        "item": t.item.code,
-                        "defective_qty": t.defective_qty,
-                        "opened_at": t.opened_at,
-                        "replacement_order_id": t.replacement_order_id,
-                        "resolved_at": t.resolved_at,
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
+        q = _Quoted()
+        lines = [_order_line(o, q) for _, o in sorted(self.orders.items())]
+        lines += [_transition_line(i, status, at, q) for i, status, at in self.transitions]
+        lines += [_ticket_line(t, q) for _, t in sorted(self.tickets.items())]
         return lines
 
     @classmethod

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .jsonl import _Quoted, _cost_line
 from .ledger import InventoryRecord, Ledger, PRODUCT
 
 
@@ -71,14 +72,8 @@ class CostLedger:
         return out
 
     def export_lines(self) -> list[str]:
-        return [
-            json.dumps(
-                {"t": e.time, "actor": e.actor, "category": e.category, "amount": e.amount},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            for e in self.entries
-        ]
+        q = _Quoted()
+        return [_cost_line(e, q) for e in self.entries]
 
 
 # -- elementary indicators ------------------------------------------------

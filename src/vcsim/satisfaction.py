@@ -27,6 +27,7 @@ class SatisfactionParams:
 
     forgetting_factor must lie strictly inside (0, 1); price_weight must be
     strictly positive (set the price-change signal to zero to disable it).
+    ``Scenario.validate`` checks them once per run, not per vote update.
     """
 
     forgetting_factor: float = 0.3
@@ -94,7 +95,6 @@ def customer_input(
     f_value: float, signals: InputSignals, params: SatisfactionParams
 ) -> float:
     """Weighted input u for one vote update, exactly as the model states it."""
-    params.validate()
     return (
         f_value * (1.0 if signals.new_product else 0.0)
         + params.support_weight * (1.0 if signals.support_resolved else 0.0)
@@ -107,7 +107,6 @@ def customer_input(
 
 def update_vote(state: VoteState, u: float, params: SatisfactionParams) -> VoteState:
     """One vote update: convex mix of old vote and input, clamped to [0, 10]."""
-    params.validate()
     a = params.forgetting_factor
     x = (1.0 - a) * state.x + a * u
     x = min(VOTE_MAX, max(VOTE_MIN, x))

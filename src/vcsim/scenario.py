@@ -706,7 +706,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         return _scenario_from_dict(data, base_dir)
     except OrderValidationError as exc:
         raise ScenarioError("bad-item-code", str(exc)) from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError("parse", f"malformed scenario document: {exc!r}") from exc
 
 

@@ -8,12 +8,12 @@ scenario digest and seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .actors import Chain
 from .engine import Engine, Event, trace_lines
+from .jsonl import _ENCODE
 from .ledger import InventoryRecord, Ledger, product, raw
 from .metrics import CostLedger, KpiReport, build_report
 from .scenario import Scenario
@@ -80,40 +80,28 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunAr
     return artifacts
 
 
-def _header_line(scenario: Scenario) -> str:
-    return json.dumps(
+def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    scenario = artifacts.scenario
+    header = _ENCODE(
         {
             "record": "header",
             "scenario_digest": scenario.digest(),
             "topology_digest": scenario.topology_digest(),
             "seed": scenario.seed,
             "mode": scenario.mode,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+        }
     )
 
-
-def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    scenario = artifacts.scenario
-    header = _header_line(scenario)
-
     def dump(name: str, lines: list[str]) -> None:
-        (out_dir / name).write_text(
-            "\n".join([header] + lines) + "\n", encoding="utf-8"
-        )
+        # a file with no records holds the header line alone
+        body = "\n".join(lines) + "\n" if lines else ""
+        (out_dir / name).write_text(header + "\n" + body, encoding="utf-8")
 
     dump("trace.jsonl", trace_lines(artifacts.trace))
     dump("ledger.jsonl", artifacts.ledger.export_lines())
     dump("costs.jsonl", artifacts.costs.export_lines())
-    dump(
-        "satisfaction.jsonl",
-        [
-            json.dumps(entry, sort_keys=True, separators=(",", ":"))
-            for entry in artifacts.report.satisfaction
-        ],
-    )
+    dump("satisfaction.jsonl", [_ENCODE(entry) for entry in artifacts.report.satisfaction])
     (out_dir / "kpi.json").write_text(artifacts.report.to_json() + "\n", encoding="utf-8")
 
     csv_lines = [

@@ -182,6 +182,15 @@ def test_substreams_differ_by_name():
     assert eng.streams.stream("a").random() != eng.streams.stream("b").random()
 
 
+def test_duplicate_periodic_follows_the_first_registration():
+    eng = Engine()
+    eng.register_periodic("a", "tick", 3.0)
+    eng.register_periodic("a", "tick", 5.0)
+    # both first occurrences fire; every one reschedules the 3 h spec
+    times = [e.fire_time for e in eng.run_until(20.0)]
+    assert times == [3.0, 5.0, 6.0, 9.0, 12.0, 15.0, 18.0]
+
+
 def test_trace_lines_schema():
     eng = Engine()
     eng.schedule(1.0, "actor", "kind", {"n": 3})

@@ -3,6 +3,7 @@
 import pytest
 
 from vcsim.scenario import (
+    Scenario,
     ScenarioError,
     case_study_scenario,
     demand_table_csv,
@@ -182,3 +183,41 @@ class TestFiles:
         with pytest.raises(ScenarioError) as err:
             load_scenario(path)
         assert err.value.code == "parse"
+
+
+CASE_DOC = case_study_scenario("vcor", 1, 48).to_dict()
+MAPPING_SECTIONS = (
+    "processes",
+    "catalog",
+    "suppliers",
+    "raw_sources",
+    "firm",
+    "retailer",
+    "upstream",
+    "demand",
+    "prices",
+    "costs",
+    "satisfaction",
+    "support",
+    "market",
+    "innovation",
+    "sell",
+)
+
+
+@pytest.mark.parametrize("bad", [5, "x", [1], None], ids=repr)
+@pytest.mark.parametrize("key", list(CASE_DOC))
+def test_wrong_section_type_gives_scenario_or_scenario_error(key, bad):
+    try:
+        result = scenario_from_dict({**CASE_DOC, key: bad})
+    except ScenarioError:
+        return
+    assert isinstance(result, Scenario)
+
+
+@pytest.mark.parametrize("bad", [5, "x", [1]], ids=repr)
+@pytest.mark.parametrize("key", MAPPING_SECTIONS)
+def test_wrong_section_type_is_a_parse_error(key, bad):
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict({**CASE_DOC, key: bad})
+    assert err.value.code == "parse"
