@@ -1,5 +1,8 @@
 """Scenario loading, validation codes, the reference profile, round trips."""
 
+import copy
+from pathlib import Path
+
 import pytest
 
 from vcsim.scenario import (
@@ -221,3 +224,104 @@ def test_wrong_section_type_is_a_parse_error(key, bad):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict({**CASE_DOC, key: bad})
     assert err.value.code == "parse"
+
+
+PIN_DOC = case_study_scenario("vcor").to_dict()
+NO_SUCH_DEMAND_FILE = str(Path(__file__).parent / "no-such-demand.csv")
+
+# (path to one leaf of PIN_DOC, value put there, expected error code); a
+# path may name a key the document lacks, which the mutation adds
+CODE_CASES = [
+    ("schema", 2, "schema-version"),
+    ("customers.0.lot_size", "x", "parse"),
+    ("firm.capacity_boxes_per_day", "x", "parse"),
+    ("demand", {"file": NO_SUCH_DEMAND_FILE}, "io"),
+    ("firm.fgi.X1", 5.0, "bad-item-code"),
+    ("retailer.stock.R1", 5.0, "wrong-item-kind"),
+    ("firm.raw_stock_kg.P1", 5.0, "wrong-item-kind"),
+    ("support.defect_probability.R1", 0.1, "wrong-item-kind"),
+    ("mode", "lean", "bad-mode"),
+    ("seed", -1, "bad-seed"),
+    ("horizon_hours", -1.0, "bad-horizon"),
+    ("processes.testing", True, "unknown-process"),
+    ("mode", "scor", "mode-toggle-conflict"),
+    ("catalog.products", [], "empty-catalog"),
+    ("catalog.raws", [], "empty-catalog"),
+    ("catalog.bom.P9", {"R1": 1.0}, "unknown-product"),
+    ("catalog.bom.P1", {"R9": 1.0}, "unknown-raw"),
+    ("catalog.bom.P1.R1", 0.0, "bad-bom-quantity"),
+    ("catalog.products", [1, 2, 3, 4], "missing-recipe"),
+    ("suppliers.0.raws", [9], "unknown-raw"),
+    ("suppliers.0.reorder.R1", {"point": 500.0, "up_to": 50.0}, "reorder-point-not-below-up-to"),
+    ("suppliers.0.frequencies.deliver", 0.0, "bad-frequency"),
+    ("suppliers.0.lead_time.hours", -1.0, "bad-lead-time"),
+    ("catalog.raws", [1, 2, 3, 4], "raw-not-covered"),
+    ("raw_sources.R1", "ghost", "raw-source-not-supplier"),
+    ("raw_sources.R1", "supplier3", "raw-source-not-producer"),
+    ("raw_sources.R9", "supplier1", "unknown-raw"),
+    ("firm.capacity_boxes_per_day", 0.0, "bad-capacity"),
+    ("firm.production_mode.P1", "make-to-wish", "bad-production-mode"),
+    ("firm.raw_reorder.R1", {"point": 250.0, "up_to": 250.0}, "reorder-point-not-below-up-to"),
+    ("firm.frequencies.make", 0.0, "bad-frequency"),
+    ("firm.lead_time", {"kind": "gamma"}, "bad-lead-time"),
+    ("retailer.reorder.P1", {"point": 500.0, "up_to": 500.0}, "reorder-point-not-below-up-to"),
+    ("retailer.frequencies.source", -2.0, "bad-frequency"),
+    ("retailer.lead_time", {"kind": "uniform", "low": 3.0, "high": 1.0}, "bad-lead-time"),
+    ("upstream.frequencies.deliver", 0.0, "bad-frequency"),
+    ("upstream.lead_time.hours", -0.5, "bad-lead-time"),
+    ("customers", [], "no-customers"),
+    ("customers.0.lot_size", 0.0, "bad-lot-size"),
+    ("customers.0.arrivals", "bursty", "bad-arrival-mode"),
+    ("demand.rows.0.customer", "ghost", "unknown-customer"),
+    ("demand.rows.0.product", 9, "unknown-product"),
+    ("demand.rows.0.monthly", [1.0] * 11, "bad-demand-row"),
+    ("demand.rows.0.monthly.3", -1.0, "bad-demand-row"),
+    ("satisfaction.forgetting_factor", 1.5, "forgetting-factor-out-of-range"),
+    ("satisfaction.price_weight", 0.0, "price-weight-not-positive"),
+    ("satisfaction.initial_vote", 10.5, "bad-initial-vote"),
+    ("support.defect_probability.P1", 1.5, "bad-defect-probability"),
+    ("support.education_decay", 0.0, "bad-education-decay"),
+    ("support.handling_hours", -1.0, "bad-handling-time"),
+    ("support.max_defective_fraction", 0.0, "bad-defective-fraction"),
+    ("market.frequency_hours", 0.0, "bad-frequency"),
+    ("innovation.delay_hours", -1.0, "bad-innovation-delay"),
+    ("sell.capacity_fraction", 1.5, "bad-capacity-fraction"),
+    ("sell.frequency_hours", 0.0, "bad-frequency"),
+    ("sell.order_interval_hours", 0.0, "bad-frequency"),
+    ("sell.prospects.0.product", 9, "unknown-product"),
+    ("sell.prospects.0.boxes_per_day", 0.0, "bad-prospect-rate"),
+    ("prices.upstream", {}, "missing-price"),
+    ("prices.supplier2.R2", None, "missing-price"),
+]
+
+
+def mutated(doc: dict, path: str, value) -> dict:
+    """A deep copy of ``doc`` with the leaf at dotted ``path`` set to ``value``.
+
+    ``None`` as the value removes the leaf instead.
+    """
+    doc = copy.deepcopy(doc)
+    *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path,value,code", CODE_CASES, ids=[f"{code}:{path}" for path, _, code in CODE_CASES]
+)
+def test_each_defect_gives_its_error_code(path, value, code):
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(mutated(PIN_DOC, path, value))
+    assert err.value.code == code
+
+
+def test_month_outside_the_year_is_bad_month():
+    with pytest.raises(ScenarioError) as err:
+        case_study_scenario().demand.boxes_for("customer1", 1, 13)
+    assert err.value.code == "bad-month"
