@@ -7,19 +7,26 @@ YAML documents with a versioned ``schema`` field; demand tables are CSV.
 The built-in case-study profile carries the reference values for a
 three-supplier / one-firm / one-retailer / two-customer chain over a
 48-hour horizon.
+
+Each spec field is declared once, with its document path and codec (see
+``_field``). ``Scenario.to_dict``, the parser and the per-field checks of
+``Scenario.validate`` loop over these declarations; only the checks that
+relate fields to each other are written out by hand.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
-from .ledger import Item, OrderValidationError, product, raw
-from .satisfaction import ParameterError, SatisfactionParams
+from .ledger import PRODUCT, RAW, Item, OrderValidationError
+from .satisfaction import SatisfactionParams
 
 SCHEMA_VERSION = 1
 
@@ -37,9 +44,196 @@ class ScenarioError(Exception):
         self.code = code
 
 
-def _require(condition: bool, code: str, message: str) -> None:
+def _require(condition: bool, code: str, message: str, *args) -> None:
+    """Raise ``code`` unless ``condition``; ``message`` is formatted with ``args`` only then."""
     if not condition:
-        raise ScenarioError(code, message)
+        raise ScenarioError(code, message.format(*args) if args else message)
+
+
+# -- codecs ------------------------------------------------------------------
+#
+# A codec reads a document value (``load``), writes it back (``dump``; None:
+# as is) and checks its range (``check(value, where, path)``; None: any value
+# goes). Checks format their message only when they fail, because
+# ``validate`` runs on every scenario build.
+
+_Codec = namedtuple("_Codec", "load dump check", defaults=(None, None))
+_ABSENT = object()
+_ANY_ITEM = "item"  # map keys that are item codes of either kind, kept as codes
+
+
+def _path(where: str, key: str) -> str:
+    return f"{where}.{key}" if where and key else where or key
+
+
+def _number(value) -> float:
+    x = float(value)
+    _require(math.isfinite(x), "parse", "not a finite number: {!r}", value)
+    return x
+
+
+def _number_as_written(value):
+    # lead times, prices and holding costs were never converted to float:
+    # their ints stay ints, so existing documents keep their digests
+    return value if type(value) is int else _number(value)
+
+
+def _rule(ok, code: str, text: str):
+    """A range check: ``ok(value)`` holds, or error ``code`` names the defect."""
+
+    def check(value, where: str, path: str) -> None:
+        if not ok(value):
+            raise ScenarioError(code, f"{_path(where, path)}: {value!r} is not {text}")
+
+    return check
+
+
+_BOUNDS = {
+    "[]": lambda lo, hi: lambda x: lo <= x <= hi,
+    "(]": lambda lo, hi: lambda x: lo < x <= hi,
+    "()": lambda lo, hi: lambda x: lo < x < hi,
+}
+
+
+def _num(code: str, interval: str) -> _Codec:
+    """A number within ``interval``, written like "(0, 1]" or "[0, inf]"."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    ok = _BOUNDS[interval[0] + interval[-1]](lo, hi)
+    return _Codec(_number, check=_rule(ok, code, f"within {interval}"))
+
+
+def _one_of(code: str, values: tuple[str, ...]) -> _Codec:
+    return _Codec(str, check=_rule(values.__contains__, code, f"one of {values}"))
+
+
+def _map(kind: str | None, value: _Codec, optional: bool = False) -> _Codec:
+    """A mapping whose values go through ``value``.
+
+    Keys are item codes of ``kind`` (PRODUCT or RAW; held as item ids), item
+    codes of either kind (``_ANY_ITEM``) or names (None). A missing or empty
+    document value reads as an empty mapping, or as None when ``optional``.
+    """
+    prefix = {PRODUCT: "P", RAW: "R"}.get(kind)
+
+    def key(code):
+        if kind is None:
+            return code
+        item = Item.parse(str(code))
+        if prefix is None:
+            return item.code
+        _require(item.kind == kind, "wrong-item-kind", "expected a {} code, got {}", kind, code)
+        return item.id
+
+    def load(doc):
+        if optional and doc is None:
+            return None
+        return {key(k): value.load(v) for k, v in (doc or {}).items()}
+
+    def dump(mapping):
+        if mapping is None:
+            return None
+        items = sorted(mapping.items())
+        if value.dump is not None:
+            items = [(k, value.dump(v)) for k, v in items]
+        return dict(items) if prefix is None else {prefix + str(k): v for k, v in items}
+
+    def check(mapping, where: str, path: str) -> None:
+        for k, v in (mapping or {}).items():
+            value.check(v, where, f"{path}.{prefix or ''}{k}")
+
+    return _Codec(load, dump, None if value.check is None else check)
+
+
+def _list(item: _Codec, make=list, rule=None) -> _Codec:
+    """A sequence of ``item`` values built with ``make``; ``rule`` checks the whole."""
+
+    def check(seq, where: str, path: str) -> None:
+        if rule is not None:
+            rule(seq, where, path)
+        if item.check is not None:
+            for i, x in enumerate(seq):
+                item.check(x, where, f"{path}.{i}")
+
+    dump = list if item.dump is None else lambda seq: [item.dump(x) for x in seq]
+    has_check = rule is not None or item.check is not None
+    return _Codec(lambda doc: make(map(item.load, doc)), dump, check if has_check else None)
+
+
+def _field(codec: _Codec, path: str | None = None, *, absent=MISSING, **default):
+    """A spec field with its document ``path`` and ``codec``.
+
+    The path is the field name unless given; a dotted path puts the key in a
+    sub-mapping of that name, and "" keeps a nested spec's keys in the
+    enclosing mapping. ``default`` or ``default_factory`` go to
+    ``dataclasses.field``. A key absent from a document reads as ``absent``
+    (a document value), else takes the dataclass default, else is an error.
+    """
+    return field(**default, metadata={"doc": (path, codec, absent)})
+
+
+def _spec(cls, declared: dict | None = None) -> _Codec:
+    """The codec of a spec dataclass, from its ``_field`` declarations.
+
+    ``declared`` maps field names to them for a class declared elsewhere.
+    A nested spec's flattened keys follow the spec's own.
+    """
+    declared = declared or {f.name: f for f in fields(cls)}
+    entries = []
+    for attr, declaration in declared.items():
+        path, codec, absent = declaration.metadata["doc"]
+        key = attr if path is None else path
+        entries.append((attr, key, key.split(".") if key else [], codec, absent))
+    entries.sort(key=lambda entry: not entry[2])
+    checks = [(attr, key, codec.check) for attr, key, _, codec, _ in entries if codec.check]
+
+    def load(doc):
+        kwargs = {}
+        for attr, key, keys, codec, absent in entries:
+            node = doc
+            for part in keys[:-1]:
+                node = node.get(part, {})
+            value = node.get(keys[-1], _ABSENT) if keys else node
+            if value is _ABSENT:
+                if absent is MISSING:
+                    continue  # the dataclass default, or a missing-argument TypeError
+                value = absent
+            try:
+                kwargs[attr] = codec.load(value)
+            except ScenarioError as exc:
+                raise ScenarioError(exc.code, f"{key}: {exc}" if key else str(exc)) from None
+        return cls(**kwargs)
+
+    def dump(obj) -> dict:
+        out: dict = {}
+        for attr, _, keys, codec, _ in entries:
+            value = getattr(obj, attr)
+            if codec.dump is not None:
+                value = codec.dump(value)
+            if not keys:
+                out.update(value)
+            elif len(keys) == 1:
+                out[keys[0]] = value
+            else:
+                out.setdefault(keys[0], {})[keys[1]] = value
+        return out
+
+    def check(obj, where: str, path: str) -> None:
+        where = _path(where, path)
+        for attr, key, check in checks:
+            check(getattr(obj, attr), where, key)
+
+    return _Codec(load, dump, check)
+
+
+_NUM = _Codec(_number)
+_INT = _Codec(int)
+_STR = _Codec(str)
+_FREQUENCY = _num("bad-frequency", "(0, inf]")
+_STOCK = _num("negative-stock", "[0, inf]")
+_KG_PER_BOX = _num("bad-bom-quantity", "(0, inf]")
+_RECIPE = _map(RAW, _KG_PER_BOX)
+_RAW_STOCK, _PRODUCT_STOCK = _map(RAW, _STOCK), _map(PRODUCT, _STOCK)
+_SEED = _Codec(int, check=_rule(lambda x: x >= 0, "bad-seed", "non-negative"))
 
 
 # -- building blocks -----------------------------------------------------
@@ -52,12 +246,12 @@ class ReorderPolicy:
     point: float
     up_to: float
 
-    def validate(self, where: str) -> None:
-        _require(
-            self.point < self.up_to,
-            "reorder-point-not-below-up-to",
-            f"{where}: reorder point {self.point} must be below order-up-to {self.up_to}",
-        )
+
+_POLICY = _Codec(
+    lambda d: ReorderPolicy(_number(d["point"]), _number(d["up_to"])),
+    lambda p: {"point": p.point, "up_to": p.up_to},
+    _rule(lambda p: p.point < p.up_to, "reorder-point-not-below-up-to", "point < up_to"),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,25 +263,6 @@ class LeadTime:
     low: float = 0.0
     high: float = 0.0
 
-    def validate(self, where: str) -> None:
-        _require(
-            self.kind in ("fixed", "uniform", "exponential"),
-            "bad-lead-time",
-            f"{where}: unknown lead time kind {self.kind!r}",
-        )
-        if self.kind == "uniform":
-            _require(
-                0 <= self.low <= self.high,
-                "bad-lead-time",
-                f"{where}: uniform lead time needs 0 <= low <= high",
-            )
-        else:
-            _require(
-                self.hours >= 0,
-                "bad-lead-time",
-                f"{where}: lead time hours must be non-negative",
-            )
-
     def draw(self, rng) -> float:
         if self.kind == "fixed":
             return self.hours
@@ -95,105 +270,126 @@ class LeadTime:
             return rng.uniform(self.low, self.high)
         return rng.expovariate(1.0 / self.hours) if self.hours > 0 else 0.0
 
-    def to_dict(self) -> dict:
-        if self.kind == "uniform":
-            return {"kind": "uniform", "low": self.low, "high": self.high}
-        return {"kind": self.kind, "hours": self.hours}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LeadTime":
-        kind = d.get("kind", "fixed")
-        if kind == "uniform":
-            return cls(kind="uniform", low=d.get("low", 0.0), high=d.get("high", 0.0))
-        return cls(kind=kind, hours=d.get("hours", 0.0))
+def _load_lead_time(d: dict) -> LeadTime:
+    kind = d.get("kind", "fixed")
+    if kind == "uniform":
+        low, high = d.get("low", 0.0), d.get("high", 0.0)
+        return LeadTime(kind, low=_number_as_written(low), high=_number_as_written(high))
+    return LeadTime(kind, hours=_number_as_written(d.get("hours", 0.0)))
+
+
+def _dump_lead_time(lt: LeadTime) -> dict:
+    if lt.kind == "uniform":
+        return {"kind": "uniform", "low": lt.low, "high": lt.high}
+    return {"kind": lt.kind, "hours": lt.hours}
+
+
+def _lead_time_ok(lt: LeadTime) -> bool:
+    if lt.kind == "uniform":
+        return 0 <= lt.low <= lt.high
+    return lt.kind in ("fixed", "exponential") and lt.hours >= 0
+
+
+_LEAD_TIME = _Codec(
+    _load_lead_time, _dump_lead_time, _rule(_lead_time_ok, "bad-lead-time", "a lead time")
+)
 
 
 @dataclass(slots=True)
 class SupplierSpec:
-    name: str
-    raws: tuple[int, ...]
-    stock_kg: dict[int, float]
-    reorder: dict[int, ReorderPolicy]
-    deliver_every: float = 4.0
-    source_every: float = 4.0
-    lead_time: LeadTime = field(default_factory=LeadTime)
+    name: str = _field(_STR)
+    raws: tuple[int, ...] = _field(_list(_INT, tuple), absent=())
+    stock_kg: dict[int, float] = _field(_RAW_STOCK, absent=None)
+    reorder: dict[int, ReorderPolicy] = _field(_map(RAW, _POLICY), absent=None)
+    deliver_every: float = _field(_FREQUENCY, "frequencies.deliver", default=4.0)
+    source_every: float = _field(_FREQUENCY, "frequencies.source", default=4.0)
+    lead_time: LeadTime = _field(_LEAD_TIME, default_factory=LeadTime)
 
 
 @dataclass(slots=True)
 class FirmSpec:
-    name: str = "firm"
-    fgi: dict[int, float] = field(default_factory=dict)
-    raw_stock_kg: dict[int, float] = field(default_factory=dict)
-    raw_reorder: dict[int, ReorderPolicy] = field(default_factory=dict)
-    production_mode: dict[int, str] = field(default_factory=dict)
-    capacity_boxes_per_day: float = 185.0
-    deliver_every: float = 2.5
-    source_every: float = 3.0
-    make_every: float = 3.0
-    lead_time: LeadTime = field(default_factory=lambda: LeadTime(hours=2.0))
+    name: str = _field(_STR, default="firm")
+    fgi: dict[int, float] = _field(_PRODUCT_STOCK, default_factory=dict)
+    raw_stock_kg: dict[int, float] = _field(_RAW_STOCK, default_factory=dict)
+    raw_reorder: dict[int, ReorderPolicy] = _field(_map(RAW, _POLICY), default_factory=dict)
+    production_mode: dict[int, str] = _field(
+        _map(PRODUCT, _one_of("bad-production-mode", PRODUCTION_MODES)), default_factory=dict
+    )
+    capacity_boxes_per_day: float = _field(_num("bad-capacity", "(0, inf]"), default=185.0)
+    deliver_every: float = _field(_FREQUENCY, "frequencies.deliver", default=2.5)
+    source_every: float = _field(_FREQUENCY, "frequencies.source", default=3.0)
+    make_every: float = _field(_FREQUENCY, "frequencies.make", default=3.0)
+    lead_time: LeadTime = _field(_LEAD_TIME, default_factory=lambda: LeadTime(hours=2.0))
 
 
 @dataclass(slots=True)
 class RetailerSpec:
-    name: str = "retailer"
-    stock: dict[int, float] = field(default_factory=dict)
-    reorder: dict[int, ReorderPolicy] = field(default_factory=dict)
-    deliver_every: float = 2.0
-    source_every: float = 2.5
-    lead_time: LeadTime = field(default_factory=LeadTime)
+    name: str = _field(_STR, default="retailer")
+    stock: dict[int, float] = _field(_PRODUCT_STOCK, default_factory=dict)
+    reorder: dict[int, ReorderPolicy] = _field(_map(PRODUCT, _POLICY), default_factory=dict)
+    deliver_every: float = _field(_FREQUENCY, "frequencies.deliver", default=2.0)
+    source_every: float = _field(_FREQUENCY, "frequencies.source", default=2.5)
+    lead_time: LeadTime = _field(_LEAD_TIME, default_factory=LeadTime)
 
 
 @dataclass(slots=True)
 class CustomerSpec:
-    name: str
-    lot_size: float
-    arrivals: str = "deterministic"  # or "memoryless"
+    name: str = _field(_STR)
+    lot_size: float = _field(_num("bad-lot-size", "(0, inf]"), absent=1)
+    arrivals: str = _field(
+        _one_of("bad-arrival-mode", ("deterministic", "memoryless")), default="deterministic"
+    )
 
 
 @dataclass(slots=True)
 class UpstreamSpec:
     """Tier-2 source feeding the suppliers; stock is unbounded."""
 
-    name: str = "upstream"
-    deliver_every: float = 4.0
-    lead_time: LeadTime = field(default_factory=lambda: LeadTime(hours=2.0))
+    name: str = _field(_STR, default="upstream")
+    deliver_every: float = _field(_FREQUENCY, "frequencies.deliver", default=4.0)
+    lead_time: LeadTime = _field(_LEAD_TIME, default_factory=lambda: LeadTime(hours=2.0))
 
 
 @dataclass(slots=True)
 class SupportConfig:
-    defect_probability: dict[int, float] = field(default_factory=dict)  # per product
-    education_decay: float = 0.9
-    handling_hours: float = 2.3
-    max_defective_fraction: float = 0.25
+    defect_probability: dict[int, float] = _field(  # per product
+        _map(PRODUCT, _num("bad-defect-probability", "[0, 1]")), default_factory=dict
+    )
+    education_decay: float = _field(_num("bad-education-decay", "(0, 1]"), default=0.9)
+    handling_hours: float = _field(_num("bad-handling-time", "[0, inf]"), default=2.3)
+    max_defective_fraction: float = _field(_num("bad-defective-fraction", "(0, 1]"), default=0.25)
 
 
 @dataclass(slots=True)
 class MarketConfig:
-    vote_threshold: float = 6.0
-    frequency_hours: float = 6.0
+    vote_threshold: float = _field(_NUM, default=6.0)
+    frequency_hours: float = _field(_FREQUENCY, default=6.0)
 
 
 @dataclass(slots=True)
 class InnovationConfig:
-    delay_hours: float = 8.0
-    technology_cost: float = 500.0
-    bom_override: dict[int, float] | None = None  # raw id -> kg per box
+    delay_hours: float = _field(_num("bad-innovation-delay", "[0, inf]"), default=8.0)
+    technology_cost: float = _field(_NUM, default=500.0)
+    bom_override: dict[int, float] | None = _field(  # raw id -> kg per box
+        _map(RAW, _KG_PER_BOX, optional=True), default=None
+    )
 
 
 @dataclass(frozen=True, slots=True)
 class ProspectSpec:
-    name: str
-    priority: int
-    product: int
-    boxes_per_day: float
+    name: str = _field(_STR)
+    priority: int = _field(_INT)
+    product: int = _field(_INT)
+    boxes_per_day: float = _field(_num("bad-prospect-rate", "(0, inf]"))
 
 
 @dataclass(slots=True)
 class SellConfig:
-    capacity_fraction: float = 0.5
-    frequency_hours: float = 12.0
-    order_interval_hours: float = 6.0
-    prospects: tuple[ProspectSpec, ...] = ()
+    capacity_fraction: float = _field(_num("bad-capacity-fraction", "(0, 1]"), default=0.5)
+    frequency_hours: float = _field(_FREQUENCY, default=12.0)
+    order_interval_hours: float = _field(_FREQUENCY, default=6.0)
+    prospects: tuple[ProspectSpec, ...] = _field(_list(_spec(ProspectSpec), tuple), default=())
 
 
 @dataclass(slots=True)
@@ -217,51 +413,101 @@ class DemandTable:
 
     def validate(self) -> None:
         for (customer, pid), row in self.rows.items():
+            where = (customer, pid, len(row))
+            _require(len(row) == 12, "bad-demand-row", "demand row {}/P{} has {} months", *where)
             _require(
-                len(row) == 12,
+                all(0 <= v < math.inf for v in row),
                 "bad-demand-row",
-                f"demand row ({customer}, product {pid}) must have 12 months, "
-                f"got {len(row)}",
+                "demand row {}/P{} has negative or infinite boxes",
+                *where,
             )
-            _require(
-                all(v >= 0 for v in row),
-                "bad-demand-row",
-                f"demand row ({customer}, product {pid}) has negative boxes",
-            )
+
+
+def _load_demand(d: dict) -> DemandTable:
+    if "file" in d:
+        return load_demand_table(d["file"])
+    return DemandTable(
+        rows={
+            (str(row["customer"]), int(row["product"])): tuple(map(_number, row["monthly"]))
+            for row in d.get("rows", ())
+        }
+    )
+
+
+def _dump_demand(table: DemandTable) -> dict:
+    rows = sorted(table.rows.items())
+    return {
+        "rows": [
+            {"customer": cust, "product": pid, "monthly": [float(v) for v in row]}
+            for (cust, pid), row in rows
+        ]
+    }
+
+
+_DEMAND = _Codec(_load_demand, _dump_demand, lambda table, where, path: table.validate())
+
+
+# SatisfactionParams is a dataclass of the satisfaction module, so the
+# document form of its fields is declared here
+_PARAMS = _spec(SatisfactionParams, {
+    "forgetting_factor": _field(_num("forgetting-factor-out-of-range", "(0, 1)")),
+    "support_weight": _field(_NUM),
+    "price_weight": _field(_num("price-weight-not-positive", "(0, inf]")),
+    "delay_weight": _field(_NUM),
+    "quality_weight": _field(_NUM),
+    "peer_weight": _field(_NUM),
+})
 
 
 @dataclass(slots=True)
 class SatisfactionConfig:
-    params: SatisfactionParams = field(default_factory=SatisfactionParams)
-    initial_vote: float = 8.0
+    params: SatisfactionParams = _field(_PARAMS, "", default_factory=SatisfactionParams)
+    initial_vote: float = _field(_num("bad-initial-vote", "[0, 10]"), default=8.0)
+
+
+_PRICE_TABLE = _map(None, _map(_ANY_ITEM, _Codec(_number_as_written)))
+_PROCESSES = _Codec(
+    lambda d: None if d is None else {p: bool(on) for p, on in d.items()},  # None: from mode
+    lambda d: {p: bool(d.get(p, False)) for p in VCOR_PROCESSES},
+    _rule(lambda d: set(d) <= set(VCOR_PROCESSES), "unknown-process", "a process toggle map"),
+)
+_CATALOG = _list(_INT, tuple, _rule(len, "empty-catalog", "a non-empty list"))
 
 
 @dataclass(slots=True)
 class Scenario:
-    name: str
-    seed: int
-    horizon_hours: float
-    mode: str
-    processes: dict[str, bool]
-    products: tuple[int, ...]
-    raws: tuple[int, ...]
-    bom: dict[int, dict[int, float]]  # product -> raw -> kg per box
-    suppliers: list[SupplierSpec]
-    raw_sources: dict[int, str]  # designated supplier per raw
-    firm: FirmSpec
-    retailer: RetailerSpec
-    customers: list[CustomerSpec]
-    upstream: UpstreamSpec
-    demand: DemandTable
-    prices: dict[str, dict[str, float]]  # actor -> item code -> unit price
-    holding_costs: dict[str, dict[str, float]]  # actor -> item code -> per unit-hour
-    production_cost_per_box: float
-    support_cost_per_ticket: float
-    satisfaction: SatisfactionConfig
-    support: SupportConfig
-    market: MarketConfig
-    innovation: InnovationConfig
-    sell: SellConfig
+    name: str = _field(_STR, absent="unnamed")
+    seed: int = _field(_SEED, absent=0)
+    horizon_hours: float = _field(_num("bad-horizon", "[0, inf]"), absent=48.0)
+    mode: str = _field(_one_of("bad-mode", MODES), absent="scor")
+    processes: dict[str, bool] = _field(_PROCESSES, absent=None)
+    products: tuple[int, ...] = _field(_CATALOG, "catalog.products", absent=())
+    raws: tuple[int, ...] = _field(_CATALOG, "catalog.raws", absent=())
+    bom: dict[int, dict[int, float]] = _field(  # product -> raw -> kg per box
+        _map(PRODUCT, _RECIPE), "catalog.bom", absent=None
+    )
+    suppliers: list[SupplierSpec] = _field(_list(_spec(SupplierSpec)), absent=())
+    # designated supplier per raw
+    raw_sources: dict[int, str] = _field(_map(RAW, _STR), absent=None)
+    firm: FirmSpec = _field(_spec(FirmSpec), absent={})
+    retailer: RetailerSpec = _field(_spec(RetailerSpec), absent={})
+    customers: list[CustomerSpec] = _field(
+        _list(_spec(CustomerSpec), list, _rule(len, "no-customers", "a non-empty list")), absent=()
+    )
+    upstream: UpstreamSpec = _field(_spec(UpstreamSpec), absent={})
+    demand: DemandTable = _field(_DEMAND, absent={})
+    # actor -> item code -> unit price, and per unit-hour held
+    prices: dict[str, dict[str, float]] = _field(_PRICE_TABLE, absent=None)
+    holding_costs: dict[str, dict[str, float]] = _field(
+        _PRICE_TABLE, "costs.holding_per_unit_hour", absent=None
+    )
+    production_cost_per_box: float = _field(_NUM, "costs.production_per_box", absent=0.0)
+    support_cost_per_ticket: float = _field(_NUM, "costs.support_per_ticket", absent=0.0)
+    satisfaction: SatisfactionConfig = _field(_spec(SatisfactionConfig), absent={})
+    support: SupportConfig = _field(_spec(SupportConfig), absent={})
+    market: MarketConfig = _field(_spec(MarketConfig), absent={})
+    innovation: InnovationConfig = _field(_spec(InnovationConfig), absent={})
+    sell: SellConfig = _field(_spec(SellConfig), absent={})
 
     # -- derived --------------------------------------------------------
 
@@ -290,617 +536,102 @@ class Scenario:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
-        _require(self.mode in MODES, "bad-mode", f"unknown mode {self.mode!r}")
-        _require(self.seed >= 0, "bad-seed", f"seed must be non-negative: {self.seed}")
+        """Check each field against its table entry, then the cross-references."""
+        _SCENARIO.check(self, "", "")
+        enabled = [p for p, on in self.processes.items() if on]
         _require(
-            self.horizon_hours >= 0,
-            "bad-horizon",
-            f"horizon must be non-negative: {self.horizon_hours}",
+            self.mode == "vcor" or not enabled,
+            "mode-toggle-conflict",
+            "mode=scor forces all value-chain processes off, got {}",
+            enabled,
         )
-        for proc in self.processes:
-            _require(
-                proc in VCOR_PROCESSES,
-                "unknown-process",
-                f"unknown value-chain process {proc!r}",
-            )
-        if self.mode == "scor":
-            enabled = [p for p, on in self.processes.items() if on]
-            _require(
-                not enabled,
-                "mode-toggle-conflict",
-                f"mode=scor forces all value-chain processes off, got {enabled}",
-            )
 
-        _require(bool(self.products), "empty-catalog", "no products defined")
-        _require(bool(self.raws), "empty-catalog", "no raws defined")
-        known_raws = set(self.raws)
-        known_products = set(self.products)
-
+        products, raws = set(self.products), set(self.raws)
         for pid, needs in self.bom.items():
-            _require(
-                pid in known_products, "unknown-product", f"recipe for unknown product {pid}"
-            )
-            for rid, kg in needs.items():
-                _require(
-                    rid in known_raws,
-                    "unknown-raw",
-                    f"recipe of product {pid} references unknown raw {rid}",
-                )
-                _require(
-                    kg > 0,
-                    "bad-bom-quantity",
-                    f"recipe of product {pid} uses non-positive {kg} kg of raw {rid}",
-                )
-        for pid in known_products:
-            _require(pid in self.bom, "missing-recipe", f"product {pid} has no recipe")
+            _require(pid in products, "unknown-product", "recipe for unknown product {}", pid)
+            for rid in needs:
+                _require(rid in raws, "unknown-raw", "recipe of P{} uses unknown raw {}", pid, rid)
+        for pid in self.products:
+            _require(pid in self.bom, "missing-recipe", "product {} has no recipe", pid)
 
-        covered = set()
+        covered: set[int] = set()
+        producers: dict[str, tuple[int, ...]] = {}  # the first supplier of each name
         for s in self.suppliers:
             for rid in s.raws:
-                _require(
-                    rid in known_raws, "unknown-raw", f"{s.name} produces unknown raw {rid}"
-                )
-                covered.add(rid)
-            for rid, pol in s.reorder.items():
-                pol.validate(f"{s.name}/R{rid}")
-            _require(
-                s.deliver_every > 0 and s.source_every > 0,
-                "bad-frequency",
-                f"{s.name}: rescheduling frequencies must be positive",
-            )
-            s.lead_time.validate(s.name)
-        _require(
-            known_raws <= covered,
-            "raw-not-covered",
-            f"raws without any producing supplier: {sorted(known_raws - covered)}",
-        )
-        supplier_names = {s.name for s in self.suppliers}
-        for rid, source_name in self.raw_sources.items():
-            _require(
-                rid in known_raws, "unknown-raw", f"raw source for unknown raw {rid}"
-            )
-            _require(
-                source_name in supplier_names,
-                "raw-source-not-supplier",
-                f"designated source {source_name!r} for raw {rid} is not a supplier",
-            )
-            producer = next(s for s in self.suppliers if s.name == source_name)
-            _require(
-                rid in producer.raws,
-                "raw-source-not-producer",
-                f"{source_name} does not produce raw {rid}",
-            )
-        for rid in known_raws:
-            _require(
-                rid in self.raw_sources,
-                "raw-not-covered",
-                f"raw {rid} has no designated source",
-            )
+                _require(rid in raws, "unknown-raw", "{} produces unknown raw {}", s.name, rid)
+            covered.update(s.raws)
+            producers.setdefault(s.name, s.raws)
+        _require(raws <= covered, "raw-not-covered", "raws nobody produces: {}", raws - covered)
+        for rid, name in self.raw_sources.items():
+            _require(rid in raws, "unknown-raw", "source for unknown raw {}", rid)
+            _require(name in producers, "raw-source-not-supplier", "{!r} is no supplier", name)
+            _require(rid in producers[name], "raw-source-not-producer", "{} lacks R{}", name, rid)
+        unsourced = raws.difference(self.raw_sources)
+        _require(not unsourced, "raw-not-covered", "raws without a source: {}", unsourced)
 
-        _require(
-            self.firm.capacity_boxes_per_day > 0,
-            "bad-capacity",
-            f"firm capacity must be positive: {self.firm.capacity_boxes_per_day}",
-        )
-        for pid, mode in self.firm.production_mode.items():
-            _require(
-                mode in PRODUCTION_MODES,
-                "bad-production-mode",
-                f"product {pid}: unknown production mode {mode!r}",
-            )
-        for rid, pol in self.firm.raw_reorder.items():
-            pol.validate(f"{self.firm.name}/R{rid}")
-        _require(
-            self.firm.deliver_every > 0
-            and self.firm.source_every > 0
-            and self.firm.make_every > 0,
-            "bad-frequency",
-            f"{self.firm.name}: rescheduling frequencies must be positive",
-        )
-        self.firm.lead_time.validate(self.firm.name)
-
-        for pid, pol in self.retailer.reorder.items():
-            pol.validate(f"{self.retailer.name}/P{pid}")
-        _require(
-            self.retailer.deliver_every > 0 and self.retailer.source_every > 0,
-            "bad-frequency",
-            f"{self.retailer.name}: rescheduling frequencies must be positive",
-        )
-        self.retailer.lead_time.validate(self.retailer.name)
-        self.upstream.lead_time.validate(self.upstream.name)
-        _require(
-            self.upstream.deliver_every > 0,
-            "bad-frequency",
-            f"{self.upstream.name}: deliver frequency must be positive",
-        )
-
-        _require(bool(self.customers), "no-customers", "at least one customer required")
-        for c in self.customers:
-            _require(
-                c.lot_size > 0, "bad-lot-size", f"{c.name}: lot size must be positive"
-            )
-            _require(
-                c.arrivals in ("deterministic", "memoryless"),
-                "bad-arrival-mode",
-                f"{c.name}: unknown arrival mode {c.arrivals!r}",
-            )
-
-        self.demand.validate()
-        for (customer, pid), _row in self.demand.rows.items():
-            _require(
-                any(c.name == customer for c in self.customers),
-                "unknown-customer",
-                f"demand row for unknown customer {customer!r}",
-            )
-            _require(
-                pid in known_products,
-                "unknown-product",
-                f"demand row for unknown product {pid}",
-            )
-
-        try:
-            self.satisfaction.params.validate()
-        except ParameterError as exc:
-            code = (
-                "forgetting-factor-out-of-range"
-                if "forgetting" in str(exc)
-                else "price-weight-not-positive"
-            )
-            raise ScenarioError(code, str(exc)) from exc
-        _require(
-            0.0 <= self.satisfaction.initial_vote <= 10.0,
-            "bad-initial-vote",
-            f"initial vote outside [0, 10]: {self.satisfaction.initial_vote}",
-        )
-
-        for pid, p_def in self.support.defect_probability.items():
-            _require(
-                0.0 <= p_def <= 1.0,
-                "bad-defect-probability",
-                f"defect probability for product {pid} outside [0, 1]: {p_def}",
-            )
-        _require(
-            0.0 < self.support.education_decay <= 1.0,
-            "bad-education-decay",
-            f"education decay outside (0, 1]: {self.support.education_decay}",
-        )
-        _require(
-            self.support.handling_hours >= 0,
-            "bad-handling-time",
-            "support handling time must be non-negative",
-        )
-        _require(
-            0.0 < self.support.max_defective_fraction <= 1.0,
-            "bad-defective-fraction",
-            "max defective fraction must lie in (0, 1]",
-        )
-        _require(
-            self.market.frequency_hours > 0,
-            "bad-frequency",
-            "market check frequency must be positive",
-        )
-        _require(
-            self.innovation.delay_hours >= 0,
-            "bad-innovation-delay",
-            "innovation delay must be non-negative",
-        )
-        _require(
-            0.0 < self.sell.capacity_fraction <= 1.0,
-            "bad-capacity-fraction",
-            "sell capacity fraction must lie in (0, 1]",
-        )
-        _require(
-            self.sell.frequency_hours > 0 and self.sell.order_interval_hours > 0,
-            "bad-frequency",
-            "sell frequencies must be positive",
-        )
+        customers = {c.name for c in self.customers}
+        for name, pid in self.demand.rows:
+            _require(name in customers, "unknown-customer", "demand of unknown {!r}", name)
+            _require(pid in products, "unknown-product", "demand for unknown product {}", pid)
         for p in self.sell.prospects:
-            _require(
-                p.product in known_products,
-                "unknown-product",
-                f"prospect {p.name} wants unknown product {p.product}",
-            )
-            _require(
-                p.boxes_per_day > 0,
-                "bad-prospect-rate",
-                f"prospect {p.name}: boxes/day must be positive",
-            )
+            _require(p.product in products, "unknown-product", "{} wants P{}", p.name, p.product)
 
         # every actor that can ship goods needs a unit price for them
-        sellers: list[tuple[str, list[str]]] = [
-            (self.retailer.name, [product(p).code for p in self.products]),
-            (self.firm.name, [product(p).code for p in self.products]),
-            (self.upstream.name, [raw(r).code for r in self.raws]),
-        ]
-        sellers += [(s.name, [raw(r).code for r in s.raws]) for s in self.suppliers]
-        for seller, codes in sellers:
-            for code in codes:
-                _require(
-                    code in self.prices.get(seller, {}),
-                    "missing-price",
-                    f"no price for {code} sold by {seller}",
-                )
+        sellers = [(self.retailer.name, "P", self.products), (self.firm.name, "P", self.products)]
+        sellers.append((self.upstream.name, "R", self.raws))
+        sellers += [(s.name, "R", s.raws) for s in self.suppliers]
+        for seller, prefix, ids in sellers:
+            priced = self.prices.get(seller, {})
+            for i in ids:
+                code = prefix + str(i)
+                _require(code in priced, "missing-price", "{} has no price for {}", seller, code)
 
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "name": self.name,
-            "seed": self.seed,
-            "horizon_hours": self.horizon_hours,
-            "mode": self.mode,
-            "processes": {p: bool(self.processes.get(p, False)) for p in VCOR_PROCESSES},
-            "catalog": {
-                "products": list(self.products),
-                "raws": list(self.raws),
-                "bom": {
-                    product(pid).code: {raw(rid).code: kg for rid, kg in sorted(needs.items())}
-                    for pid, needs in sorted(self.bom.items())
-                },
-            },
-            "suppliers": [
-                {
-                    "name": s.name,
-                    "raws": list(s.raws),
-                    "stock_kg": {raw(r).code: v for r, v in sorted(s.stock_kg.items())},
-                    "reorder": {
-                        raw(r).code: {"point": p.point, "up_to": p.up_to}
-                        for r, p in sorted(s.reorder.items())
-                    },
-                    "frequencies": {"deliver": s.deliver_every, "source": s.source_every},
-                    "lead_time": s.lead_time.to_dict(),
-                }
-                for s in self.suppliers
-            ],
-            "raw_sources": {raw(r).code: name for r, name in sorted(self.raw_sources.items())},
-            "firm": {
-                "name": self.firm.name,
-                "fgi": {product(p).code: v for p, v in sorted(self.firm.fgi.items())},
-                "raw_stock_kg": {
-                    raw(r).code: v for r, v in sorted(self.firm.raw_stock_kg.items())
-                },
-                "raw_reorder": {
-                    raw(r).code: {"point": p.point, "up_to": p.up_to}
-                    for r, p in sorted(self.firm.raw_reorder.items())
-                },
-                "production_mode": {
-                    product(p).code: m for p, m in sorted(self.firm.production_mode.items())
-                },
-                "capacity_boxes_per_day": self.firm.capacity_boxes_per_day,
-                "frequencies": {
-                    "deliver": self.firm.deliver_every,
-                    "source": self.firm.source_every,
-                    "make": self.firm.make_every,
-                },
-                "lead_time": self.firm.lead_time.to_dict(),
-            },
-            "retailer": {
-                "name": self.retailer.name,
-                "stock": {product(p).code: v for p, v in sorted(self.retailer.stock.items())},
-                "reorder": {
-                    product(p).code: {"point": pol.point, "up_to": pol.up_to}
-                    for p, pol in sorted(self.retailer.reorder.items())
-                },
-                "frequencies": {
-                    "deliver": self.retailer.deliver_every,
-                    "source": self.retailer.source_every,
-                },
-                "lead_time": self.retailer.lead_time.to_dict(),
-            },
-            "customers": [
-                {"name": c.name, "lot_size": c.lot_size, "arrivals": c.arrivals}
-                for c in self.customers
-            ],
-            "upstream": {
-                "name": self.upstream.name,
-                "frequencies": {"deliver": self.upstream.deliver_every},
-                "lead_time": self.upstream.lead_time.to_dict(),
-            },
-            "demand": {
-                "rows": [
-                    {"customer": cust, "product": pid, "monthly": [float(v) for v in row]}
-                    for (cust, pid), row in sorted(self.demand.rows.items())
-                ]
-            },
-            "prices": {a: dict(sorted(p.items())) for a, p in sorted(self.prices.items())},
-            "costs": {
-                "holding_per_unit_hour": {
-                    a: dict(sorted(h.items())) for a, h in sorted(self.holding_costs.items())
-                },
-                "production_per_box": self.production_cost_per_box,
-                "support_per_ticket": self.support_cost_per_ticket,
-            },
-            "satisfaction": {
-                "initial_vote": self.satisfaction.initial_vote,
-                "forgetting_factor": self.satisfaction.params.forgetting_factor,
-                "support_weight": self.satisfaction.params.support_weight,
-                "price_weight": self.satisfaction.params.price_weight,
-                "delay_weight": self.satisfaction.params.delay_weight,
-                "quality_weight": self.satisfaction.params.quality_weight,
-                "peer_weight": self.satisfaction.params.peer_weight,
-            },
-            "support": {
-                "defect_probability": {
-                    product(p).code: v
-                    for p, v in sorted(self.support.defect_probability.items())
-                },
-                "education_decay": self.support.education_decay,
-                "handling_hours": self.support.handling_hours,
-                "max_defective_fraction": self.support.max_defective_fraction,
-            },
-            "market": {
-                "vote_threshold": self.market.vote_threshold,
-                "frequency_hours": self.market.frequency_hours,
-            },
-            "innovation": {
-                "delay_hours": self.innovation.delay_hours,
-                "technology_cost": self.innovation.technology_cost,
-                "bom_override": (
-                    None
-                    if self.innovation.bom_override is None
-                    else {raw(r).code: kg for r, kg in sorted(self.innovation.bom_override.items())}
-                ),
-            },
-            "sell": {
-                "capacity_fraction": self.sell.capacity_fraction,
-                "frequency_hours": self.sell.frequency_hours,
-                "order_interval_hours": self.sell.order_interval_hours,
-                "prospects": [
-                    {
-                        "name": p.name,
-                        "priority": p.priority,
-                        "product": p.product,
-                        "boxes_per_day": p.boxes_per_day,
-                    }
-                    for p in self.sell.prospects
-                ],
-            },
-        }
+        return {"schema": SCHEMA_VERSION, **_SCENARIO.dump(self)}
 
     def digest(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        return _digest(self.to_dict())
 
     def topology_digest(self) -> str:
         """Digest of everything a SCOR/VCOR pair must share to be comparable."""
         d = self.to_dict()
         for key in ("mode", "processes", "support", "market", "innovation", "sell", "name"):
             d.pop(key, None)
-        blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        return _digest(d)
+
+
+def _digest(document: dict) -> str:
+    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+_SCENARIO = _spec(Scenario)
 
 
 # -- parsing ---------------------------------------------------------------
 
 
-def _parse_item_map(raw_map: dict | None, kind: str, where: str) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for code, value in (raw_map or {}).items():
-        item = Item.parse(str(code))
-        _require(
-            item.kind == kind,
-            "wrong-item-kind",
-            f"{where}: expected a {kind} code, got {code}",
-        )
-        out[item.id] = float(value)
-    return out
-
-
-def _parse_policies(raw_map: dict | None, kind: str, where: str) -> dict[int, ReorderPolicy]:
-    out: dict[int, ReorderPolicy] = {}
-    for code, pol in (raw_map or {}).items():
-        item = Item.parse(str(code))
-        _require(
-            item.kind == kind,
-            "wrong-item-kind",
-            f"{where}: expected a {kind} code, got {code}",
-        )
-        out[item.id] = ReorderPolicy(float(pol["point"]), float(pol["up_to"]))
-    return out
-
-
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
     """Build and validate a Scenario from parsed YAML data."""
     try:
-        return _scenario_from_dict(data, base_dir)
+        _require(isinstance(data, dict), "parse", "scenario document must be a mapping")
+        schema = data.get("schema")
+        _require(schema == SCHEMA_VERSION, "schema-version", "unsupported schema {!r}", schema)
+        demand = data.get("demand")
+        if base_dir is not None and isinstance(demand, dict) and "file" in demand:
+            # a relative demand file is relative to the scenario file
+            data = {**data, "demand": {**demand, "file": base_dir / demand["file"]}}
+        scenario = _SCENARIO.load(data)
+        if scenario.processes is None:
+            scenario.processes = {p: scenario.mode == "vcor" for p in VCOR_PROCESSES}
+        scenario.validate()
+        return scenario
     except OrderValidationError as exc:
         raise ScenarioError("bad-item-code", str(exc)) from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError("parse", f"malformed scenario document: {exc!r}") from exc
-
-
-def _scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
-    _require(isinstance(data, dict), "parse", "scenario document must be a mapping")
-    schema = data.get("schema")
-    _require(
-        schema == SCHEMA_VERSION,
-        "schema-version",
-        f"unsupported schema version {schema!r} (expected {SCHEMA_VERSION})",
-    )
-    mode = data.get("mode", "scor")
-    _require(mode in MODES, "bad-mode", f"unknown mode {mode!r}")
-    processes_raw = data.get("processes")
-    if processes_raw is None:
-        processes = {p: mode == "vcor" for p in VCOR_PROCESSES}
-    else:
-        processes = {p: bool(v) for p, v in processes_raw.items()}
-
-    catalog = data.get("catalog", {})
-    products = tuple(int(p) for p in catalog.get("products", ()))
-    raws = tuple(int(r) for r in catalog.get("raws", ()))
-    bom: dict[int, dict[int, float]] = {}
-    for pcode, needs in (catalog.get("bom") or {}).items():
-        pitem = Item.parse(str(pcode))
-        bom[pitem.id] = {
-            Item.parse(str(rcode)).id: float(kg) for rcode, kg in (needs or {}).items()
-        }
-
-    suppliers = []
-    for s in data.get("suppliers", ()):
-        freqs = s.get("frequencies", {})
-        suppliers.append(
-            SupplierSpec(
-                name=str(s["name"]),
-                raws=tuple(int(r) for r in s.get("raws", ())),
-                stock_kg=_parse_item_map(s.get("stock_kg"), "raw", s["name"]),
-                reorder=_parse_policies(s.get("reorder"), "raw", s["name"]),
-                deliver_every=float(freqs.get("deliver", 4.0)),
-                source_every=float(freqs.get("source", 4.0)),
-                lead_time=LeadTime.from_dict(s.get("lead_time", {"kind": "fixed", "hours": 1.5})),
-            )
-        )
-    raw_sources = {
-        Item.parse(str(code)).id: str(name)
-        for code, name in (data.get("raw_sources") or {}).items()
-    }
-
-    f = data.get("firm", {})
-    ffreq = f.get("frequencies", {})
-    firm = FirmSpec(
-        name=str(f.get("name", "firm")),
-        fgi=_parse_item_map(f.get("fgi"), "product", "firm"),
-        raw_stock_kg=_parse_item_map(f.get("raw_stock_kg"), "raw", "firm"),
-        raw_reorder=_parse_policies(f.get("raw_reorder"), "raw", "firm"),
-        production_mode={
-            Item.parse(str(code)).id: str(m)
-            for code, m in (f.get("production_mode") or {}).items()
-        },
-        capacity_boxes_per_day=float(f.get("capacity_boxes_per_day", 185.0)),
-        deliver_every=float(ffreq.get("deliver", 2.5)),
-        source_every=float(ffreq.get("source", 3.0)),
-        make_every=float(ffreq.get("make", 3.0)),
-        lead_time=LeadTime.from_dict(f.get("lead_time", {"kind": "fixed", "hours": 2.0})),
-    )
-
-    r = data.get("retailer", {})
-    rfreq = r.get("frequencies", {})
-    retailer = RetailerSpec(
-        name=str(r.get("name", "retailer")),
-        stock=_parse_item_map(r.get("stock"), "product", "retailer"),
-        reorder=_parse_policies(r.get("reorder"), "product", "retailer"),
-        deliver_every=float(rfreq.get("deliver", 2.0)),
-        source_every=float(rfreq.get("source", 2.5)),
-        lead_time=LeadTime.from_dict(r.get("lead_time", {"kind": "fixed", "hours": 1.5})),
-    )
-
-    customers = [
-        CustomerSpec(
-            name=str(c["name"]),
-            lot_size=float(c.get("lot_size", 1)),
-            arrivals=str(c.get("arrivals", "deterministic")),
-        )
-        for c in data.get("customers", ())
-    ]
-
-    u = data.get("upstream", {})
-    upstream = UpstreamSpec(
-        name=str(u.get("name", "upstream")),
-        deliver_every=float(u.get("frequencies", {}).get("deliver", 4.0)),
-        lead_time=LeadTime.from_dict(u.get("lead_time", {"kind": "fixed", "hours": 2.0})),
-    )
-
-    demand_section = data.get("demand", {})
-    if "file" in demand_section:
-        path = Path(demand_section["file"])
-        if not path.is_absolute():
-            path = (base_dir or Path.cwd()) / path
-        demand = load_demand_table(path)
-    else:
-        demand = DemandTable(
-            rows={
-                (str(row["customer"]), int(row["product"])): tuple(
-                    float(v) for v in row["monthly"]
-                )
-                for row in demand_section.get("rows", ())
-            }
-        )
-
-    costs = data.get("costs", {})
-    sat = data.get("satisfaction", {})
-    satisfaction = SatisfactionConfig(
-        params=SatisfactionParams(
-            forgetting_factor=float(sat.get("forgetting_factor", 0.3)),
-            support_weight=float(sat.get("support_weight", 0.5)),
-            price_weight=float(sat.get("price_weight", 0.05)),
-            delay_weight=float(sat.get("delay_weight", -0.05)),
-            quality_weight=float(sat.get("quality_weight", 0.02)),
-            peer_weight=float(sat.get("peer_weight", 0.1)),
-        ),
-        initial_vote=float(sat.get("initial_vote", 8.0)),
-    )
-
-    sup = data.get("support", {})
-    support = SupportConfig(
-        defect_probability=_parse_item_map(
-            sup.get("defect_probability"), "product", "support"
-        ),
-        education_decay=float(sup.get("education_decay", 0.9)),
-        handling_hours=float(sup.get("handling_hours", 2.3)),
-        max_defective_fraction=float(sup.get("max_defective_fraction", 0.25)),
-    )
-    mkt = data.get("market", {})
-    market = MarketConfig(
-        vote_threshold=float(mkt.get("vote_threshold", 6.0)),
-        frequency_hours=float(mkt.get("frequency_hours", 6.0)),
-    )
-    innov = data.get("innovation", {})
-    bom_override = innov.get("bom_override")
-    innovation = InnovationConfig(
-        delay_hours=float(innov.get("delay_hours", 8.0)),
-        technology_cost=float(innov.get("technology_cost", 500.0)),
-        bom_override=(
-            None
-            if bom_override is None
-            else {Item.parse(str(c)).id: float(kg) for c, kg in bom_override.items()}
-        ),
-    )
-    sell_raw = data.get("sell", {})
-    sell = SellConfig(
-        capacity_fraction=float(sell_raw.get("capacity_fraction", 0.5)),
-        frequency_hours=float(sell_raw.get("frequency_hours", 12.0)),
-        order_interval_hours=float(sell_raw.get("order_interval_hours", 6.0)),
-        prospects=tuple(
-            ProspectSpec(
-                name=str(p["name"]),
-                priority=int(p["priority"]),
-                product=int(p["product"]),
-                boxes_per_day=float(p["boxes_per_day"]),
-            )
-            for p in sell_raw.get("prospects", ())
-        ),
-    )
-
-    scenario = Scenario(
-        name=str(data.get("name", "unnamed")),
-        seed=int(data.get("seed", 0)),
-        horizon_hours=float(data.get("horizon_hours", 48.0)),
-        mode=mode,
-        processes=processes,
-        products=products,
-        raws=raws,
-        bom=bom,
-        suppliers=suppliers,
-        raw_sources=raw_sources,
-        firm=firm,
-        retailer=retailer,
-        customers=customers,
-        upstream=upstream,
-        demand=demand,
-        prices={a: dict(p) for a, p in (data.get("prices") or {}).items()},
-        holding_costs={
-            a: dict(h) for a, h in (costs.get("holding_per_unit_hour") or {}).items()
-        },
-        production_cost_per_box=float(costs.get("production_per_box", 0.0)),
-        support_cost_per_ticket=float(costs.get("support_per_ticket", 0.0)),
-        satisfaction=satisfaction,
-        support=support,
-        market=market,
-        innovation=innovation,
-        sell=sell,
-    )
-    scenario.validate()
-    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -951,26 +682,11 @@ def load_demand_table(path: str | Path) -> DemandTable:
             raise ScenarioError(
                 "parse", f"{path}:{lineno}: expected 14 columns, got {len(row)}"
             )
-        customer = row[0].strip()
         try:
-            pid = int(row[1])
-        except ValueError:
-            raise ScenarioError(
-                "parse", f"{path}:{lineno}: bad product id {row[1]!r}"
-            ) from None
-        monthly = []
-        for cell in row[2:]:
-            cell = cell.strip()
-            if cell in ("-", ""):
-                monthly.append(0.0)
-            else:
-                try:
-                    monthly.append(float(cell))
-                except ValueError:
-                    raise ScenarioError(
-                        "parse", f"{path}:{lineno}: bad demand value {cell!r}"
-                    ) from None
-        rows[(customer, pid)] = tuple(monthly)
+            monthly = [0.0 if c.strip() in ("-", "") else _number(c) for c in row[2:]]
+            rows[(row[0].strip(), int(row[1]))] = tuple(monthly)
+        except (ValueError, ScenarioError) as exc:
+            raise ScenarioError("parse", f"{path}:{lineno}: {exc}") from None
     table = DemandTable(rows=rows)
     table.validate()
     return table
@@ -1003,11 +719,12 @@ def case_study_scenario(
 ) -> Scenario:
     """The reference chain: three suppliers, one firm, one retailer, two customers.
 
-    Inventory levels, rescheduling frequencies, and production capacity carry
-    the reference values; policies, prices, and behavioral weights are
-    documented calibration defaults.
+    Inventory levels carry the reference values, and so do the spec defaults
+    it keeps for rescheduling frequencies, lead times and production capacity;
+    policies, prices, and behavioral weights are documented calibration
+    defaults.
     """
-    _require(mode in MODES, "bad-mode", f"unknown mode {mode!r}")
+    _require(mode in MODES, "bad-mode", "unknown mode {!r}", mode)
     raw_price = {"R1": 2.0, "R2": 2.0, "R3": 2.0}
     scenario = Scenario(
         name=f"case-study-{mode}",
@@ -1024,27 +741,18 @@ def case_study_scenario(
                 raws=(1,),
                 stock_kg={1: 500.0},
                 reorder={1: ReorderPolicy(50.0, 500.0)},
-                deliver_every=4.0,
-                source_every=4.0,
-                lead_time=LeadTime(hours=1.5),
             ),
             SupplierSpec(
                 name="supplier2",
                 raws=(1, 2),
                 stock_kg={1: 500.0, 2: 500.0},
                 reorder={1: ReorderPolicy(50.0, 500.0), 2: ReorderPolicy(50.0, 500.0)},
-                deliver_every=4.0,
-                source_every=4.0,
-                lead_time=LeadTime(hours=1.5),
             ),
             SupplierSpec(
                 name="supplier3",
                 raws=(3,),
                 stock_kg={3: 500.0},
                 reorder={3: ReorderPolicy(50.0, 500.0)},
-                deliver_every=4.0,
-                source_every=4.0,
-                lead_time=LeadTime(hours=1.5),
             ),
         ],
         raw_sources={1: "supplier2", 2: "supplier2", 3: "supplier3"},
@@ -1058,11 +766,6 @@ def case_study_scenario(
                 3: ReorderPolicy(100.0, 250.0),
             },
             production_mode={1: "make-to-stock", 2: "make-to-stock", 3: "make-to-stock"},
-            capacity_boxes_per_day=185.0,
-            deliver_every=2.5,
-            source_every=3.0,
-            make_every=3.0,
-            lead_time=LeadTime(hours=2.0),
         ),
         retailer=RetailerSpec(
             name="retailer",
@@ -1072,15 +775,12 @@ def case_study_scenario(
                 2: ReorderPolicy(100.0, 500.0),
                 3: ReorderPolicy(50.0, 300.0),
             },
-            deliver_every=2.0,
-            source_every=2.5,
-            lead_time=LeadTime(hours=1.5),
         ),
         customers=[
             CustomerSpec(name="customer1", lot_size=2.0),
             CustomerSpec(name="customer2", lot_size=2.0),
         ],
-        upstream=UpstreamSpec(name="upstream", deliver_every=4.0, lead_time=LeadTime(hours=2.0)),
+        upstream=UpstreamSpec(),
         demand=CASE_STUDY_DEMAND,
         prices={
             "retailer": {"P1": 10.0, "P2": 10.0, "P3": 11.5},
