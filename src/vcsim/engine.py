@@ -49,20 +49,6 @@ class Event:
         return hashlib.sha256(_ENCODE(self.payload).encode("utf-8")).hexdigest()[:12]
 
 
-class SimClock:
-    """Monotone non-decreasing simulation time, in hours, starting at 0."""
-
-    __slots__ = ("now",)
-
-    def __init__(self) -> None:
-        self.now: float = 0.0
-
-    def advance_to(self, t: float) -> None:
-        if t < self.now:
-            raise SchedulingError(f"clock cannot move backwards: {t} < {self.now}")
-        self.now = t
-
-
 class RandomStreams:
     """Named random substreams derived from one 64-bit master seed.
 
@@ -105,7 +91,7 @@ class Engine:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self.clock = SimClock()
+        self.now = 0.0  # simulation time in hours; advance() only moves it forward
         self.streams = RandomStreams(seed)
         self.trace: list[Event] = []
         self._queue: list[tuple[float, int, Event]] = []
@@ -124,10 +110,10 @@ class Engine:
         kind: str,
         payload: dict[str, Any] | None = None,
     ) -> Event:
-        """Enqueue an event at absolute time ``at`` (>= clock.now)."""
-        if at < self.clock.now:
+        """Enqueue an event at absolute time ``at`` (>= now)."""
+        if at < self.now:
             raise SchedulingError(
-                f"past event: cannot schedule '{kind}' at t={at} when now={self.clock.now}"
+                f"past event: cannot schedule '{kind}' at t={at} when now={self.now}"
             )
         event = Event(at, self._next_seq, target, kind, payload)
         self._next_seq += 1
@@ -143,7 +129,7 @@ class Engine:
     ) -> Event:
         if delay < 0:
             raise SchedulingError(f"negative delay: {delay}")
-        return self.schedule(self.clock.now + delay, target, kind, payload)
+        return self.schedule(self.now + delay, target, kind, payload)
 
     def register_periodic(self, target: str, kind: str, interval: float) -> None:
         """Activate (target, kind) at interval, 2*interval, ... until run end.
@@ -166,7 +152,9 @@ class Engine:
         if not self._queue:
             raise QueueExhausted("simulation exhausted: event queue is empty")
         _, _, event = heapq.heappop(self._queue)
-        self.clock.advance_to(event.fire_time)
+        if event.fire_time < self.now:
+            raise SchedulingError(f"clock cannot move backwards: {event.fire_time} < {self.now}")
+        self.now = event.fire_time
         return event.fire_time, event
 
     def run_until(self, t_end: float) -> list[Event]:

@@ -72,32 +72,6 @@ def raw(n: int) -> Item:
     return Item(RAW, n)
 
 
-@dataclass(frozen=True, slots=True)
-class BillOfMaterials:
-    """Per-product recipe: kg of each raw consumed per box produced."""
-
-    recipes: dict[int, tuple[tuple[int, float], ...]]  # product id -> ((raw id, kg), ...)
-
-    def needs(self, product_id: int) -> tuple[tuple[int, float], ...]:
-        try:
-            return self.recipes[product_id]
-        except KeyError:
-            raise OrderValidationError(f"no recipe for product {product_id}") from None
-
-    def validate(self, raw_ids: Iterable[int]) -> None:
-        known = set(raw_ids)
-        for pid, needs in self.recipes.items():
-            for rid, kg in needs:
-                if kg <= 0:
-                    raise OrderValidationError(
-                        f"recipe of product {pid} uses non-positive {kg} kg of raw {rid}"
-                    )
-                if rid not in known:
-                    raise OrderValidationError(
-                        f"recipe of product {pid} references unknown raw {rid}"
-                    )
-
-
 # -- orders ------------------------------------------------------------
 
 
@@ -453,7 +427,7 @@ def replay_final_statuses(transitions: Iterable[tuple[int, str, float]]) -> dict
 
 @dataclass(slots=True)
 class InventoryRecord:
-    """One stock position with its reorder policy and level history.
+    """One stock position and its level history.
 
     Levels never go negative: callers must backlog instead of overdrawing.
     Every change appends a (time, level) sample so holding cost and mean
@@ -463,8 +437,6 @@ class InventoryRecord:
     owner: str
     item: Item
     on_hand: float
-    reorder_point: float | None = None  # order when strictly below this
-    order_up_to: float | None = None
     unit_holding_cost: float = 0.0  # currency per unit-hour
     unit_value: float = 0.0
     samples: list[tuple[float, float]] = field(default_factory=list)
@@ -472,12 +444,6 @@ class InventoryRecord:
     def __post_init__(self) -> None:
         if self.on_hand < 0:
             raise ReservationError(f"initial stock negative: {self.on_hand}")
-        if self.reorder_point is not None and self.order_up_to is not None:
-            if not self.reorder_point < self.order_up_to:
-                raise OrderValidationError(
-                    f"reorder point {self.reorder_point} must be below "
-                    f"order-up-to level {self.order_up_to} ({self.owner}/{self.item})"
-                )
         if not self.samples:
             self.samples.append((0.0, self.on_hand))
 

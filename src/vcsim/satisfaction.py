@@ -17,10 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class ParameterError(ValueError):
-    """Raised for satisfaction parameters outside their admissible range."""
-
-
 @dataclass(frozen=True, slots=True)
 class SatisfactionParams:
     """Weights of the vote-update input.
@@ -36,16 +32,6 @@ class SatisfactionParams:
     delay_weight: float = -0.05     # weight of the delivery-delay percentage
     quality_weight: float = 0.02    # weight of the conform-ratio percentage
     peer_weight: float = 0.1        # coupling to the other customers' votes
-
-    def validate(self) -> None:
-        if not 0.0 < self.forgetting_factor < 1.0:
-            raise ParameterError(
-                f"forgetting factor out of range (0, 1): {self.forgetting_factor}"
-            )
-        if not self.price_weight > 0.0:
-            raise ParameterError(
-                f"price weight must be positive: {self.price_weight}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +73,7 @@ def innovation_gain(vote: float, forgetting_factor: float) -> float:
     """
     a = forgetting_factor
     if not 0.0 < a < 1.0:
-        raise ParameterError(f"forgetting factor out of range (0, 1): {a}")
+        raise ValueError(f"forgetting factor out of range (0, 1): {a}")
     return (9.0 - 1.2 * (1.0 - a) * vote) / a
 
 
@@ -116,7 +102,7 @@ def update_vote(state: VoteState, u: float, params: SatisfactionParams) -> VoteS
 def zero_input_decay(x0: float, forgetting_factor: float, n: int) -> list[float]:
     """Vote sequence [x0, x1, ..., xn] under zero input: x_n = (1-a)^n * x0."""
     if not 0.0 < forgetting_factor < 1.0:
-        raise ParameterError(
+        raise ValueError(
             f"forgetting factor out of range (0, 1): {forgetting_factor}"
         )
     seq = [x0]
@@ -133,5 +119,5 @@ def innovation_step(vote: float, forgetting_factor: float) -> float:
     """
     a = forgetting_factor
     if not 0.0 < a < 1.0:
-        raise ParameterError(f"forgetting factor out of range (0, 1): {a}")
+        raise ValueError(f"forgetting factor out of range (0, 1): {a}")
     return 9.0 - 0.2 * (1.0 - a) * vote

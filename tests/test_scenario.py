@@ -1,9 +1,12 @@
 """Scenario loading, validation codes, the reference profile, round trips."""
 
 import copy
+import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vcsim.scenario import (
     Scenario,
@@ -15,6 +18,7 @@ from vcsim.scenario import (
     save_scenario,
     scenario_from_dict,
 )
+from vcsim.simulation import run_scenario
 
 
 class TestCaseStudyProfile:
@@ -292,6 +296,26 @@ CODE_CASES = [
     ("sell.prospects.0.boxes_per_day", 0.0, "bad-prospect-rate"),
     ("prices.upstream", {}, "missing-price"),
     ("prices.supplier2.R2", None, "missing-price"),
+    ("catalog.bom.R1", {"R1": 1.0}, "wrong-item-kind"),
+    ("catalog.bom.P1.P1", 1.0, "wrong-item-kind"),
+    ("raw_sources.P1", "supplier2", "wrong-item-kind"),
+    ("firm.production_mode.R1", "make-to-order", "wrong-item-kind"),
+    ("innovation.bom_override", {"P1": 1.0}, "wrong-item-kind"),
+    ("innovation.bom_override", {"R1": 0.0}, "bad-bom-quantity"),
+    ("prices.retailer.X1", 10.0, "bad-item-code"),
+    ("costs.holding_per_unit_hour.firm.Q1", 0.1, "bad-item-code"),
+    ("prices.retailer.P1", "x", "parse"),
+    ("prices.firm.P2", -1.0, "negative-price"),
+    ("costs.holding_per_unit_hour.retailer.P1", [1], "parse"),
+    ("horizon_hours", math.inf, "parse"),
+    ("market.vote_threshold", math.nan, "parse"),
+    ("retailer.lead_time.hours", -math.inf, "parse"),
+    ("demand.rows.0.monthly.0", math.inf, "parse"),
+    ("satisfaction.initial_vote", math.nan, "parse"),
+    ("firm.fgi.P1", -1.0, "negative-stock"),
+    ("firm.raw_stock_kg.R2", -0.5, "negative-stock"),
+    ("retailer.stock.P3", -1.0, "negative-stock"),
+    ("suppliers.1.stock_kg.R2", -500.0, "negative-stock"),
 ]
 
 
@@ -325,3 +349,151 @@ def test_month_outside_the_year_is_bad_month():
     with pytest.raises(ScenarioError) as err:
         case_study_scenario().demand.boxes_for("customer1", 1, 13)
     assert err.value.code == "bad-month"
+
+
+README_CODES = re.search(
+    r"The codes a\s+scenario document can produce are:(.*?)\n\n",
+    (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8"),
+    re.DOTALL,
+)
+
+
+def test_readme_lists_every_pinned_error_code():
+    assert README_CODES is not None
+    assert set(re.findall(r"`([a-z-]+)`", README_CODES.group(1))) == {c for _, _, c in CODE_CASES}
+
+
+# the value an absent key reads as, at its path in the parsed document
+ABSENT_KEY_DEFAULTS = {
+    "name": "unnamed",
+    "seed": 0,
+    "horizon_hours": 48.0,
+    "processes": {p: True for p in PIN_DOC["processes"]},  # from mode: vcor
+    "suppliers.0.raws": [],
+    "suppliers.0.stock_kg": {},
+    "suppliers.0.reorder": {},
+    "suppliers.0.frequencies.deliver": 4.0,
+    "suppliers.0.frequencies.source": 4.0,
+    "suppliers.0.lead_time": {"kind": "fixed", "hours": 1.5},
+    "suppliers.0.lead_time.kind": "fixed",
+    "suppliers.0.lead_time.hours": 0.0,  # a lead time given without hours
+    "firm.name": "firm",
+    "firm.fgi": {},
+    "firm.raw_stock_kg": {},
+    "firm.raw_reorder": {},
+    "firm.production_mode": {},
+    "firm.capacity_boxes_per_day": 185.0,
+    "firm.frequencies.deliver": 2.5,
+    "firm.frequencies.source": 3.0,
+    "firm.frequencies.make": 3.0,
+    "firm.lead_time": {"kind": "fixed", "hours": 2.0},
+    "retailer.name": "retailer",
+    "retailer.stock": {},
+    "retailer.reorder": {},
+    "retailer.frequencies.deliver": 2.0,
+    "retailer.frequencies.source": 2.5,
+    "retailer.lead_time": {"kind": "fixed", "hours": 1.5},
+    "customers.0.lot_size": 1.0,
+    "customers.0.arrivals": "deterministic",
+    "upstream.name": "upstream",
+    "upstream.frequencies.deliver": 4.0,
+    "upstream.lead_time": {"kind": "fixed", "hours": 2.0},
+    "demand.rows": [],
+    "costs.holding_per_unit_hour": {},
+    "costs.production_per_box": 0.0,
+    "costs.support_per_ticket": 0.0,
+    "satisfaction.initial_vote": 8.0,
+    "satisfaction.forgetting_factor": 0.3,
+    "satisfaction.support_weight": 0.5,
+    "satisfaction.price_weight": 0.05,
+    "satisfaction.delay_weight": -0.05,
+    "satisfaction.quality_weight": 0.02,
+    "satisfaction.peer_weight": 0.1,
+    "support.defect_probability": {},
+    "support.education_decay": 0.9,
+    "support.handling_hours": 2.3,
+    "support.max_defective_fraction": 0.25,
+    "market.vote_threshold": 6.0,
+    "market.frequency_hours": 6.0,
+    "innovation.delay_hours": 8.0,
+    "innovation.technology_cost": 500.0,
+    "innovation.bom_override": None,
+    "sell.capacity_fraction": 0.5,
+    "sell.frequency_hours": 12.0,
+    "sell.order_interval_hours": 6.0,
+    "sell.prospects": [],
+}
+
+
+def leaf(doc: dict, path: str):
+    for key in path.split("."):
+        doc = doc[int(key) if key.isdigit() else key]
+    return doc
+
+
+@pytest.mark.parametrize("path,expected", ABSENT_KEY_DEFAULTS.items(), ids=list(ABSENT_KEY_DEFAULTS))
+def test_an_absent_key_reads_as_its_default(path, expected):
+    parsed = scenario_from_dict(mutated(PIN_DOC, path, None)).to_dict()
+    assert leaf(parsed, path) == expected
+    assert type(leaf(parsed, path)) is type(expected)
+
+
+def test_numbers_read_as_before():
+    # lead times, prices and holding costs keep an int as written; other
+    # numbers become floats, so existing documents keep their digests
+    doc = mutated(PIN_DOC, "prices.retailer.P1", 10)
+    doc = mutated(doc, "costs.holding_per_unit_hour.firm.R1", 0)
+    doc = mutated(doc, "upstream.lead_time.hours", 2)
+    doc = mutated(doc, "firm.fgi.P1", 500)
+    parsed = scenario_from_dict(doc).to_dict()
+    assert [type(leaf(parsed, path)) for path in (
+        "prices.retailer.P1",
+        "costs.holding_per_unit_hour.firm.R1",
+        "upstream.lead_time.hours",
+        "firm.fgi.P1",
+    )] == [int, int, int, float]
+
+
+def document_paths(node, prefix=()):
+    """Every path into ``node``: keys of mappings, indices of lists."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from document_paths(child, prefix + (key,))
+
+
+DOC_PATHS = list(document_paths(PIN_DOC))
+ITEM_KEY_PATHS = [p for p in DOC_PATHS if re.fullmatch(r"[PR]\d+", str(p[-1]))]
+ODD_VALUES = [-1, 0, math.nan, math.inf, "x", None, [1], {}]
+
+
+@st.composite
+def odd_documents(draw) -> dict:
+    """The case-study document with one node replaced, or one item code's kind swapped."""
+    doc = copy.deepcopy(PIN_DOC)
+    swap = draw(st.booleans())
+    *parents, last = draw(st.sampled_from(ITEM_KEY_PATHS if swap else DOC_PATHS))
+    node = doc
+    for key in parents:
+        node = node[key]
+    if swap:
+        node[{"P": "R", "R": "P"}[last[0]] + last[1:]] = node.pop(last)
+    else:
+        node[last] = draw(st.sampled_from(ODD_VALUES))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd_documents())
+def test_an_odd_document_is_rejected_or_runs(doc):
+    try:
+        scenario = scenario_from_dict(doc)
+    except ScenarioError:
+        return
+    scenario.horizon_hours = min(scenario.horizon_hours, 24.0)
+    run_scenario(scenario)

@@ -125,6 +125,18 @@ class TestDeterminism:
         for name in files_a:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
+    def test_rewriting_a_used_directory_matches_a_fresh_one(self, tmp_path):
+        longer = run_scenario(case_study_scenario(mode="vcor", seed=7, horizon_hours=96.0))
+        artifacts = run_scenario(case_study_scenario(mode="vcor", seed=7))
+        longer.write(tmp_path / "used")
+        artifacts.write(tmp_path / "used")
+        artifacts.write(tmp_path / "fresh")
+        names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+        assert sorted(p.name for p in (tmp_path / "used").iterdir()) == names
+        for name in names:
+            fresh = (tmp_path / "fresh" / name).read_bytes()
+            assert (tmp_path / "used" / name).read_bytes() == fresh, name
+
     def test_different_seeds_differ(self, tmp_path):
         traces = []
         for seed in (1, 2):
