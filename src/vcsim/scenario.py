@@ -75,7 +75,7 @@ def _number(value) -> float:
 def _number_as_written(value):
     # lead times, prices and holding costs were never converted to float:
     # their ints stay ints, so existing documents keep their digests
-    return value if type(value) is int else _number(value)
+    return value if isinstance(value, int) else _number(value)
 
 
 def _rule(ok, code: str, text: str):
