@@ -18,7 +18,6 @@ from .scenario import (
     Scenario,
     ScenarioError,
     case_study_scenario,
-    demand_table_csv,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -57,7 +56,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     artifacts = run_scenario(scenario, out_dir=out_dir)
     report = artifacts.report
     print(f"run {scenario.name}: mode={scenario.mode} seed={scenario.seed} "
-          f"horizon={scenario.horizon_hours}h digest={scenario.digest()}")
+          f"horizon={scenario.horizon_hours}h digest={report.scenario_digest}")
     print(f"  events={len(artifacts.trace)} orders={report.total_orders} "
           f"census={ {k: v for k, v in report.census.items() if v} }")
     for name, kpis in sorted(report.actors.items()):
@@ -83,7 +82,10 @@ def _load_report(run_dir: Path) -> KpiReport:
         raise ScenarioError("io", f"cannot read KPI report {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError("parse", f"{path}: {exc}") from exc
-    return KpiReport.from_dict(data)
+    try:
+        return KpiReport.from_dict(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ScenarioError("parse", f"{path}: not a KPI report: {exc!r}") from exc
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -120,24 +122,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else 42
     horizon = args.horizon if args.horizon is not None else 48.0
-    scor = case_study_scenario(mode="scor", seed=seed, horizon_hours=horizon)
-    vcor = case_study_scenario(mode="vcor", seed=seed, horizon_hours=horizon)
-    (out_dir / "demand.csv").write_text(demand_table_csv(scor.demand), encoding="utf-8")
-    for scenario, name in ((scor, "scor.yaml"), (vcor, "vcor.yaml")):
-        data = scenario.to_dict()
-        data["demand"] = {"file": "demand.csv"}
-        save_scenario_dict(data, out_dir / name)
+    for mode in ("scor", "vcor"):
+        scenario = case_study_scenario(mode=mode, seed=seed, horizon_hours=horizon)
+        save_scenario(scenario, out_dir / f"{mode}.yaml", demand_file="demand.csv")
     print(f"case-study scenario pair written to {out_dir}")
     print(f"  run them with: vcsim run {out_dir}/scor.yaml --out scor-run")
     print(f"                 vcsim run {out_dir}/vcor.yaml --out vcor-run")
     print(f"  then:          vcsim compare scor-run vcor-run")
     return EXIT_OK
-
-
-def save_scenario_dict(data: dict, path: Path) -> None:
-    import yaml
-
-    path.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
 
 
 def build_parser() -> argparse.ArgumentParser:

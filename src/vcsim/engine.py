@@ -39,9 +39,6 @@ class Event:
     kind: str
     payload: dict[str, Any] | None = None
 
-    def sort_key(self) -> tuple[float, int]:
-        return (self.fire_time, self.sequence_no)
-
     def payload_digest(self) -> str:
         """Short stable digest of the payload, for trace export."""
         if self.payload is None:
@@ -119,17 +116,6 @@ class Engine:
         self._next_seq += 1
         heapq.heappush(self._queue, (event.fire_time, event.sequence_no, event))
         return event
-
-    def schedule_in(
-        self,
-        delay: float,
-        target: str,
-        kind: str,
-        payload: dict[str, Any] | None = None,
-    ) -> Event:
-        if delay < 0:
-            raise SchedulingError(f"negative delay: {delay}")
-        return self.schedule(self.now + delay, target, kind, payload)
 
     def register_periodic(self, target: str, kind: str, interval: float) -> None:
         """Activate (target, kind) at interval, 2*interval, ... until run end.

@@ -9,11 +9,12 @@ so a missing value can never masquerade as bad performance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 from .jsonl import _Quoted, _cost_line
 from .ledger import InventoryRecord, Ledger, PRODUCT
+from .scenario import Scenario
 
 
 class ComparisonError(Exception):
@@ -56,54 +57,12 @@ class CostLedger:
             return  # zero-amount events leave no entry
         self.entries.append(CostEntry(time, actor, category, amount))
 
-    def total(self, actor: str | None = None, category: str | None = None) -> float:
-        return sum(
-            e.amount
-            for e in self.entries
-            if (actor is None or e.actor == actor)
-            and (category is None or e.category == category)
-        )
-
-    def by_category(self, actor: str) -> dict[str, float]:
-        out = {c: 0.0 for c in COST_CATEGORIES}
-        for e in self.entries:
-            if e.actor == actor:
-                out[e.category] += e.amount
-        return out
-
     def export_lines(self) -> list[str]:
         q = _Quoted()
         return [_cost_line(e, q) for e in self.entries]
 
 
 # -- elementary indicators ------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class DeliveryStats:
-    series: tuple[tuple[int, float], ...]  # (order_id, hours), in order-id order
-    mean: float | None
-    max: float | None
-
-
-def delivery_times(ledger: Ledger, provider: str) -> DeliveryStats:
-    """Delivery time (delivered - created) of every delivered order of a provider.
-
-    Orders never delivered do not contribute; with zero delivered orders the
-    mean is absent, not 0.
-    """
-    series = [
-        (o.order_id, o.delivered_at - o.created_at)
-        for o in ledger.orders.values()
-        if o.provider == provider and o.delivered_at is not None
-    ]
-    series.sort(key=lambda pair: pair[0])
-    if not series:
-        return DeliveryStats(series=(), mean=None, max=None)
-    values = [hours for _, hours in series]
-    return DeliveryStats(
-        series=tuple(series), mean=sum(values) / len(values), max=max(values)
-    )
 
 
 def stock_rotation(sales_profit: float, mean_stock_value: float | None) -> float | None:
@@ -127,19 +86,49 @@ def sales_profitability(sales_profit: float, costs: float) -> float | None:
     return (sales_profit - costs) / sales_profit
 
 
-def order_census(ledger: Ledger) -> dict[str, int]:
-    return ledger.census()
-
-
 # -- full report ---------------------------------------------------------
 
 
+def _converted(load, dump, **default):
+    """A report field whose JSON form differs: ``load`` reads it, ``dump`` writes it."""
+    return field(**default, metadata={"load": load, "dump": dump})
+
+
+class _DictForm:
+    """The JSON-ready dict form of a report dataclass, one key per field.
+
+    Each field goes in as it is, unless declared with ``_converted``.
+    """
+
+    __slots__ = ()
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            dump = f.metadata.get("dump")
+            out[f.name] = value if dump is None else dump(value)
+        return out
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        kwargs = {}
+        for f in fields(cls):
+            load = f.metadata.get("load")
+            kwargs[f.name] = d[f.name] if load is None else load(d[f.name])
+        return cls(**kwargs)
+
+
 @dataclass(slots=True)
-class ActorKpis:
+class ActorKpis(_DictForm):
     delivered_count: int = 0
     mean_delivery_time: float | None = None
     max_delivery_time: float | None = None
-    delivery_series: list[tuple[int, float]] = field(default_factory=list)
+    delivery_series: list[tuple[int, float]] = _converted(  # (order_id, hours)
+        lambda rows: [(oid, hours) for oid, hours in rows],
+        lambda series: [[oid, hours] for oid, hours in series],
+        default_factory=list,
+    )
     sales_profit: float = 0.0
     costs: dict[str, float] = field(default_factory=dict)
     mean_stock_value: dict[str, float | None] = field(default_factory=dict)
@@ -147,38 +136,9 @@ class ActorKpis:
     smi: dict[str, float | None] = field(default_factory=dict)
     spi: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "delivered_count": self.delivered_count,
-            "mean_delivery_time": self.mean_delivery_time,
-            "max_delivery_time": self.max_delivery_time,
-            "delivery_series": [[oid, hours] for oid, hours in self.delivery_series],
-            "sales_profit": self.sales_profit,
-            "costs": self.costs,
-            "mean_stock_value": self.mean_stock_value,
-            "sri": self.sri,
-            "smi": self.smi,
-            "spi": self.spi,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ActorKpis":
-        return cls(
-            delivered_count=d["delivered_count"],
-            mean_delivery_time=d["mean_delivery_time"],
-            max_delivery_time=d["max_delivery_time"],
-            delivery_series=[(oid, hours) for oid, hours in d["delivery_series"]],
-            sales_profit=d["sales_profit"],
-            costs=dict(d["costs"]),
-            mean_stock_value=dict(d["mean_stock_value"]),
-            sri=dict(d["sri"]),
-            smi=dict(d["smi"]),
-            spi=d["spi"],
-        )
-
 
 @dataclass(slots=True)
-class KpiReport:
+class KpiReport(_DictForm):
     scenario_digest: str
     topology_digest: str
     seed: int
@@ -186,119 +146,95 @@ class KpiReport:
     period_hours: float
     census: dict[str, int]
     total_orders: int
-    actors: dict[str, ActorKpis]
+    actors: dict[str, ActorKpis] = _converted(
+        lambda d: {name: ActorKpis.from_dict(a) for name, a in d.items()},
+        lambda actors: {name: kpis.to_dict() for name, kpis in sorted(actors.items())},
+    )
     satisfaction: list[dict]
     produced_boxes: dict[str, float]
     delivered_to_customers: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario_digest": self.scenario_digest,
-            "topology_digest": self.topology_digest,
-            "seed": self.seed,
-            "mode": self.mode,
-            "period_hours": self.period_hours,
-            "census": self.census,
-            "total_orders": self.total_orders,
-            "actors": {name: kpis.to_dict() for name, kpis in sorted(self.actors.items())},
-            "satisfaction": self.satisfaction,
-            "produced_boxes": self.produced_boxes,
-            "delivered_to_customers": self.delivered_to_customers,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KpiReport":
-        return cls(
-            scenario_digest=d["scenario_digest"],
-            topology_digest=d["topology_digest"],
-            seed=d["seed"],
-            mode=d["mode"],
-            period_hours=d["period_hours"],
-            census=dict(d["census"]),
-            total_orders=d["total_orders"],
-            actors={name: ActorKpis.from_dict(a) for name, a in d["actors"].items()},
-            satisfaction=list(d["satisfaction"]),
-            produced_boxes=dict(d["produced_boxes"]),
-            delivered_to_customers=dict(d["delivered_to_customers"]),
-        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _stock_class(record: InventoryRecord) -> str:
-    return FINISHED_GOODS if record.item.kind == PRODUCT else RAW_MATERIALS
-
-
 def build_report(
+    scenario: Scenario,
     ledger: Ledger,
     inventories: Iterable[InventoryRecord],
     costs: CostLedger,
     satisfaction_series: list[dict],
-    *,
-    actor_names: Iterable[str],
-    customer_names: Iterable[str],
-    period_hours: float,
-    seed: int,
-    mode: str,
-    scenario_digest: str,
-    topology_digest: str,
-    produced_boxes: dict[str, float] | None = None,
+    produced_boxes: dict[str, float],
 ) -> KpiReport:
-    """Fold the run artifacts of one finished run into a KPI report."""
-    customers = set(customer_names)
-    actors: dict[str, ActorKpis] = {}
-    for name in actor_names:
-        stats = delivery_times(ledger, name)
-        kpis = ActorKpis(
-            delivered_count=len(stats.series),
-            mean_delivery_time=stats.mean,
-            max_delivery_time=stats.max,
-            delivery_series=list(stats.series),
-            sales_profit=costs.total(name, "sales-revenue"),
-        )
-        kpis.costs = {
-            cat: amount
-            for cat, amount in costs.by_category(name).items()
-            if cat != "sales-revenue" and amount != 0.0
-        }
-        actors[name] = kpis
+    """Fold the run artifacts of one finished run into a KPI report.
 
-    # mean stock value per actor and stock class, integrated over the period
-    class_values: dict[tuple[str, str], float] = {}
-    for record in inventories:
-        key = (record.owner, _stock_class(record))
-        value = record.time_weighted_mean(period_hours) * record.unit_value
-        class_values[key] = class_values.get(key, 0.0) + value
-    for (owner, stock_class), value in class_values.items():
-        if owner in actors:
-            actors[owner].mean_stock_value[stock_class] = value
-
-    for name, kpis in actors.items():
-        total_costs = sum(kpis.costs.values())
-        kpis.spi = sales_profitability(kpis.sales_profit, total_costs)
-        for stock_class, value in kpis.mean_stock_value.items():
-            rotation = stock_rotation(kpis.sales_profit, value)
-            kpis.sri[stock_class] = rotation
-            kpis.smi[stock_class] = stock_mean_time(period_hours, rotation)
-
+    One pass over the orders gives every actor's delivery series and the
+    quantities delivered to customers, one pass over the cost entries every
+    actor's totals per category. Order ids rise in append order, so each
+    series comes out in order-id order.
+    """
+    period_hours = scenario.horizon_hours
+    customers = {c.name for c in scenario.customers}
+    series: dict[str, list[tuple[int, float]]] = {
+        name: [] for name in scenario.actor_names()
+    }
     delivered: dict[str, float] = {}
     for order in ledger.orders.values():
-        if order.delivered_at is not None and order.client in customers:
+        if order.delivered_at is None:
+            continue
+        provider_series = series.get(order.provider)
+        if provider_series is not None:
+            provider_series.append((order.order_id, order.delivered_at - order.created_at))
+        if order.client in customers:
             code = order.item.code
             delivered[code] = delivered.get(code, 0.0) + order.quantity
 
+    # revenue starts at int 0, as sum() did, so an actor without any writes 0
+    zero = {**dict.fromkeys(COST_CATEGORIES, 0.0), "sales-revenue": 0}
+    totals = {name: dict(zero) for name in series}
+    for entry in costs.entries:
+        actor_totals = totals.get(entry.actor)
+        if actor_totals is not None:
+            actor_totals[entry.category] += entry.amount
+
+    # mean stock value per actor and stock class, integrated over the period
+    stock_values: dict[str, dict[str, float]] = {}
+    for record in inventories:
+        stock_class = FINISHED_GOODS if record.item.kind == PRODUCT else RAW_MATERIALS
+        by_class = stock_values.setdefault(record.owner, {})
+        value = record.time_weighted_mean(period_hours) * record.unit_value
+        by_class[stock_class] = by_class.get(stock_class, 0.0) + value
+
+    actors: dict[str, ActorKpis] = {}
+    for name, delivery_series in series.items():
+        hours = [h for _, h in delivery_series]
+        profit = totals[name].pop("sales-revenue")
+        kpis = actors[name] = ActorKpis(
+            delivered_count=len(hours),
+            mean_delivery_time=sum(hours) / len(hours) if hours else None,
+            max_delivery_time=max(hours) if hours else None,
+            delivery_series=delivery_series,
+            sales_profit=profit,
+            costs={cat: amount for cat, amount in totals[name].items() if amount != 0.0},
+            mean_stock_value=stock_values.get(name, {}),
+        )
+        kpis.spi = sales_profitability(profit, sum(kpis.costs.values()))
+        for stock_class, value in kpis.mean_stock_value.items():
+            rotation = stock_rotation(profit, value)
+            kpis.sri[stock_class] = rotation
+            kpis.smi[stock_class] = stock_mean_time(period_hours, rotation)
+
     return KpiReport(
-        scenario_digest=scenario_digest,
-        topology_digest=topology_digest,
-        seed=seed,
-        mode=mode,
+        scenario_digest=scenario.digest(),
+        topology_digest=scenario.topology_digest(),
+        seed=scenario.seed,
+        mode=scenario.mode,
         period_hours=period_hours,
         census=ledger.census(),
         total_orders=len(ledger.orders),
         actors=actors,
         satisfaction=satisfaction_series,
-        produced_boxes=dict(produced_boxes or {}),
+        produced_boxes=produced_boxes,
         delivered_to_customers=delivered,
     )
 
@@ -326,6 +262,7 @@ def compare_runs(scor: KpiReport, vcor: KpiReport) -> dict:
         raise ComparisonError(f"runs have different seeds: {scor.seed} vs {vcor.seed}")
 
     actors: dict[str, dict] = {}
+    flags = {}
     for name in sorted(set(scor.actors) | set(vcor.actors)):
         s = scor.actors.get(name, ActorKpis())
         v = vcor.actors.get(name, ActorKpis())
@@ -336,28 +273,21 @@ def compare_runs(scor: KpiReport, vcor: KpiReport) -> dict:
             "sales_profit": _pair(s.sales_profit, v.sales_profit),
             "spi": _pair(s.spi, v.spi),
         }
-        for stock_class in sorted(set(s.sri) | set(v.sri)):
-            rows[f"sri[{stock_class}]"] = _pair(
-                s.sri.get(stock_class), v.sri.get(stock_class)
+        if s.delivered_count or v.delivered_count:  # actors that never deliver carry no signal
+            flags[f"{name}_delivers_more_under_vcor"] = v.delivered_count > s.delivered_count
+        if s.mean_delivery_time is not None and v.mean_delivery_time is not None:
+            flags[f"{name}_mean_delivery_time_higher_under_vcor"] = (
+                v.mean_delivery_time >= s.mean_delivery_time
             )
+        for stock_class in sorted(set(s.sri) | set(v.sri)):
+            scor_sri, vcor_sri = s.sri.get(stock_class), v.sri.get(stock_class)
+            rows[f"sri[{stock_class}]"] = _pair(scor_sri, vcor_sri)
             rows[f"smi[{stock_class}]"] = _pair(
                 s.smi.get(stock_class), v.smi.get(stock_class)
             )
+            if scor_sri and vcor_sri:
+                flags[f"{name}_sri[{stock_class}]_improved_under_vcor"] = vcor_sri > scor_sri
         actors[name] = rows
-
-    flags = {}
-    for name, rows in actors.items():
-        count = rows["delivered_count"]
-        if count["scor"] or count["vcor"]:  # actors that never deliver carry no signal
-            flags[f"{name}_delivers_more_under_vcor"] = count["vcor"] > count["scor"]
-        mean = rows["mean_delivery_time"]
-        if mean["scor"] is not None and mean["vcor"] is not None:
-            flags[f"{name}_mean_delivery_time_higher_under_vcor"] = (
-                mean["vcor"] >= mean["scor"]
-            )
-        for key, row in rows.items():
-            if key.startswith("sri[") and row["scor"] and row["vcor"]:
-                flags[f"{name}_{key}_improved_under_vcor"] = row["vcor"] > row["scor"]
 
     return {
         "topology_digest": scor.topology_digest,

@@ -466,6 +466,9 @@ class SatisfactionConfig:
 
 
 _PRICE = _Codec(_number_as_written, check=_rule(lambda x: x >= 0, "negative-price", ">= 0"))
+_HOLDING_COST = _Codec(
+    _number_as_written, check=_rule(lambda x: x >= 0, "negative-holding-cost", ">= 0")
+)
 _PROCESSES = _Codec(
     lambda d: None if d is None else {p: bool(on) for p, on in d.items()},  # None: from mode
     lambda d: {p: bool(d.get(p, False)) for p in VCOR_PROCESSES},
@@ -499,7 +502,7 @@ class Scenario:
     # actor -> item code -> unit price, and per unit-hour held
     prices: dict[str, dict[str, float]] = _field(_map(None, _map(_ANY_ITEM, _PRICE)), absent=None)
     holding_costs: dict[str, dict[str, float]] = _field(
-        _map(None, _map(_ANY_ITEM, _Codec(_number_as_written))),
+        _map(None, _map(_ANY_ITEM, _HOLDING_COST)),
         "costs.holding_per_unit_hour",
         absent=None,
     )
@@ -647,10 +650,18 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(data, base_dir=path.parent)
 
 
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(
-        yaml.safe_dump(scenario.to_dict(), sort_keys=False), encoding="utf-8"
-    )
+def save_scenario(scenario: Scenario, path: str | Path, demand_file: str | None = None) -> None:
+    """Write ``scenario`` as YAML.
+
+    The demand table goes inline or, given ``demand_file``, to a CSV of that
+    name beside the YAML file, which the YAML then refers to.
+    """
+    path = Path(path)
+    data = scenario.to_dict()
+    if demand_file is not None:
+        (path.parent / demand_file).write_text(demand_table_csv(scenario.demand), encoding="utf-8")
+        data["demand"] = {"file": demand_file}
+    path.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
 
 
 def load_demand_table(path: str | Path) -> DemandTable:

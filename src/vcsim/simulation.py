@@ -34,9 +34,6 @@ class RunArtifacts:
         record = self.inventories.get((owner, item_code))
         return record.on_hand if record is not None else 0.0
 
-    def write(self, out_dir: str | Path) -> None:
-        write_artifacts(self, Path(out_dir))
-
 
 def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunArtifacts:
     """Execute one deterministic run; optionally persist all artifact files."""
@@ -48,20 +45,12 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunAr
     chain.finalize()
 
     report = build_report(
+        scenario,
         chain.ledger,
         chain.inventories.values(),
         chain.costs,
         chain.satisfaction_series,
-        actor_names=scenario.actor_names(),
-        customer_names=[c.name for c in scenario.customers],
-        period_hours=scenario.horizon_hours,
-        seed=scenario.seed,
-        mode=scenario.mode,
-        scenario_digest=scenario.digest(),
-        topology_digest=scenario.topology_digest(),
-        produced_boxes={
-            product(pid).code: boxes for pid, boxes in sorted(chain.produced_boxes.items())
-        },
+        {product(pid).code: boxes for pid, boxes in sorted(chain.produced_boxes.items())},
     )
     artifacts = RunArtifacts(
         scenario=scenario,
@@ -82,14 +71,14 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunAr
 
 def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    scenario = artifacts.scenario
+    report = artifacts.report
     header = _ENCODE(
         {
             "record": "header",
-            "scenario_digest": scenario.digest(),
-            "topology_digest": scenario.topology_digest(),
-            "seed": scenario.seed,
-            "mode": scenario.mode,
+            "scenario_digest": report.scenario_digest,
+            "topology_digest": report.topology_digest,
+            "seed": report.seed,
+            "mode": report.mode,
         }
     )
 
@@ -108,22 +97,15 @@ def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
     dump("trace.jsonl", trace_lines(artifacts.trace))
     dump("ledger.jsonl", artifacts.ledger.export_lines())
     dump("costs.jsonl", artifacts.costs.export_lines())
-    dump("satisfaction.jsonl", [_ENCODE(entry) for entry in artifacts.report.satisfaction])
-    write("kpi.json", artifacts.report.to_json() + "\n")
+    dump("satisfaction.jsonl", [_ENCODE(entry) for entry in report.satisfaction])
+    write("kpi.json", report.to_json() + "\n")
 
     csv_lines = [
-        f"# scenario={scenario.digest()} seed={scenario.seed} mode={scenario.mode}",
+        f"# scenario={report.scenario_digest} seed={report.seed} mode={report.mode}",
         "actor,order_id,delivery_hours",
     ]
-    for name, kpis in sorted(artifacts.report.actors.items()):
+    for name, kpis in sorted(report.actors.items()):
         for order_id, hours in kpis.delivery_series:
             csv_lines.append(f"{name},{order_id},{hours!r}")
     write("delivery_times.csv", "\n".join(csv_lines) + "\n")
 
-
-def inventory_snapshot(artifacts: RunArtifacts) -> dict[str, float]:
-    """Final stock levels keyed 'owner/item', for quick inspection and tests."""
-    return {
-        f"{owner}/{code}": record.on_hand
-        for (owner, code), record in sorted(artifacts.inventories.items())
-    }

@@ -126,3 +126,12 @@ class TestDemoAndCompare:
 
     def test_compare_missing_dir_exits_three(self, tmp_path):
         assert main(["compare", str(tmp_path / "x"), str(tmp_path / "y")]) == 3
+
+    @pytest.mark.parametrize("text", ["{}", "[]"])
+    def test_a_kpi_file_that_is_not_a_report_exits_one(self, tmp_path, capsys, text):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "kpi.json").write_text(text, encoding="utf-8")
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert "error[parse]" in err and "kpi.json" in err

@@ -252,12 +252,13 @@ class TestFinalState:
         assert artifacts.stock("firm", "R1") == 20.0 - 5.0
 
     def test_costs(self, artifacts):
-        costs = artifacts.costs
-        assert costs.total("retailer", "sales-revenue") == 400.0  # 4 delivered lots * 10 * 10
-        assert costs.total("retailer", "purchase") == 360.0  # 45 boxes * 8
-        assert costs.total("firm", "sales-revenue") == 360.0
-        assert costs.total("firm", "production") == 2.5  # 5 boxes * 0.5
-        assert costs.total("supplier1") == 0.0
+        actors = artifacts.report.actors
+        assert actors["retailer"].sales_profit == 400.0  # 4 delivered lots * 10 * 10
+        assert actors["retailer"].costs["purchase"] == 360.0  # 45 boxes * 8
+        assert actors["firm"].sales_profit == 360.0
+        assert actors["firm"].costs["production"] == 2.5  # 5 boxes * 0.5
+        assert actors["supplier1"].sales_profit == 0
+        assert actors["supplier1"].costs == {}
 
     def test_material_conservation_bound(self, artifacts):
         delivered = sum(artifacts.report.delivered_to_customers.values())

@@ -1,25 +1,36 @@
 """KPI arithmetic: delivery times, SRI/SMI/SPI, census, run comparison."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
-from vcsim.ledger import Ledger, OrderStatus, product
+from vcsim.ledger import Ledger, OrderStatus, product, replay_final_statuses
 from vcsim.metrics import (
+    COST_CATEGORIES,
     ActorKpis,
     ComparisonError,
     CostLedger,
     KpiReport,
+    build_report,
     compare_runs,
-    delivery_times,
-    order_census,
     sales_profitability,
     stock_mean_time,
     stock_rotation,
 )
+from vcsim.scenario import case_study_scenario
 
 # the reference indicator pairs (rotation, mean time) for finished goods and
 # raw materials under both configurations, over a 48-hour period
 REFERENCE_PAIRS = [(22.4, 2.13), (12.34, 3.88), (1.2, 39.8), (0.69, 68.8)]
+
+# the fold reads actor and customer names from a scenario: the case study's
+# include "firm", "retailer" and "customer1"
+SCENARIO = case_study_scenario()
+
+
+def _fold(ledger, costs=None) -> KpiReport:
+    return build_report(SCENARIO, ledger, [], costs or CostLedger(), [], {})
 
 
 def _delivered_order(ledger, provider, created, delivered, qty=10.0):
@@ -34,23 +45,23 @@ class TestDeliveryTimes:
         ledger = Ledger()
         _delivered_order(ledger, "firm", 0.0, 4.0)
         _delivered_order(ledger, "firm", 1.0, 7.0)
-        stats = delivery_times(ledger, "firm")
-        assert [hours for _, hours in stats.series] == [4.0, 6.0]
-        assert stats.mean == 5.0
-        assert stats.max == 6.0
+        firm = _fold(ledger).actors["firm"]
+        assert [hours for _, hours in firm.delivery_series] == [4.0, 6.0]
+        assert firm.mean_delivery_time == 5.0
+        assert firm.max_delivery_time == 6.0
 
     def test_no_deliveries_is_absent_not_zero(self):
         ledger = Ledger()
         ledger.place("client", "firm", product(1), 1.0, at=0.0)
-        stats = delivery_times(ledger, "firm")
-        assert stats.series == ()
-        assert stats.mean is None
+        firm = _fold(ledger).actors["firm"]
+        assert firm.delivery_series == []
+        assert firm.mean_delivery_time is None
 
     def test_undelivered_orders_do_not_contribute(self):
         ledger = Ledger()
         _delivered_order(ledger, "firm", 0.0, 4.0)
         ledger.place("client", "firm", product(1), 1.0, at=0.0)
-        assert len(delivery_times(ledger, "firm").series) == 1
+        assert len(_fold(ledger).actors["firm"].delivery_series) == 1
 
     def test_series_is_keyed_by_order_id_not_insertion(self):
         ledger = Ledger()
@@ -59,10 +70,8 @@ class TestDeliveryTimes:
         for o, t in ((o2, 9.0), (o1, 2.0)):
             ledger.transition(o.order_id, OrderStatus.IN_TRANSIT, at=o.created_at)
             ledger.transition(o.order_id, OrderStatus.DELIVERED, at=t)
-        stats = delivery_times(ledger, "firm")
-        assert [oid for oid, _ in stats.series] == sorted(
-            [o1.order_id, o2.order_id]
-        )
+        series = _fold(ledger).actors["firm"].delivery_series
+        assert [oid for oid, _ in series] == sorted([o1.order_id, o2.order_id])
 
 
 class TestStockRotation:
@@ -142,7 +151,7 @@ class TestCensus:
         ledger.place("client", "firm", product(1), 1.0, at=0.0)
         o = ledger.place("client", "firm", product(1), 1.0, at=0.0)
         ledger.transition(o.order_id, OrderStatus.IN_TRANSIT, at=1.0)
-        census = order_census(ledger)
+        census = ledger.census()
         assert census == {
             "Open": 1,
             "InProduction": 0,
@@ -154,7 +163,7 @@ class TestCensus:
         }
 
     def test_empty(self):
-        assert sum(order_census(Ledger()).values()) == 0
+        assert sum(Ledger().census().values()) == 0
 
     @given(st.lists(st.integers(min_value=0, max_value=4), max_size=40))
     def test_census_sums_to_ledger_length(self, walks):
@@ -169,7 +178,7 @@ class TestCensus:
             o = ledger.place("c", "p", product(1), 1.0, at=0.0)
             for status in chain[:steps]:
                 ledger.transition(o.order_id, status, at=1.0)
-        assert sum(order_census(ledger).values()) == len(ledger.orders)
+        assert sum(ledger.census().values()) == len(ledger.orders)
 
 
 class TestCostLedger:
@@ -178,9 +187,11 @@ class TestCostLedger:
         costs.add(1.0, "firm", "production", 10.0)
         costs.add(2.0, "firm", "sales-revenue", 100.0)
         costs.add(3.0, "retailer", "holding", 5.0)
-        assert costs.total("firm") == 110.0
-        assert costs.total("firm", "production") == 10.0
-        assert costs.by_category("retailer")["holding"] == 5.0
+        actors = _fold(Ledger(), costs).actors
+        firm = actors["firm"]
+        assert firm.sales_profit + sum(firm.costs.values()) == 110.0
+        assert firm.costs["production"] == 10.0
+        assert actors["retailer"].costs["holding"] == 5.0
 
     def test_zero_amounts_leave_no_entry(self):
         costs = CostLedger()
@@ -248,3 +259,96 @@ class TestCompareRuns:
         report = _report("scor", firm=ActorKpis(delivered_count=3, spi=0.5))
         clone = KpiReport.from_dict(report.to_dict())
         assert clone.to_dict() == report.to_dict()
+
+
+# -- the fold against the per-actor scans it replaced -------------------------
+#
+# The oracle is the per-actor code build_report used before it folded the run
+# in one pass: one scan of the orders and two of the cost entries per actor.
+
+
+def _oracle_delivery(ledger, provider):
+    series = [
+        (o.order_id, o.delivered_at - o.created_at)
+        for o in ledger.orders.values()
+        if o.provider == provider and o.delivered_at is not None
+    ]
+    series.sort(key=lambda pair: pair[0])
+    if not series:
+        return [], None, None
+    values = [hours for _, hours in series]
+    return series, sum(values) / len(values), max(values)
+
+
+def _oracle_total(costs, actor, category):
+    return sum(e.amount for e in costs.entries if e.actor == actor and e.category == category)
+
+
+def _oracle_by_category(costs, actor):
+    out = {c: 0.0 for c in COST_CATEGORIES}
+    for e in costs.entries:
+        if e.actor == actor:
+            out[e.category] += e.amount
+    return out
+
+
+# the scenario's actors, customers among them, and a party outside it
+PARTIES = st.sampled_from(["supplier1", "firm", "retailer", "customer1", "customer2", "outsider"])
+WALK = [OrderStatus.IN_PRODUCTION, OrderStatus.FGI, OrderStatus.IN_TRANSIT, OrderStatus.DELIVERED]
+ORDERS = st.lists(
+    st.tuples(
+        PARTIES,  # client
+        PARTIES,  # provider
+        st.integers(min_value=1, max_value=3),  # product id
+        st.floats(min_value=0.5, max_value=100.0),  # quantity
+        st.floats(min_value=0.0, max_value=100.0),  # created at
+        st.integers(min_value=0, max_value=len(WALK)),  # steps walked
+        st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=4, max_size=4),  # step hours
+    ),
+    max_size=40,
+)
+COSTS = st.lists(
+    st.tuples(PARTIES, st.sampled_from(COST_CATEGORIES), st.floats(min_value=-1e3, max_value=1e3)),
+    max_size=60,
+)
+
+
+@given(orders=ORDERS, entries=COSTS)
+def test_the_fold_matches_the_per_actor_scans(orders, entries):
+    ledger = Ledger()
+    for client, provider, pid, quantity, created, walked, step_hours in orders:
+        order = ledger.place(client, provider, product(pid), quantity, at=created)
+        at = created
+        for status, hours in zip(WALK[:walked], step_hours):
+            at += hours
+            ledger.transition(order.order_id, status, at=at)
+    costs = CostLedger()
+    for time, (actor, category, amount) in enumerate(entries):
+        if category == "sales-revenue":
+            amount = abs(amount)  # revenue is never negative
+        costs.add(float(time), actor, category, amount)
+
+    report = _fold(ledger, costs)
+
+    assert set(report.actors) == set(SCENARIO.actor_names())
+    for name, kpis in report.actors.items():
+        series, mean, longest = _oracle_delivery(ledger, name)
+        assert kpis.delivered_count == len(series)
+        assert kpis.delivery_series == series
+        assert kpis.mean_delivery_time == mean
+        assert kpis.max_delivery_time == longest
+        assert kpis.sales_profit == _oracle_total(costs, name, "sales-revenue")
+        assert kpis.costs == {
+            cat: amount
+            for cat, amount in _oracle_by_category(costs, name).items()
+            if cat != "sales-revenue" and amount != 0.0
+        }
+    census = Counter(replay_final_statuses(ledger.transitions).values())
+    assert report.census == {status.value: census[status.value] for status in OrderStatus}
+    assert report.total_orders == len(ledger.orders)
+    customers = {c.name for c in SCENARIO.customers}
+    delivered: dict[str, float] = {}
+    for o in ledger.orders.values():
+        if o.delivered_at is not None and o.client in customers:
+            delivered[o.item.code] = delivered.get(o.item.code, 0.0) + o.quantity
+    assert report.delivered_to_customers == delivered

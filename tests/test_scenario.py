@@ -307,6 +307,7 @@ CODE_CASES = [
     ("prices.retailer.P1", "x", "parse"),
     ("prices.firm.P2", -1.0, "negative-price"),
     ("costs.holding_per_unit_hour.retailer.P1", [1], "parse"),
+    ("costs.holding_per_unit_hour.retailer.P1", -0.5, "negative-holding-cost"),
     ("horizon_hours", math.inf, "parse"),
     ("market.vote_threshold", math.nan, "parse"),
     ("retailer.lead_time.hours", -math.inf, "parse"),

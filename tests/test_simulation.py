@@ -7,7 +7,7 @@ import pytest
 from conftest import assert_views_match_scan
 from vcsim.ledger import Ledger
 from vcsim.scenario import case_study_scenario
-from vcsim.simulation import inventory_snapshot, run_scenario
+from vcsim.simulation import run_scenario, write_artifacts
 
 VCOR_EVENT_KINDS = {
     "activate-market",
@@ -128,9 +128,9 @@ class TestDeterminism:
     def test_rewriting_a_used_directory_matches_a_fresh_one(self, tmp_path):
         longer = run_scenario(case_study_scenario(mode="vcor", seed=7, horizon_hours=96.0))
         artifacts = run_scenario(case_study_scenario(mode="vcor", seed=7))
-        longer.write(tmp_path / "used")
-        artifacts.write(tmp_path / "used")
-        artifacts.write(tmp_path / "fresh")
+        write_artifacts(longer, tmp_path / "used")
+        write_artifacts(artifacts, tmp_path / "used")
+        write_artifacts(artifacts, tmp_path / "fresh")
         names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
         assert sorted(p.name for p in (tmp_path / "used").iterdir()) == names
         for name in names:
@@ -168,12 +168,6 @@ class TestArtifactFiles:
         assert clone.export_lines() == lines[1:]  # header aside, order-for-order
         assert_views_match_scan(artifacts.ledger)
         assert_views_match_scan(clone)
-
-    def test_inventory_snapshot_covers_all_actors(self, scor_run):
-        snapshot = inventory_snapshot(scor_run)
-        assert snapshot["firm/P1"] >= 0
-        assert snapshot["supplier2/R2"] >= 0
-        assert "retailer/P3" in snapshot
 
 
 class TestLedgerInvariantsInRuns:
