@@ -44,6 +44,15 @@ from .scenario import CustomerSpec, HOURS_PER_MONTH, ProspectSpec, ReorderPolicy
 
 _EPS = 1e-9
 
+# a member read through its Enum class costs a descriptor call on Python 3.11
+_OPEN = OrderStatus.OPEN
+_IN_PRODUCTION = OrderStatus.IN_PRODUCTION
+_FGI = OrderStatus.FGI
+_IN_TRANSIT = OrderStatus.IN_TRANSIT
+_DELIVERED = OrderStatus.DELIVERED
+_RETURN_REQUESTED = OrderStatus.RETURN_REQUESTED
+_RESOLVED = OrderStatus.RESOLVED
+
 
 @dataclass(slots=True)
 class ProductionJob:
@@ -144,6 +153,10 @@ class Chain:
             self.lead_times[s.name] = s.lead_time
         self.lead_times[self.firm_name] = scenario.firm.lead_time
         self.lead_times[self.retailer_name] = scenario.retailer.lead_time
+        # random stream names, formatted once rather than per event
+        self._transport_stream = {name: f"{name}:transport" for name in self.lead_times}
+        self._defect_stream = f"{self.retailer_name}:defects"
+        self._products_of = scenario.demand.products_by_customer()
 
         # reorder policies per actor, in deterministic item order
         self.policies: dict[str, dict[Item, ReorderPolicy]] = {}
@@ -197,19 +210,22 @@ class Chain:
             max_defective_fraction=scenario.support.max_defective_fraction,
         )
 
-        # satisfaction state
-        self.votes: dict[tuple[str, int], VoteState] = {}
-        self.innovation_flag: dict[tuple[str, int], bool] = {}
+        # satisfaction state, one entry per (customer, product) with demand
+        initial = VoteState(x=scenario.satisfaction.initial_vote)
+        self.votes: dict[tuple[str, int], VoteState] = {
+            (c.name, pid): initial
+            for c in scenario.customers
+            for pid in self._products_of.get(c.name, [])
+        }
+        self.innovation_flag: dict[tuple[str, int], bool] = dict.fromkeys(self.votes, False)
         self.support_latch: dict[str, bool] = {c.name: False for c in scenario.customers}
-        self.signal_stats: dict[tuple[str, int], _SignalStats] = {}
+        self.signal_stats: dict[tuple[str, int], _SignalStats] = {
+            key: _SignalStats() for key in self.votes
+        }
         self.last_unit_price: dict[tuple[str, int], float] = {}
         self.satisfaction_series: list[dict] = []
-        for c in scenario.customers:
-            for pid in scenario.demand.products_of(c.name):
-                key = (c.name, pid)
-                self.votes[key] = VoteState(x=scenario.satisfaction.initial_vote)
-                self.innovation_flag[key] = False
-                self.signal_stats[key] = _SignalStats()
+        # the flags keep their keys even where a caller replaces ``votes``
+        self._flag_keys = self._voters
 
         engine.on("activate-deliver", self._on_deliver)
         engine.on("activate-source", self._on_source)
@@ -221,6 +237,19 @@ class Chain:
         engine.on("order-arrival", self._on_arrival)
         engine.on("support-intake", self._on_support_intake)
         engine.on("innovation-complete", self._on_innovation_complete)
+
+    @property
+    def votes(self) -> dict[tuple[str, int], VoteState]:
+        return self._votes
+
+    @votes.setter
+    def votes(self, votes: dict[tuple[str, int], VoteState]) -> None:
+        # each product's vote keys in ``votes`` order, so a peer mean adds
+        # the same floats in the same order as a scan of every vote
+        self._votes = votes
+        self._voters: dict[int, list[tuple[str, int]]] = {}
+        for key in votes:
+            self._voters.setdefault(key[1], []).append(key)
 
     # ------------------------------------------------------------------
     # wiring
@@ -235,7 +264,7 @@ class Chain:
         eng = self.engine
         sc = self.scenario
         for c in sc.customers:
-            for pid in sc.demand.products_of(c.name):
+            for pid in self._products_of.get(c.name, []):
                 self._schedule_next_arrival(c, pid, from_time=0.0)
 
         eng.register_periodic(sc.upstream.name, "activate-deliver", sc.upstream.deliver_every)
@@ -361,7 +390,7 @@ class Chain:
         elif order.provider == self.upstream_name:
             # unbounded tier-2 source: goods are always on hand
             order.reserved = order.quantity
-            self.ledger.transition(order.order_id, OrderStatus.FGI, now)
+            self.ledger.transition(order.order_id, _FGI, now)
         else:
             self.top_up_reservations(order.provider, order.item, now)
 
@@ -388,7 +417,7 @@ class Chain:
             record.adjust(-take, now)
             order.reserved += take
         if order.reserved >= order.quantity - _EPS:
-            self.ledger.transition(order.order_id, OrderStatus.FGI, now)
+            self.ledger.transition(order.order_id, _FGI, now)
         else:
             self.production_queue.append(
                 ProductionJob(order.order_id, pid, order.quantity - order.reserved)
@@ -409,7 +438,7 @@ class Chain:
             record.adjust(-take, now)
             order.reserved += take
             if order.reserved >= order.quantity - _EPS:
-                self.ledger.transition(order.order_id, OrderStatus.FGI, now)
+                self.ledger.transition(order.order_id, _FGI, now)
 
     def check_reorders(self, actor: str, now: float) -> list[Order]:
         """(s, S) check over the actor's policied items; one outstanding order max."""
@@ -475,8 +504,8 @@ class Chain:
                 self.record_of(self.firm_name, raw(rid)).adjust(-n * kg_per_box, now)
                 self.consumed_raw_kg[rid] = self.consumed_raw_kg.get(rid, 0.0) + n * kg_per_box
             order = self.ledger.orders[job.order_id]
-            if order.status is OrderStatus.OPEN:
-                self.ledger.transition(order.order_id, OrderStatus.IN_PRODUCTION, now)
+            if order.status is _OPEN:
+                self.ledger.transition(order.order_id, _IN_PRODUCTION, now)
             order.reserved += n
             job.remaining -= n
             capacity -= n
@@ -491,7 +520,7 @@ class Chain:
                 )
             if job.remaining <= _EPS:
                 self.production_queue.remove(job)
-                self.ledger.transition(order.order_id, OrderStatus.FGI, now)
+                self.ledger.transition(order.order_id, _FGI, now)
 
         leftover = budget - produced_total
         self.capacity_carry = leftover - math.floor(leftover + _EPS)  # keep the fraction
@@ -513,10 +542,10 @@ class Chain:
         ]
         if not shippable:
             return shippable
-        rng = self.engine.streams.stream(f"{provider}:transport")
+        rng = self.engine.streams.stream(self._transport_stream[provider])
         lead_time = self.lead_times[provider]
         for order in shippable:
-            self.ledger.transition(order.order_id, OrderStatus.IN_TRANSIT, now)
+            self.ledger.transition(order.order_id, _IN_TRANSIT, now)
             lead = lead_time.draw(rng)
             self.engine.schedule(
                 now + lead, order.client, "order-arrival", {"order_id": order.order_id}
@@ -529,7 +558,7 @@ class Chain:
     def _on_arrival(self, engine: Engine, event: Event) -> None:
         now = event.fire_time
         order = self.ledger.orders[event.payload["order_id"]]
-        self.ledger.transition(order.order_id, OrderStatus.DELIVERED, now)
+        self.ledger.transition(order.order_id, _DELIVERED, now)
 
         amount = order.quantity * self.scenario.price_of(order.provider, order.item)
         self.costs.add(now, order.client, "purchase", amount)
@@ -547,7 +576,7 @@ class Chain:
             if order.replacement_for is not None:
                 self._resolve_ticket(order, now)
             key = (order.client, order.item.id)
-            if key in self.votes:
+            if key in self._votes:
                 self._update_vote(order, now)
 
     # ------------------------------------------------------------------
@@ -557,14 +586,14 @@ class Chain:
         p_def = self.support.defect_probability.get(order.item.id, 0.0)
         if p_def <= 0:
             return
-        rng = self.engine.streams.stream(f"{self.retailer_name}:defects")
+        rng = self.engine.streams.stream(self._defect_stream)
         if rng.random() >= p_def:
             return
         fraction = rng.uniform(0.0, self.support.max_defective_fraction)
         defective = min(order.quantity, max(1.0, round(fraction * order.quantity)))
         order.defective_qty = defective
         if self.scenario.vcor_enabled("support"):
-            self.ledger.transition(order.order_id, OrderStatus.RETURN_REQUESTED, now)
+            self.ledger.transition(order.order_id, _RETURN_REQUESTED, now)
             self.engine.schedule(
                 now, self.retailer_name, "support-intake", {"order_id": order.order_id}
             )
@@ -598,8 +627,8 @@ class Chain:
         ticket = self.ledger.tickets[replacement.replacement_for]
         ticket.resolved_at = now
         original = self.ledger.orders[ticket.order_id]
-        if original.status is OrderStatus.RETURN_REQUESTED:
-            self.ledger.transition(original.order_id, OrderStatus.RESOLVED, now)
+        if original.status is _RETURN_REQUESTED:
+            self.ledger.transition(original.order_id, _RESOLVED, now)
         self.support.educate(ticket.item.id)
         self.support_latch[replacement.client] = True
 
@@ -607,17 +636,14 @@ class Chain:
     # satisfaction
 
     def _peer_vote(self, customer: str, pid: int) -> float:
-        others = [
-            state.x
-            for (name, vote_pid), state in self.votes.items()
-            if vote_pid == pid and name != customer
-        ]
+        votes = self._votes
+        others = [votes[key].x for key in self._voters.get(pid, ()) if key[0] != customer]
         return sum(others) / len(others) if others else 0.0
 
     def _update_vote(self, order: Order, now: float) -> None:
         customer, pid = order.client, order.item.id
         key = (customer, pid)
-        state = self.votes[key]
+        state = self._votes[key]
         stats = self.signal_stats[key]
         params = self.scenario.satisfaction.params
 
@@ -651,7 +677,7 @@ class Chain:
         )
         gain = innovation_gain(state.x, params.forgetting_factor) if flagged_new else 0.0
         new_state = update_vote(state, customer_input(gain, signals, params), params)
-        self.votes[key] = new_state
+        self._votes[key] = new_state
         self.satisfaction_series.append(
             {
                 "k": new_state.k,
@@ -718,9 +744,8 @@ class Chain:
         self.active_project = None
         if self.scenario.vcor_enabled("develop"):
             self.launches.append((now, pid))
-            for key in self.innovation_flag:
-                if key[1] == pid:
-                    self.innovation_flag[key] = True
+            for key in self._flag_keys.get(pid, ()):
+                self.innovation_flag[key] = True
 
     # ------------------------------------------------------------------
     # sell

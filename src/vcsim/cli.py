@@ -84,7 +84,7 @@ def _load_report(run_dir: Path) -> KpiReport:
         raise ScenarioError("parse", f"{path}: {exc}") from exc
     try:
         return KpiReport.from_dict(data)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ScenarioError("parse", f"{path}: not a KPI report: {exc!r}") from exc
 
 

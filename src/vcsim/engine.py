@@ -3,6 +3,8 @@
 A single simulation run is driven by one :class:`Engine`: a simulation
 clock in hours, a priority queue of events keyed by (fire_time,
 sequence_no), named random substreams, and periodic process activations.
+An event is a tuple that starts with its key, so the heap orders the events
+themselves.
 Everything a run does is a pure function of (scenario, seed); simultaneous
 events fire in insertion (FIFO) order.
 """
@@ -10,10 +12,10 @@ events fire in insertion (FIFO) order.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
 from dataclasses import dataclass
-from typing import Any, Callable
+from heapq import heappop, heappush
+from typing import Any, Callable, NamedTuple
 
 from .jsonl import _ENCODE, _Quoted, _trace_line
 
@@ -29,9 +31,12 @@ class QueueExhausted(Exception):
     """Raised by :meth:`Engine.advance` on an empty queue (normal termination)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One scheduled occurrence: who fires, what kind, when."""
+class Event(NamedTuple):
+    """One scheduled occurrence: who fires, what kind, when.
+
+    Sequence numbers are unique, so comparing two events never reaches the
+    target or the payload.
+    """
 
     fire_time: float
     sequence_no: int
@@ -91,11 +96,11 @@ class Engine:
         self.now = 0.0  # simulation time in hours; advance() only moves it forward
         self.streams = RandomStreams(seed)
         self.trace: list[Event] = []
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[Event] = []
         self._next_seq = 0
         self._periodics: list[_Periodic] = []
-        # (target, kind) -> its spec; the first registration of a pair wins
-        self._periodic_of: dict[tuple[str, str], _Periodic] = {}
+        # kind -> target -> its spec; the first registration of a pair wins
+        self._periodic_of: dict[str, dict[str, _Periodic]] = {}
         self._handlers: dict[str, Handler] = {}
 
     # -- scheduling ---------------------------------------------------
@@ -112,9 +117,10 @@ class Engine:
             raise SchedulingError(
                 f"past event: cannot schedule '{kind}' at t={at} when now={self.now}"
             )
-        event = Event(at, self._next_seq, target, kind, payload)
-        self._next_seq += 1
-        heapq.heappush(self._queue, (event.fire_time, event.sequence_no, event))
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        event = Event(at, seq, target, kind, payload)
+        heappush(self._queue, event)
         return event
 
     def register_periodic(self, target: str, kind: str, interval: float) -> None:
@@ -126,7 +132,7 @@ class Engine:
             raise SchedulingError(f"periodic interval must be positive, got {interval}")
         spec = _Periodic(target, kind, interval)
         self._periodics.append(spec)
-        self._periodic_of.setdefault((target, kind), spec)
+        self._periodic_of.setdefault(kind, {}).setdefault(target, spec)
 
     def on(self, kind: str, handler: Handler) -> None:
         self._handlers[kind] = handler
@@ -137,7 +143,7 @@ class Engine:
         """Pop and return the minimum-key event, advancing the clock to it."""
         if not self._queue:
             raise QueueExhausted("simulation exhausted: event queue is empty")
-        _, _, event = heapq.heappop(self._queue)
+        event = heappop(self._queue)
         if event.fire_time < self.now:
             raise SchedulingError(f"clock cannot move backwards: {event.fire_time} < {self.now}")
         self.now = event.fire_time
@@ -156,13 +162,21 @@ class Engine:
             if spec.fired == 0 and first <= t_end:
                 self.schedule(first, spec.target, spec.kind, None)
                 spec.fired = 1
-        while self._queue and self._queue[0][0] <= t_end:
-            _, event = self.advance()
-            self.trace.append(event)
-            handler = self._handlers.get(event.kind)
+        queue, trace = self._queue, self.trace
+        handlers, periodic_of = self._handlers, self._periodic_of
+        while queue and queue[0][0] <= t_end:
+            # advance(), inlined: this loop runs once per event
+            event = heappop(queue)
+            t, _, target, kind, _ = event
+            if t < self.now:
+                raise SchedulingError(f"clock cannot move backwards: {t} < {self.now}")
+            self.now = t
+            trace.append(event)
+            handler = handlers.get(kind)
             if handler is not None:
                 handler(self, event)
-            spec = self._periodic_of.get((event.target, event.kind))
+            by_target = periodic_of.get(kind)
+            spec = None if by_target is None else by_target.get(target)
             if spec is not None:
                 # occurrence times are k*interval, not accumulated sums,
                 # so the count over a horizon is exact

@@ -8,8 +8,10 @@ their demand view out of it; the metrics layer folds it after the run.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable
 
@@ -42,16 +44,21 @@ PRODUCT = "product"
 RAW = "raw"
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Item:
-    """A catalog item: finished product (boxes) or raw material (kg)."""
+class Item(namedtuple("_ItemFields", "kind id code")):
+    """A catalog item: finished product (boxes) or raw material (kg).
 
-    kind: str
-    id: int
+    A tuple ``(kind, id, code)``: it sorts by (kind, id), since the code
+    follows from them, and hashes and compares in C, so ledger keys that hold
+    an item cost no Python call. The code is built once, here.
+    """
 
-    @property
-    def code(self) -> str:
-        return ("P" if self.kind == PRODUCT else "R") + str(self.id)
+    __slots__ = ()
+
+    def __new__(cls, kind: str, id: int) -> "Item":
+        return super().__new__(cls, kind, id, ("P" if kind == PRODUCT else "R") + str(id))
+
+    def __getnewargs__(self) -> tuple[str, int]:  # copy and pickle call __new__ with these
+        return self.kind, self.id
 
     def __str__(self) -> str:
         return self.code
@@ -64,10 +71,13 @@ class Item:
         return cls(PRODUCT if code[0] == "P" else RAW, int(code[1:]))
 
 
+# items are immutable, so each one is built once and shared
+@lru_cache(maxsize=None, typed=True)
 def product(n: int) -> Item:
     return Item(PRODUCT, n)
 
 
+@lru_cache(maxsize=None, typed=True)
 def raw(n: int) -> Item:
     return Item(RAW, n)
 
@@ -155,8 +165,9 @@ class SupportTicket:
 
 _OLDEST_FIRST = attrgetter("created_at", "order_id")
 
-# reading a member through its Enum class costs a descriptor call on
-# Python 3.11; the per-transition bucket upkeep compares against these
+# reading a member through its Enum class, or a member's ``value``, costs a
+# descriptor call on Python 3.11; the per-transition bucket upkeep compares
+# against these, and ``_value_`` is the plain attribute behind ``value``
 _OPEN = OrderStatus.OPEN
 _FGI = OrderStatus.FGI
 _IN_TRANSIT = OrderStatus.IN_TRANSIT
@@ -235,7 +246,7 @@ class Ledger:
         if self._known_items is not None and order.item not in self._known_items:
             raise OrderValidationError(f"unknown item: {order.item.code}")
         self.orders[order.order_id] = order
-        value = order.status.value
+        value = order.status._value_
         self.transitions.append((order.order_id, value, order.created_at))
         order.history.append((value, order.created_at))
         key = (order.provider, order.item)
@@ -252,18 +263,20 @@ class Ledger:
         order = self.orders.get(order_id)
         if order is None:
             raise TransitionError(f"unknown order id {order_id}")
-        if new_status not in LEGAL_TRANSITIONS[order.status]:
+        status = order.status
+        if new_status not in LEGAL_TRANSITIONS[status]:
             raise TransitionError(
-                f"illegal transition {order.status.value} -> {new_status.value} "
+                f"illegal transition {status.value} -> {new_status.value} "
                 f"for order {order_id}"
             )
-        if at < order.last_transition_time():
+        history = order.history
+        if at < history[-1][1]:  # append_order logged the Open entry
             raise TransitionError(
                 f"transition at t={at} precedes last transition of order {order_id}"
             )
-        if order.status is _OPEN:
+        if status is _OPEN:
             del self._open[(order.provider, order.item)][order_id]
-        elif order.status is _FGI:
+        elif status is _FGI:
             del self._fgi[order.provider][order_id]
         order.status = new_status
         if new_status is _FGI:
@@ -276,8 +289,8 @@ class Ledger:
         elif new_status is _DELIVERED:
             order.delivered_at = at
             self._outstanding[(order.client, order.item)] -= 1
-        value = new_status.value
-        order.history.append((value, at))
+        value = new_status._value_
+        history.append((value, at))
         self.transitions.append((order_id, value, at))
 
     def open_ticket(
@@ -313,13 +326,19 @@ class Ledger:
                 for o in bucket.values()
             ]
         else:
-            found = list(self._open.get((provider, item), {}).values())
+            bucket = self._open.get((provider, item))
+            if not bucket:
+                return []
+            found = list(bucket.values())
         found.sort(key=_OLDEST_FIRST)
         return found
 
     def fgi_orders(self, provider: str) -> list[Order]:
         """Current FGI orders of one provider, oldest first."""
-        found = list(self._fgi.get(provider, {}).values())
+        bucket = self._fgi.get(provider)
+        if not bucket:
+            return []
+        found = list(bucket.values())
         found.sort(key=_OLDEST_FIRST)
         return found
 
@@ -330,7 +349,7 @@ class Ledger:
     def census(self) -> dict[str, int]:
         counts = {status.value: 0 for status in OrderStatus}
         for o in self.orders.values():
-            counts[o.status.value] += 1
+            counts[o.status._value_] += 1
         return counts
 
     # -- persistence --------------------------------------------------------

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Iterable
+from types import UnionType
+from typing import Iterable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .jsonl import _Quoted, _cost_line
 from .ledger import InventoryRecord, Ledger, PRODUCT
@@ -34,8 +35,7 @@ FINISHED_GOODS = "finished-goods"
 RAW_MATERIALS = "raw-materials"
 
 
-@dataclass(frozen=True, slots=True)
-class CostEntry:
+class CostEntry(NamedTuple):
     time: float
     actor: str
     category: str
@@ -94,10 +94,30 @@ def _converted(load, dump, **default):
     return field(**default, metadata={"load": load, "dump": dump})
 
 
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has the declared type ``hint``; an int passes as a float."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return any(_conforms(value, arg) for arg in args)
+    if origin is list:
+        return type(value) is list and all(_conforms(v, args[0]) for v in value)
+    if origin is tuple:
+        return type(value) is tuple and len(value) == len(args) and all(map(_conforms, value, args))
+    if origin is dict:
+        return type(value) is dict and all(
+            type(k) is str and _conforms(v, args[1]) for k, v in value.items()
+        )
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint
+
+
 class _DictForm:
     """The JSON-ready dict form of a report dataclass, one key per field.
 
     Each field goes in as it is, unless declared with ``_converted``.
+    ``from_dict`` checks every value against its field's declared type, so a
+    report read from a file holds what the code that reads it expects.
     """
 
     __slots__ = ()
@@ -112,10 +132,15 @@ class _DictForm:
 
     @classmethod
     def from_dict(cls, d: dict):
+        """Read the dict form; a missing key or a value of the wrong type raises."""
+        hints = get_type_hints(cls)
         kwargs = {}
         for f in fields(cls):
             load = f.metadata.get("load")
-            kwargs[f.name] = d[f.name] if load is None else load(d[f.name])
+            value = d[f.name] if load is None else load(d[f.name])
+            if not _conforms(value, hints[f.name]):
+                raise TypeError(f"{cls.__name__}.{f.name}: {value!r} is not {hints[f.name]}")
+            kwargs[f.name] = value
         return cls(**kwargs)
 
 
@@ -224,9 +249,10 @@ def build_report(
             kpis.sri[stock_class] = rotation
             kpis.smi[stock_class] = stock_mean_time(period_hours, rotation)
 
+    scenario_digest, topology_digest = scenario.digests()
     return KpiReport(
-        scenario_digest=scenario.digest(),
-        topology_digest=scenario.topology_digest(),
+        scenario_digest=scenario_digest,
+        topology_digest=topology_digest,
         seed=scenario.seed,
         mode=scenario.mode,
         period_hours=period_hours,

@@ -15,6 +15,7 @@ regardless of the forgetting factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,8 +35,7 @@ class SatisfactionParams:
     peer_weight: float = 0.1        # coupling to the other customers' votes
 
 
-@dataclass(frozen=True, slots=True)
-class InputSignals:
+class InputSignals(NamedTuple):
     """Signals observed at one delivery.
 
     new_product and support_resolved are boolean flags; price_change_pct is
@@ -53,8 +53,7 @@ class InputSignals:
     peer_vote: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class VoteState:
+class VoteState(NamedTuple):
     """Vote for one (customer, product): value in [0, 10] and update count."""
 
     x: float

@@ -17,7 +17,6 @@ relate fields to each other are written out by hand.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields
@@ -25,6 +24,7 @@ from pathlib import Path
 
 import yaml
 
+from .jsonl import _ENCODE, _escape
 from .ledger import PRODUCT, RAW, Item, OrderValidationError
 from .satisfaction import SatisfactionParams
 
@@ -404,12 +404,13 @@ class DemandTable:
         row = self.rows.get((customer, product_id))
         return 0.0 if row is None else row[month - 1]
 
-    def products_of(self, customer: str) -> list[int]:
-        return sorted(
-            pid
-            for (cust, pid), row in self.rows.items()
-            if cust == customer and any(v > 0 for v in row)
-        )
+    def products_by_customer(self) -> dict[str, list[int]]:
+        """Each customer's products with some demand, in id order; one pass over the rows."""
+        index: dict[str, list[int]] = {}
+        for (customer, pid), row in sorted(self.rows.items()):
+            if any(v > 0 for v in row):
+                index.setdefault(customer, []).append(pid)
+        return index
 
     def validate(self) -> None:
         for (customer, pid), row in self.rows.items():
@@ -591,22 +592,68 @@ class Scenario:
                 code = prefix + str(i)
                 _require(code in priced, "missing-price", "{} has no price for {}", seller, code)
 
+        # the item kinds whose entries a run reads, per actor: prices of what
+        # it sells (``price_of``) or stocks (as its unit value), holding costs
+        # of what it stocks, received goods included
+        buyers = [self.retailer.name, *(c.name for c in self.customers)]
+        buyers += [p.name for p in self.sell.prospects]
+        roles = [(self.upstream.name, "R", ""), (self.firm.name, "PR", "PR")]
+        roles += [(s.name, "R", "R") for s in self.suppliers]
+        roles += [(name, "P", "P") for name in buyers]
+        price_kinds: dict[str, set[str]] = {}
+        holding_kinds: dict[str, set[str]] = {}
+        for name, priced, held in roles:
+            price_kinds.setdefault(name, set()).update(priced)
+            holding_kinds.setdefault(name, set()).update(held)
+        for path, table, used in (
+            ("prices", self.prices, price_kinds),
+            ("costs.holding_per_unit_hour", self.holding_costs, holding_kinds),
+        ):
+            for name, entries in table.items():
+                kinds = used.get(name, ())
+                for code in entries:
+                    _require(
+                        code[:1] in kinds,
+                        "item-kind-not-used-by-role",
+                        "{}.{}.{} is never read: {!r} trades no item of that kind",
+                        path, name, code, name,
+                    )
+
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
         return {"schema": SCHEMA_VERSION, **_SCENARIO.dump(self)}
 
+    def digests(self) -> tuple[str, str]:
+        """The scenario digest and the topology digest, from one dump.
+
+        Each is the sha256 prefix of the compact, key-sorted JSON of a dict:
+        ``to_dict()``, and for the topology the same without the keys a
+        SCOR/VCOR pair may differ in. Each top-level value is encoded once,
+        and both blobs are joined from those parts.
+        """
+        parts = [
+            (key, f"{_escape(key)}:{_ENCODE(value)}")
+            for key, value in sorted(self.to_dict().items())
+        ]
+        full = "{" + ",".join(part for _, part in parts) + "}"
+        shared = "{" + ",".join(part for key, part in parts if key not in _PAIR_VARIANT) + "}"
+        return _short_sha256(full), _short_sha256(shared)
+
     def digest(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        return self.digests()[0]
 
     def topology_digest(self) -> str:
         """Digest of everything a SCOR/VCOR pair must share to be comparable."""
-        d = self.to_dict()
-        for key in ("mode", "processes", "support", "market", "innovation", "sell", "name"):
-            d.pop(key, None)
-        blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        return self.digests()[1]
+
+
+# the top-level keys a SCOR/VCOR pair may differ in, left out of the topology digest
+_PAIR_VARIANT = frozenset({"mode", "processes", "support", "market", "innovation", "sell", "name"})
+
+
+def _short_sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 _SCENARIO = _spec(Scenario)

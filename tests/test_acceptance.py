@@ -482,8 +482,9 @@ def test_no_upstream_orders_in_case_study():
     # month-1 table row: intensity * horizon plus one lot of slack per
     # (customer, product) arrival chain.
     demand_bound: dict[int, float] = {pid: 0.0 for pid in scenario.products}
+    products_of = scenario.demand.products_by_customer()
     for customer in scenario.customers:
-        for pid in scenario.demand.products_of(customer.name):
+        for pid in products_of.get(customer.name, []):
             monthly = scenario.demand.boxes_for(customer.name, pid, 1)
             demand_bound[pid] += monthly * horizon / HOURS_PER_MONTH + customer.lot_size
 

@@ -321,6 +321,23 @@ class TestAnalyzeMarket:
         assert chain.analyze_market(now=6.0) is None
 
 
+class TestPeerVote:
+    def test_mean_of_the_other_customers_votes_on_that_product(self, chain_builder):
+        from vcsim.satisfaction import VoteState
+
+        chain = chain_builder(mode="vcor")
+        # replacing the mapping re-indexes it; the mean follows its order
+        chain.votes = {
+            ("c3", 1): VoteState(x=2.0),
+            ("c1", 1): VoteState(x=4.0),
+            ("c2", 2): VoteState(x=9.0),
+            ("c2", 1): VoteState(x=7.0),
+        }
+        assert chain._peer_vote("c1", 1) == (2.0 + 7.0) / 2
+        assert chain._peer_vote("c2", 2) == 0.0
+        assert chain._peer_vote("c9", 3) == 0.0
+
+
 class TestRenewalTarget:
     def test_least_sales_wins(self):
         assert renewal_target({1: 296.0, 2: 150.0, 3: 80.0}, set()) == 3

@@ -135,3 +135,35 @@ class TestDemoAndCompare:
         assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
         err = capsys.readouterr().err
         assert "error[parse]" in err and "kpi.json" in err
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("actors.retailer.sri", [1]),
+            ("actors.retailer.delivered_count", "7"),
+            ("actors.retailer.delivery_series", [["1", 2.0]]),
+            ("actors.retailer.delivery_series", [[1, 2.0, 3.0]]),
+            ("actors.firm.costs", {"holding": None}),
+            ("actors.firm", []),
+            ("census", {"Open": 1.5}),
+            ("seed", None),
+        ],
+        ids=repr,
+    )
+    def test_a_report_value_of_the_wrong_type_exits_one(self, tmp_path, capsys, path, value):
+        from vcsim.simulation import run_scenario
+
+        report = run_scenario(case_study_scenario(mode="scor", seed=9, horizon_hours=24.0)).report
+        good = report.to_dict()
+        bad = json.loads(report.to_json())
+        *parents, last = path.split(".")
+        node = bad
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        for name, data in (("a", good), ("b", bad)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "kpi.json").write_text(json.dumps(data), encoding="utf-8")
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert "error[parse]" in err and "kpi.json" in err

@@ -51,7 +51,7 @@ class TestCaseStudyProfile:
         assert sc.demand.boxes_for("customer1", 1, 1) == 250.0
         for month in range(1, 13):
             assert sc.demand.boxes_for("customer2", 2, month) == 0.0
-        assert sc.demand.products_of("customer2") == [1, 3]
+        assert sc.demand.products_by_customer() == {"customer1": [1, 2], "customer2": [1, 3]}
 
     def test_scor_mode_disables_every_process(self):
         sc = case_study_scenario(mode="scor")
@@ -71,6 +71,25 @@ class TestCaseStudyProfile:
         assert (
             case_study_scenario(seed=1).digest() != case_study_scenario(seed=2).digest()
         )
+
+    @pytest.mark.parametrize("mode", ["scor", "vcor"])
+    @pytest.mark.parametrize("name", ["case", "caf\u00e9 \"quoted\"", ""])
+    def test_digests_hash_the_compact_sorted_json(self, mode, name):
+        import hashlib
+        import json
+
+        sc = case_study_scenario(mode=mode, seed=11)
+        sc.name = name
+
+        def oracle(d):
+            blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+        d = sc.to_dict()
+        shared = {k: v for k, v in d.items() if k not in
+                  ("mode", "processes", "support", "market", "innovation", "sell", "name")}
+        assert sc.digests() == (oracle(d), oracle(shared))
+        assert (sc.digest(), sc.topology_digest()) == sc.digests()
 
 
 class TestValidationCodes:
@@ -317,6 +336,11 @@ CODE_CASES = [
     ("firm.raw_stock_kg.R2", -0.5, "negative-stock"),
     ("retailer.stock.P3", -1.0, "negative-stock"),
     ("suppliers.1.stock_kg.R2", -500.0, "negative-stock"),
+    ("prices.retailer.R1", 2.0, "item-kind-not-used-by-role"),
+    ("prices.supplier1.P1", 2.0, "item-kind-not-used-by-role"),
+    ("prices.ghost", {"P1": 2.0}, "item-kind-not-used-by-role"),
+    ("costs.holding_per_unit_hour.upstream", {"R1": 0.1}, "item-kind-not-used-by-role"),
+    ("costs.holding_per_unit_hour.customer1", {"R1": 0.1}, "item-kind-not-used-by-role"),
 ]
 
 
