@@ -71,7 +71,8 @@ class Item(namedtuple("_ItemFields", "kind id code")):
         return cls(PRODUCT if code[0] == "P" else RAW, int(code[1:]))
 
 
-# items are immutable, so each one is built once and shared
+# items are immutable, so each one is built once and shared; the caches hold
+# one item per id a process uses, which the catalogs bound
 @lru_cache(maxsize=None, typed=True)
 def product(n: int) -> Item:
     return Item(PRODUCT, n)

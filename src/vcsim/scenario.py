@@ -414,14 +414,14 @@ class DemandTable:
 
     def validate(self) -> None:
         for (customer, pid), row in self.rows.items():
-            where = (customer, pid, len(row))
-            _require(len(row) == 12, "bad-demand-row", "demand row {}/P{} has {} months", *where)
-            _require(
-                all(0 <= v < math.inf for v in row),
-                "bad-demand-row",
-                "demand row {}/P{} has negative or infinite boxes",
-                *where,
-            )
+            if len(row) != 12:
+                raise ScenarioError(
+                    "bad-demand-row", f"demand row {customer}/P{pid} has {len(row)} months"
+                )
+            if not all(0 <= v < math.inf for v in row):
+                raise ScenarioError(
+                    "bad-demand-row", f"demand row {customer}/P{pid} has negative or infinite boxes"
+                )
 
 
 def _load_demand(d: dict) -> DemandTable:
@@ -542,7 +542,11 @@ class Scenario:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
-        """Check each field against its table entry, then the cross-references."""
+        """Check each field against its table entry, then the cross-references.
+
+        This runs on every scenario build and every run, so the loops over
+        many entries test and raise inline rather than call ``_require``.
+        """
         _SCENARIO.check(self, "", "")
         enabled = [p for p, on in self.processes.items() if on]
         _require(
@@ -577,8 +581,10 @@ class Scenario:
 
         customers = {c.name for c in self.customers}
         for name, pid in self.demand.rows:
-            _require(name in customers, "unknown-customer", "demand of unknown {!r}", name)
-            _require(pid in products, "unknown-product", "demand for unknown product {}", pid)
+            if name not in customers:
+                raise ScenarioError("unknown-customer", f"demand of unknown {name!r}")
+            if pid not in products:
+                raise ScenarioError("unknown-product", f"demand for unknown product {pid}")
         for p in self.sell.prospects:
             _require(p.product in products, "unknown-product", "{} wants P{}", p.name, p.product)
 
@@ -590,34 +596,30 @@ class Scenario:
             priced = self.prices.get(seller, {})
             for i in ids:
                 code = prefix + str(i)
-                _require(code in priced, "missing-price", "{} has no price for {}", seller, code)
+                if code not in priced:
+                    raise ScenarioError("missing-price", f"{seller} has no price for {code}")
 
-        # the item kinds whose entries a run reads, per actor: prices of what
-        # it sells (``price_of``) or stocks (as its unit value), holding costs
-        # of what it stocks, received goods included
-        buyers = [self.retailer.name, *(c.name for c in self.customers)]
-        buyers += [p.name for p in self.sell.prospects]
-        roles = [(self.upstream.name, "R", ""), (self.firm.name, "PR", "PR")]
-        roles += [(s.name, "R", "R") for s in self.suppliers]
-        roles += [(name, "P", "P") for name in buyers]
-        price_kinds: dict[str, set[str]] = {}
-        holding_kinds: dict[str, set[str]] = {}
-        for name, priced, held in roles:
-            price_kinds.setdefault(name, set()).update(priced)
-            holding_kinds.setdefault(name, set()).update(held)
-        for path, table, used in (
-            ("prices", self.prices, price_kinds),
-            ("costs.holding_per_unit_hour", self.holding_costs, holding_kinds),
+        # an actor prices what it sells (``price_of``) or stocks (as its unit
+        # value), and holds what it stocks, received goods included; no run
+        # reads any other entry
+        buyers = {self.retailer.name, *(c.name for c in self.customers)}
+        buyers.update(p.name for p in self.sell.prospects)
+        suppliers = {s.name for s in self.suppliers}
+        for path, table, raw_traders in (
+            ("prices", self.prices, suppliers | {self.upstream.name}),
+            ("costs.holding_per_unit_hour", self.holding_costs, suppliers),
         ):
             for name, entries in table.items():
-                kinds = used.get(name, ())
+                if name == self.firm.name:
+                    kinds = "PR"
+                else:
+                    kinds = ("P" if name in buyers else "") + ("R" if name in raw_traders else "")
                 for code in entries:
-                    _require(
-                        code[:1] in kinds,
-                        "item-kind-not-used-by-role",
-                        "{}.{}.{} is never read: {!r} trades no item of that kind",
-                        path, name, code, name,
-                    )
+                    if not code or code[0] not in kinds:
+                        raise ScenarioError(
+                            "item-kind-not-used-by-role",
+                            f"{path}.{name}.{code} is never read: {name!r} trades no such item",
+                        )
 
     # -- serialization ----------------------------------------------------
 
