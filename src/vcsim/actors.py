@@ -240,6 +240,9 @@ class Chain:
 
     @property
     def votes(self) -> dict[tuple[str, int], VoteState]:
+        """Vote per (customer, product). Assigning a new mapping re-indexes
+        it for the peer means; a key added to the mapping in place is not
+        indexed."""
         return self._votes
 
     @votes.setter
