@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .engine import SchedulingError
+from .jsonl import _indented
 from .ledger import LedgerError
 from .metrics import ComparisonError, KpiReport, compare_runs
 from .scenario import (
@@ -95,7 +96,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else Path("compare-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "comparison.json").write_text(
-        json.dumps(comparison, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        _indented(comparison) + "\n", encoding="utf-8"
     )
     csv_lines = [
         f"# topology={comparison['topology_digest']} seed={comparison['seed']}",

@@ -153,7 +153,9 @@ class Engine:
         """Process every event with fire_time <= t_end, in total order.
 
         Returns the ordered trace of fired events. Queue exhaustion before
-        t_end is normal termination.
+        t_end is normal termination. The run ends here: the handlers are
+        dropped, since their owner (a ``Chain``) holds this engine, and that
+        cycle would leave the whole run to the cyclic garbage collector.
         """
         if t_end < 0:
             raise SchedulingError(f"horizon must be non-negative, got {t_end}")
@@ -184,6 +186,7 @@ class Engine:
                 if nxt <= t_end:
                     self.schedule(nxt, spec.target, spec.kind, None)
                     spec.fired += 1
+        self._handlers = {}
         return self.trace
 
 

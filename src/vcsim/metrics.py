@@ -8,12 +8,18 @@ so a missing value can never masquerade as bad performance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from types import UnionType
 from typing import Iterable, NamedTuple, get_args, get_origin, get_type_hints
 
-from .jsonl import _Quoted, _cost_line
+from .jsonl import (
+    _Quoted,
+    _Records,
+    _cost_line,
+    _delivery_row,
+    _indented,
+    _satisfaction_entry,
+)
 from .ledger import InventoryRecord, Ledger, PRODUCT
 from .scenario import Scenario
 
@@ -90,7 +96,8 @@ def sales_profitability(sales_profit: float, costs: float) -> float | None:
 
 
 def _converted(load, dump, **default):
-    """A report field whose JSON form differs: ``load`` reads it, ``dump`` writes it."""
+    """A report field with its own dict form: ``dump`` writes it, ``load``
+    reads it back (None: as it is)."""
     return field(**default, metadata={"load": load, "dump": dump})
 
 
@@ -100,7 +107,7 @@ def _conforms(value, hint) -> bool:
     if origin is UnionType:
         return any(_conforms(value, arg) for arg in args)
     if origin is list:
-        return type(value) is list and all(_conforms(v, args[0]) for v in value)
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
     if origin is tuple:
         return type(value) is tuple and len(value) == len(args) and all(map(_conforms, value, args))
     if origin is dict:
@@ -151,7 +158,7 @@ class ActorKpis(_DictForm):
     max_delivery_time: float | None = None
     delivery_series: list[tuple[int, float]] = _converted(  # (order_id, hours)
         lambda rows: [(oid, hours) for oid, hours in rows],
-        lambda series: [[oid, hours] for oid, hours in series],
+        lambda series: _Records(_delivery_row, map(list, series)),
         default_factory=list,
     )
     sales_profit: float = 0.0
@@ -175,12 +182,16 @@ class KpiReport(_DictForm):
         lambda d: {name: ActorKpis.from_dict(a) for name, a in d.items()},
         lambda actors: {name: kpis.to_dict() for name, kpis in sorted(actors.items())},
     )
-    satisfaction: list[dict]
+    satisfaction: list[dict] = _converted(
+        None, lambda entries: _Records(_satisfaction_entry, entries)
+    )
     produced_boxes: dict[str, float]
     delivered_to_customers: dict[str, float]
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """``json.dumps(self.to_dict(), sort_keys=True, indent=2)``; the
+        delivery rows and satisfaction entries are formatted directly."""
+        return _indented(self.to_dict())
 
 
 def build_report(

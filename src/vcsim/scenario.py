@@ -563,6 +563,8 @@ class Scenario:
                 _require(rid in raws, "unknown-raw", "recipe of P{} uses unknown raw {}", pid, rid)
         for pid in self.products:
             _require(pid in self.bom, "missing-recipe", "product {} has no recipe", pid)
+        for rid in self.innovation.bom_override or ():
+            _require(rid in raws, "unknown-raw", "bom_override uses unknown raw {}", rid)
 
         covered: set[int] = set()
         producers: dict[str, tuple[int, ...]] = {}  # the first supplier of each name

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .actors import Chain
 from .engine import Engine, Event, trace_lines
-from .jsonl import _ENCODE
+from .jsonl import _ENCODE, _Quoted, _satisfaction_line
 from .ledger import InventoryRecord, Ledger, product, raw
 from .metrics import CostLedger, KpiReport, build_report
 from .scenario import Scenario
@@ -97,7 +97,8 @@ def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
     dump("trace.jsonl", trace_lines(artifacts.trace))
     dump("ledger.jsonl", artifacts.ledger.export_lines())
     dump("costs.jsonl", artifacts.costs.export_lines())
-    dump("satisfaction.jsonl", [_ENCODE(entry) for entry in report.satisfaction])
+    q = _Quoted()
+    dump("satisfaction.jsonl", [_satisfaction_line(e, q) for e in report.satisfaction])
     write("kpi.json", report.to_json() + "\n")
 
     csv_lines = [

@@ -2,15 +2,27 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 
+import vcsim
 from vcsim.engine import Event, trace_lines
 from vcsim.jsonl import (
+    _ENCODE,
     _Quoted,
+    _Records,
     _cost_line,
+    _delivery_row,
+    _indented,
     _num,
     _order_line,
+    _satisfaction_entry,
+    _satisfaction_line,
     _ticket_line,
     _transition_line,
 )
@@ -24,7 +36,14 @@ def dumps(record) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-EDGE_NUMBERS = [0, 0.0, -0.0, 1, 1.0, 3, 3.0, 1e-7, 1e22, -1e22, 5e-324, 2**70]
+def dumps_indented(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+EDGE_NUMBERS = [
+    0, 0.0, -0.0, 1, 1.0, 3, 3.0, 1e-7, 1e22, -1e22, 5e-324, 2**70, -(2**70),
+    float("nan"), float("inf"), float("-inf"),
+]
 numbers = st.one_of(
     st.sampled_from(EDGE_NUMBERS),
     st.integers(),
@@ -167,6 +186,85 @@ def test_cost_line_matches_json(entries):
         assert _cost_line(e, q) == dumps(
             {"t": e.time, "actor": e.actor, "category": e.category, "amount": e.amount}
         )
+
+
+satisfaction_entries = st.fixed_dictionaries(
+    {"customer": names, "k": st.integers(min_value=0), "product": names,
+     "time": numbers, "vote": numbers}
+)
+
+
+@given(st.lists(satisfaction_entries, max_size=6))
+def test_satisfaction_line_matches_json(entries):
+    q = _Quoted()
+    for e in entries:
+        assert _satisfaction_line(e, q) == dumps(e)
+
+
+json_values = st.recursive(
+    st.one_of(scalars, names),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(names, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(json_values)
+def test_encode_matches_json(value):
+    assert _ENCODE(value) == dumps(value)
+
+
+@pytest.mark.parametrize("value", [object(), {"a": {1, 2}}, [b"bytes"]], ids=repr)
+def test_encode_raises_the_json_type_error(value):
+    with pytest.raises(TypeError) as expected:
+        dumps(value)
+    with pytest.raises(TypeError) as err:
+        _ENCODE(value)
+    assert str(err.value) == str(expected.value)
+
+
+def test_encode_without_the_c_encoder_matches_json():
+    """Where the json module has no C encoder, ``_ENCODE`` is JSONEncoder.encode."""
+    script = (
+        "import json, json.encoder\n"
+        "json.encoder.c_make_encoder = None\n"
+        "from vcsim.jsonl import _ENCODE\n"
+        "value = {'b': [1, 2.5, None, True], 'a': 'caf\\u00e9', 'n': float('nan')}\n"
+        "assert _ENCODE.__self__.__class__ is json.JSONEncoder\n"
+        "assert _ENCODE(value) == json.dumps(value, sort_keys=True, separators=(',', ':'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(vcsim.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+@given(json_values)
+def test_indented_matches_json(value):
+    assert _indented(value) == dumps_indented(value)
+
+
+@given(
+    st.dictionaries(
+        names,
+        st.lists(st.tuples(st.integers(min_value=0), numbers), max_size=4),
+        max_size=3,
+    ),
+    st.lists(satisfaction_entries, max_size=4),
+)
+def test_fixed_key_records_match_json(series, entries):
+    nested = {
+        name: {"delivery_series": _Records(_delivery_row, map(list, rows))}
+        for name, rows in series.items()
+    }
+    nested["satisfaction"] = _Records(_satisfaction_entry, entries)
+    plain = {
+        name: {"delivery_series": [list(row) for row in rows]}
+        for name, rows in series.items()
+    }
+    plain["satisfaction"] = entries
+    assert _indented(nested) == dumps_indented(plain)
 
 
 def test_case_study_artifacts_reencode_byte_identically(tmp_path):

@@ -321,6 +321,7 @@ CODE_CASES = [
     ("firm.production_mode.R1", "make-to-order", "wrong-item-kind"),
     ("innovation.bom_override", {"P1": 1.0}, "wrong-item-kind"),
     ("innovation.bom_override", {"R1": 0.0}, "bad-bom-quantity"),
+    ("innovation.bom_override", {"R9": 1.0}, "unknown-raw"),
     ("prices.retailer.X1", 10.0, "bad-item-code"),
     ("costs.holding_per_unit_hour.firm.Q1", 0.1, "bad-item-code"),
     ("prices.retailer.P1", "x", "parse"),

@@ -1,5 +1,6 @@
 """End-to-end run behavior: determinism, mode structure, artifact files."""
 
+import gc
 import json
 
 import pytest
@@ -168,6 +169,20 @@ class TestArtifactFiles:
         assert clone.export_lines() == lines[1:]  # header aside, order-for-order
         assert_views_match_scan(artifacts.ledger)
         assert_views_match_scan(clone)
+
+
+def test_a_finished_run_leaves_no_cyclic_garbage(tmp_path):
+    """A run is freed by reference counting alone: no engine/handler cycle."""
+    gc.collect()
+    gc.disable()
+    try:
+        run_scenario(case_study_scenario(mode="vcor", seed=42, horizon_hours=480.0))
+        run_scenario(
+            case_study_scenario(mode="vcor", seed=42, horizon_hours=480.0), out_dir=tmp_path
+        )
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestLedgerInvariantsInRuns:
