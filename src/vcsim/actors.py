@@ -32,7 +32,7 @@ from .ledger import (
     product,
     raw,
 )
-from .metrics import CostLedger
+from .metrics import CostLedger, _left_sum
 from .satisfaction import (
     InputSignals,
     VoteState,
@@ -641,7 +641,7 @@ class Chain:
     def _peer_vote(self, customer: str, pid: int) -> float:
         votes = self._votes
         others = [votes[key].x for key in self._voters.get(pid, ()) if key[0] != customer]
-        return sum(others) / len(others) if others else 0.0
+        return _left_sum(others) / len(others) if others else 0.0
 
     def _update_vote(self, order: Order, now: float) -> None:
         customer, pid = order.client, order.item.id
@@ -713,7 +713,7 @@ class Chain:
             return None
         if self.active_project is not None or not self.votes:
             return None
-        mean_vote = sum(s.x for s in self.votes.values()) / len(self.votes)
+        mean_vote = _left_sum(s.x for s in self.votes.values()) / len(self.votes)
         if mean_vote >= self.scenario.market.vote_threshold:
             return None
         target = renewal_target(self.firm_sales_boxes, self.renewed_products)

@@ -113,9 +113,10 @@ class Engine:
         payload: dict[str, Any] | None = None,
     ) -> Event:
         """Enqueue an event at absolute time ``at`` (>= now)."""
-        if at < self.now:
+        if not at >= self.now:  # also true for NaN, which compares false
             raise SchedulingError(
-                f"past event: cannot schedule '{kind}' at t={at} when now={self.now}"
+                f"cannot schedule '{kind}' at t={at} when now={self.now}: "
+                "the time is past or not a number"
             )
         seq = self._next_seq
         self._next_seq = seq + 1
@@ -157,8 +158,8 @@ class Engine:
         dropped, since their owner (a ``Chain``) holds this engine, and that
         cycle would leave the whole run to the cyclic garbage collector.
         """
-        if t_end < 0:
-            raise SchedulingError(f"horizon must be non-negative, got {t_end}")
+        if not t_end >= 0:  # also true for NaN
+            raise SchedulingError(f"horizon must be a non-negative number, got {t_end}")
         for spec in self._periodics:
             first = spec.interval  # occurrence 1, never t=0
             if spec.fired == 0 and first <= t_end:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .jsonl import _Quoted, _order_line, _ticket_line, _transition_line
 
@@ -144,10 +144,9 @@ class Order:
     delivered_at: float | None = None
     defective_qty: float = 0.0
     replacement_for: int | None = None  # ticket id, for support replacements
-    history: list[tuple[str, float]] = field(default_factory=list)
-
-    def last_transition_time(self) -> float:
-        return self.history[-1][1] if self.history else self.created_at
+    # time of the order's latest transition; ``Ledger.transitions`` holds the
+    # whole history, and this is all the monotonic-time check needs
+    last_transition_at: float = 0.0
 
 
 @dataclass(slots=True)
@@ -247,9 +246,8 @@ class Ledger:
         if self._known_items is not None and order.item not in self._known_items:
             raise OrderValidationError(f"unknown item: {order.item.code}")
         self.orders[order.order_id] = order
-        value = order.status._value_
-        self.transitions.append((order.order_id, value, order.created_at))
-        order.history.append((value, order.created_at))
+        self.transitions.append((order.order_id, order.status._value_, order.created_at))
+        order.last_transition_at = order.created_at
         key = (order.provider, order.item)
         bucket = self._open.get(key)
         if bucket is None:
@@ -270,8 +268,7 @@ class Ledger:
                 f"illegal transition {status.value} -> {new_status.value} "
                 f"for order {order_id}"
             )
-        history = order.history
-        if at < history[-1][1]:  # append_order logged the Open entry
+        if at < order.last_transition_at:
             raise TransitionError(
                 f"transition at t={at} precedes last transition of order {order_id}"
             )
@@ -290,9 +287,8 @@ class Ledger:
         elif new_status is _DELIVERED:
             order.delivered_at = at
             self._outstanding[(order.client, order.item)] -= 1
-        value = new_status._value_
-        history.append((value, at))
-        self.transitions.append((order_id, value, at))
+        order.last_transition_at = at
+        self.transitions.append((order_id, new_status._value_, at))
 
     def open_ticket(
         self, order: Order, defective_qty: float, customer: str, at: float
@@ -355,13 +351,34 @@ class Ledger:
 
     # -- persistence --------------------------------------------------------
 
-    def export_lines(self) -> list[str]:
-        """One JSON record per order plus one per transition, replayable."""
+    def export_parts(self) -> tuple[tuple[list, Callable[[list], list[str]]], ...]:
+        """The export order, declared once: orders by id, then transitions in
+        log order, then tickets by id.
+
+        Each part is ``(records, lines)``, where ``lines`` formats any run of
+        the part's records, one JSON record per line, so a writer can format
+        a long part a slice at a time.
+        """
         q = _Quoted()
-        lines = [_order_line(o, q) for _, o in sorted(self.orders.items())]
-        lines += [_transition_line(i, status, at, q) for i, status, at in self.transitions]
-        lines += [_ticket_line(t, q) for _, t in sorted(self.tickets.items())]
-        return lines
+        orders, tickets = self.orders, self.tickets
+        return (
+            (
+                [orders[i] for i in sorted(orders)],
+                lambda run: [_order_line(o, q) for o in run],
+            ),
+            (
+                self.transitions,
+                lambda run: [_transition_line(i, status, at, q) for i, status, at in run],
+            ),
+            (
+                [tickets[i] for i in sorted(tickets)],
+                lambda run: [_ticket_line(t, q) for t in run],
+            ),
+        )
+
+    def export_lines(self) -> list[str]:
+        """One JSON record per order, transition and ticket, replayable."""
+        return [line for records, lines in self.export_parts() for line in lines(records)]
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "Ledger":

@@ -9,13 +9,13 @@ so a missing value can never masquerade as bad performance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import reduce
+from operator import add
 from types import UnionType
 from typing import Iterable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .jsonl import (
-    _Quoted,
     _Records,
-    _cost_line,
     _delivery_row,
     _indented,
     _satisfaction_entry,
@@ -63,9 +63,15 @@ class CostLedger:
             return  # zero-amount events leave no entry
         self.entries.append(CostEntry(time, actor, category, amount))
 
-    def export_lines(self) -> list[str]:
-        q = _Quoted()
-        return [_cost_line(e, q) for e in self.entries]
+
+def _left_sum(values: Iterable[float]) -> float:
+    """``sum(values)`` as one plain left-to-right fold from int 0.
+
+    From Python 3.12 ``sum`` adds floats with compensation, so its last bits
+    depend on the interpreter; this fold gives the bits ``sum`` gave before
+    3.12 on every version, and the artifacts stay byte-identical across them.
+    """
+    return reduce(add, values, 0)
 
 
 # -- elementary indicators ------------------------------------------------
@@ -225,7 +231,7 @@ def build_report(
             code = order.item.code
             delivered[code] = delivered.get(code, 0.0) + order.quantity
 
-    # revenue starts at int 0, as sum() did, so an actor without any writes 0
+    # revenue starts at int 0, as a sum does, so an actor without any writes 0
     zero = {**dict.fromkeys(COST_CATEGORIES, 0.0), "sales-revenue": 0}
     totals = {name: dict(zero) for name in series}
     for entry in costs.entries:
@@ -247,14 +253,14 @@ def build_report(
         profit = totals[name].pop("sales-revenue")
         kpis = actors[name] = ActorKpis(
             delivered_count=len(hours),
-            mean_delivery_time=sum(hours) / len(hours) if hours else None,
+            mean_delivery_time=_left_sum(hours) / len(hours) if hours else None,
             max_delivery_time=max(hours) if hours else None,
             delivery_series=delivery_series,
             sales_profit=profit,
             costs={cat: amount for cat, amount in totals[name].items() if amount != 0.0},
             mean_stock_value=stock_values.get(name, {}),
         )
-        kpis.spi = sales_profitability(profit, sum(kpis.costs.values()))
+        kpis.spi = sales_profitability(profit, _left_sum(kpis.costs.values()))
         for stock_class, value in kpis.mean_stock_value.items():
             rotation = stock_rotation(profit, value)
             kpis.sri[stock_class] = rotation

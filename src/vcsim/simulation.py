@@ -9,11 +9,13 @@ scenario digest and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .actors import Chain
 from .engine import Engine, Event, trace_lines
-from .jsonl import _ENCODE, _Quoted, _satisfaction_line
+from .jsonl import _ENCODE, _Quoted, _cost_line, _satisfaction_line
 from .ledger import InventoryRecord, Ledger, product, raw
 from .metrics import CostLedger, KpiReport, build_report
 from .scenario import Scenario
@@ -81,32 +83,52 @@ def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
             "mode": report.mode,
         }
     )
-
-    def write(name: str, text: str) -> None:
-        # unlink first: on ext4, truncating a large file that was just written is
-        # slow; rewriting a long run's files in place took ~9x a fresh write
-        path = out_dir / name
-        path.unlink(missing_ok=True)
-        path.write_text(text, encoding="utf-8")
-
-    def dump(name: str, lines: list[str]) -> None:
-        # a file with no records holds the header line alone
-        body = "\n".join(lines) + "\n" if lines else ""
-        write(name, header + "\n" + body)
-
-    dump("trace.jsonl", trace_lines(artifacts.trace))
-    dump("ledger.jsonl", artifacts.ledger.export_lines())
-    dump("costs.jsonl", artifacts.costs.export_lines())
     q = _Quoted()
-    dump("satisfaction.jsonl", [_satisfaction_line(e, q) for e in report.satisfaction])
-    write("kpi.json", report.to_json() + "\n")
-
-    csv_lines = [
-        f"# scenario={report.scenario_digest} seed={report.seed} mode={report.mode}",
+    _write_file(out_dir / "trace.jsonl", header, [(artifacts.trace, trace_lines)])
+    _write_file(out_dir / "ledger.jsonl", header, artifacts.ledger.export_parts())
+    _write_file(
+        out_dir / "costs.jsonl",
+        header,
+        [(artifacts.costs.entries, lambda run: [_cost_line(e, q) for e in run])],
+    )
+    _write_file(
+        out_dir / "satisfaction.jsonl",
+        header,
+        [(report.satisfaction, lambda run: [_satisfaction_line(e, q) for e in run])],
+    )
+    _write_file(out_dir / "kpi.json", report.to_json())
+    _write_file(
+        out_dir / "delivery_times.csv",
+        f"# scenario={report.scenario_digest} seed={report.seed} mode={report.mode}\n"
         "actor,order_id,delivery_hours",
-    ]
-    for name, kpis in sorted(report.actors.items()):
-        for order_id, hours in kpis.delivery_series:
-            csv_lines.append(f"{name},{order_id},{hours!r}")
-    write("delivery_times.csv", "\n".join(csv_lines) + "\n")
+        [
+            (kpis.delivery_series, partial(_csv_rows, name))
+            for name, kpis in sorted(report.actors.items())
+        ],
+    )
 
+
+def _csv_rows(actor: str, rows: list[tuple[int, float]]) -> list[str]:
+    return [f"{actor},{order_id},{hours!r}" for order_id, hours in rows]
+
+
+#: records formatted and written per write: no record file's text is held
+#: whole, so the writer's memory does not grow with the horizon
+_SLICE = 512
+
+
+def _write_file(
+    path: Path, head: str, parts: Iterable[tuple[list, Callable[[list], list[str]]]] = ()
+) -> None:
+    """Write ``head`` and a newline, then every ``(records, lines)`` part in
+    order, ``_SLICE`` records at a time, one line per record; with no
+    records the file is the head line alone."""
+    # unlink first: on ext4, truncating a large file that was just written is
+    # slow; rewriting a long run's files in place took ~9x a fresh write
+    path.unlink(missing_ok=True)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(head)
+        f.write("\n")
+        for records, lines in parts:
+            for i in range(0, len(records), _SLICE):
+                f.write("\n".join(lines(records[i : i + _SLICE])) + "\n")

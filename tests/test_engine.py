@@ -37,6 +37,27 @@ def test_scheduling_in_the_past_is_an_error():
         eng.schedule(2.0, "x", "too-late")
 
 
+def test_a_time_that_is_not_a_number_is_an_error():
+    # NaN compares false with everything: accepted, it would sit at the head
+    # of the heap and end run_until silently with an empty trace
+    eng = Engine()
+    with pytest.raises(SchedulingError):
+        eng.schedule(math.nan, "x", "never")
+    eng.schedule(1.0, "x", "a")
+    eng.schedule(2.0, "x", "b")
+    assert [e.kind for e in eng.run_until(5.0)] == ["a", "b"]
+    assert eng.now == 2.0
+
+
+def test_a_horizon_that_is_not_a_number_is_an_error():
+    eng = Engine()
+    eng.schedule(1.0, "x", "a")
+    with pytest.raises(SchedulingError):
+        eng.run_until(math.nan)
+    with pytest.raises(SchedulingError):
+        eng.run_until(-1.0)
+
+
 def test_advance_pops_minimum_and_moves_clock():
     eng = Engine()
     eng.schedule(4.0, "x", "Y")

@@ -202,7 +202,7 @@ def test_status_buckets_agree_with_scans_after_every_step(data):
             ledger.transition(
                 order.order_id,
                 data.draw(st.sampled_from(legal)),
-                at=order.last_transition_time() + data.draw(st.sampled_from([0.0, 1.0])),
+                at=order.last_transition_at + data.draw(st.sampled_from([0.0, 1.0])),
             )
         assert_views_match_scan(ledger, PROVIDERS, ITEMS, CLIENTS)
     assert_views_match_scan(

@@ -50,6 +50,16 @@ class TestDeliveryTimes:
         assert firm.mean_delivery_time == 5.0
         assert firm.max_delivery_time == 6.0
 
+    def test_the_mean_is_a_plain_left_fold(self):
+        # ten 0.1 h deliveries fold left to 0.9999999999999999; the
+        # compensated sum() of Python 3.12+ would give 1.0
+        ledger = Ledger()
+        for _ in range(10):
+            _delivered_order(ledger, "firm", 0.0, 0.1)
+        firm = _fold(ledger).actors["firm"]
+        assert firm.mean_delivery_time == 0.9999999999999999 / 10
+        assert firm.mean_delivery_time != 0.1
+
     def test_no_deliveries_is_absent_not_zero(self):
         ledger = Ledger()
         ledger.place("client", "firm", product(1), 1.0, at=0.0)

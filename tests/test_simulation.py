@@ -2,13 +2,14 @@
 
 import gc
 import json
+import tracemalloc
 
 import pytest
 
 from conftest import assert_views_match_scan
 from vcsim.ledger import Ledger
 from vcsim.scenario import case_study_scenario
-from vcsim.simulation import run_scenario, write_artifacts
+from vcsim.simulation import _SLICE, _write_file, run_scenario, write_artifacts
 
 VCOR_EVENT_KINDS = {
     "activate-market",
@@ -171,6 +172,63 @@ class TestArtifactFiles:
         assert_views_match_scan(clone)
 
 
+class TestStreamedWriter:
+    HEAD = '{"record":"header"}'
+
+    @staticmethod
+    def expected(head: str, lines: list[str]) -> bytes:
+        body = "\n".join(lines) + "\n" if lines else ""
+        return (head + "\n" + body).encode("utf-8")
+
+    @pytest.mark.parametrize("count", [0, 1, _SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1])
+    def test_slices_write_the_whole_text(self, tmp_path, count):
+        runs = []
+
+        def lines(run):
+            runs.append(len(run))
+            return [f'{{"n":{n}}}' for n in run]
+
+        path = tmp_path / "part.jsonl"
+        _write_file(path, self.HEAD, [(list(range(count)), lines)])
+        expected = [f'{{"n":{n}}}' for n in range(count)]
+        assert path.read_bytes() == self.expected(self.HEAD, expected)
+        assert sum(runs) == count and all(0 < n <= _SLICE for n in runs)
+
+    @pytest.mark.parametrize("first", [0, _SLICE - 1, _SLICE, _SLICE + 1])
+    def test_parts_follow_one_another(self, tmp_path, first):
+        parts = [
+            (list(range(first)), lambda run: [f"a{n}" for n in run]),
+            ([], lambda run: [f"b{n}" for n in run]),
+            (list(range(3)), lambda run: [f"c{n}" for n in run]),
+        ]
+        path = tmp_path / "parts.jsonl"
+        _write_file(path, self.HEAD, parts)
+        lines = [f"a{n}" for n in range(first)] + ["c0", "c1", "c2"]
+        assert path.read_bytes() == self.expected(self.HEAD, lines)
+
+    def test_a_file_without_records_is_its_head_line(self, tmp_path):
+        path = tmp_path / "kpi.json"
+        path.write_text("stale text, longer than the head")
+        _write_file(path, "{}")
+        assert path.read_bytes() == b"{}\n"
+
+    def test_writing_peaks_below_the_largest_file(self, tmp_path):
+        # no record file's text is held whole, so the writer's peak stays
+        # under the largest file it writes (building each file whole, it
+        # peaked at ~4x); kpi.json, formatted whole, is the larger part of it
+        artifacts = run_scenario(
+            case_study_scenario(mode="vcor", seed=42, horizon_hours=960.0)
+        )
+        tracemalloc.start()
+        try:
+            write_artifacts(artifacts, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest = max(path.stat().st_size for path in tmp_path.iterdir())
+        assert peak < largest
+
+
 def test_a_finished_run_leaves_no_cyclic_garbage(tmp_path):
     """A run is freed by reference counting alone: no engine/handler cycle."""
     gc.collect()
@@ -187,9 +245,12 @@ def test_a_finished_run_leaves_no_cyclic_garbage(tmp_path):
 
 class TestLedgerInvariantsInRuns:
     def test_timestamps_monotone_along_every_order(self, vcor_run):
-        for order in vcor_run.ledger.orders.values():
-            times = [t for _, t in order.history]
-            assert times == sorted(times)
+        ledger = vcor_run.ledger
+        times: dict[int, list[float]] = {order_id: [] for order_id in ledger.orders}
+        for order_id, _, at in ledger.transitions:
+            times[order_id].append(at)
+        for order_times in times.values():
+            assert order_times == sorted(order_times)
 
     def test_at_most_one_outstanding_replenishment_per_item(self, vcor_run):
         # replay the transition log and check the invariant after every step
