@@ -217,7 +217,12 @@ def test_encode_matches_json(value):
     assert _ENCODE(value) == dumps(value)
 
 
-@pytest.mark.parametrize("value", [object(), {"a": {1, 2}}, [b"bytes"]], ids=repr)
+# explicit ids: the repr of a bare object() holds its address, which changes per run
+@pytest.mark.parametrize(
+    "value",
+    [object(), {"a": {1, 2}}, [b"bytes"]],
+    ids=["object()", "{'a': {1, 2}}", "[b'bytes']"],
+)
 def test_encode_raises_the_json_type_error(value):
     with pytest.raises(TypeError) as expected:
         dumps(value)
