@@ -20,6 +20,7 @@ import hashlib
 import math
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 
 import yaml
@@ -34,6 +35,13 @@ MODES = ("scor", "vcor")
 VCOR_PROCESSES = ("support", "market", "research", "develop", "sell")
 PRODUCTION_MODES = ("make-to-stock", "make-to-order")
 HOURS_PER_MONTH = 720.0  # 30-day months for demand-table scaling
+
+# libyaml's safe loader where PyYAML was built with it (about 7x faster on
+# the case study), else the pure-Python one; both build only plain data
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# past this bound on a document's depth ``_loader_for`` picks the pure-Python
+# loader, which raises RecursionError at about this depth
+_MAX_NESTING = 1000
 
 
 class ScenarioError(Exception):
@@ -68,8 +76,9 @@ def _path(where: str, key: str) -> str:
 
 def _number(value) -> float:
     x = float(value)
-    _require(math.isfinite(x), "parse", "not a finite number: {!r}", value)
-    return x
+    if math.isfinite(x):
+        return x
+    raise ScenarioError("parse", f"not a finite number: {value!r}")
 
 
 def _number_as_written(value):
@@ -90,6 +99,7 @@ def _rule(ok, code: str, text: str):
 
 _BOUNDS = {
     "[]": lambda lo, hi: lambda x: lo <= x <= hi,
+    "[)": lambda lo, hi: lambda x: lo <= x < hi,
     "(]": lambda lo, hi: lambda x: lo < x <= hi,
     "()": lambda lo, hi: lambda x: lo < x < hi,
 }
@@ -106,6 +116,13 @@ def _one_of(code: str, values: tuple[str, ...]) -> _Codec:
     return _Codec(str, check=_rule(values.__contains__, code, f"one of {values}"))
 
 
+@lru_cache(maxsize=256, typed=True)
+def _item(code) -> Item:
+    # a document repeats a few item codes as map keys, so each distinct key
+    # is parsed once and its item shared, like ``ledger.product``/``raw``
+    return Item.parse(str(code))
+
+
 def _map(kind: str | None, value: _Codec, optional: bool = False) -> _Codec:
     """A mapping whose values go through ``value``.
 
@@ -118,10 +135,11 @@ def _map(kind: str | None, value: _Codec, optional: bool = False) -> _Codec:
     def key(code):
         if kind is None:
             return code
-        item = Item.parse(str(code))
+        item = _item(code)
         if prefix is None:
             return item.code
-        _require(item.kind == kind, "wrong-item-kind", "expected a {} code, got {}", kind, code)
+        if item.kind != kind:
+            raise ScenarioError("wrong-item-kind", f"expected a {kind} code, got {code}")
         return item.id
 
     def load(doc):
@@ -482,7 +500,7 @@ _CATALOG = _list(_INT, tuple, _rule(len, "empty-catalog", "a non-empty list"))
 class Scenario:
     name: str = _field(_STR, absent="unnamed")
     seed: int = _field(_SEED, absent=0)
-    horizon_hours: float = _field(_num("bad-horizon", "[0, inf]"), absent=48.0)
+    horizon_hours: float = _field(_num("bad-horizon", "[0, inf)"), absent=48.0)
     mode: str = _field(_one_of("bad-mode", MODES), absent="scor")
     processes: dict[str, bool] = _field(_PROCESSES, absent=None)
     products: tuple[int, ...] = _field(_CATALOG, "catalog.products", absent=())
@@ -665,6 +683,11 @@ _SCENARIO = _spec(Scenario)
 
 # -- parsing ---------------------------------------------------------------
 
+# what reading a malformed document raises besides ScenarioError
+_MALFORMED = (
+    AttributeError, LookupError, TypeError, ValueError, OverflowError, RecursionError
+)
+
 
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
     """Build and validate a Scenario from parsed YAML data."""
@@ -683,22 +706,44 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         return scenario
     except OrderValidationError as exc:
         raise ScenarioError("bad-item-code", str(exc)) from exc
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except _MALFORMED as exc:
         raise ScenarioError("parse", f"malformed scenario document: {exc!r}") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario YAML file."""
     path = Path(path)
+    text = _read_text(path, "scenario file")
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ScenarioError("io", f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_loader_for(text))
     except yaml.YAMLError as exc:
         raise ScenarioError("parse", f"{path}: {exc}") from exc
+    except _MALFORMED as exc:  # a scalar its tag cannot build, or nesting too deep
+        raise ScenarioError("parse", f"{path}: {exc!r}") from exc
     return scenario_from_dict(data, base_dir=path.parent)
+
+
+def _loader_for(text: str):
+    """``_LOADER``, or the pure-Python loader for a document that may nest too deep for it.
+
+    PyYAML builds libyaml's nodes by recursion in C, so a document nested
+    about 25,000 levels deep overflows an 8 MB stack and kills the process;
+    the pure-Python loader raises RecursionError instead. A block-style level
+    takes at least half a column of a line, and a flow-style "[" or "{" makes
+    at most two levels, which bounds the depth from above.
+    """
+    longest_line = max(map(len, text.split("\n")))
+    bound = 2 * (longest_line + text.count("[") + text.count("{") + 1)
+    return _LOADER if bound < _MAX_NESTING else yaml.SafeLoader
+
+
+def _read_text(path: Path, what: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError("io", f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError("parse", f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def save_scenario(scenario: Scenario, path: str | Path, demand_file: str | None = None) -> None:
@@ -720,11 +765,7 @@ def load_demand_table(path: str | Path) -> DemandTable:
     import csv
 
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ScenarioError("io", f"cannot read demand table {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(_read_text(path, "demand table").splitlines())
     try:
         header = next(reader)
     except StopIteration:

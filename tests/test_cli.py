@@ -34,6 +34,13 @@ class TestValidate:
     def test_missing_file_exits_three(self, tmp_path):
         assert main(["validate", str(tmp_path / "absent.yaml")]) == 3
 
+    def test_a_file_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("name: café\n".encode("latin-1"))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]") and "latin1.yaml" in err
+
 
 class TestRun:
     def test_run_writes_artifacts(self, scenario_file, tmp_path, capsys):

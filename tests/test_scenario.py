@@ -1,16 +1,26 @@
 """Scenario loading, validation codes, the reference profile, round trips."""
 
 import copy
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
+import vcsim
+from vcsim.cli import main
 from vcsim.scenario import (
+    MODES,
     Scenario,
     ScenarioError,
+    _LOADER,
+    _loader_for,
     case_study_scenario,
     demand_table_csv,
     load_demand_table,
@@ -192,8 +202,6 @@ class TestFiles:
         data = sc.to_dict()
         data["demand"] = {"file": "demand.csv"}
         path = tmp_path / "scenario.yaml"
-        import yaml
-
         path.write_text(yaml.safe_dump(data), encoding="utf-8")
         loaded = load_scenario(path)
         assert loaded.demand.rows == sc.demand.rows
@@ -523,3 +531,197 @@ def test_an_odd_document_is_rejected_or_runs(doc):
         return
     scenario.horizon_hours = min(scenario.horizon_hours, 24.0)
     run_scenario(scenario)
+
+
+def test_an_infinite_horizon_built_in_code_is_bad_horizon():
+    # a document cannot carry one (``.inf`` is a parse error), but code can,
+    # and the run would never end
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ScenarioError) as err:
+            case_study_scenario("scor", 1, horizon)
+        assert err.value.code == "bad-horizon"
+
+
+# -- reading files: encoding and the YAML loader ------------------------------
+
+
+def test_a_scenario_file_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("name: café\n".encode("latin-1"))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert err.value.code == "parse"
+    assert str(path) in str(err.value)
+
+
+def test_a_demand_table_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "demand.csv"
+    text = demand_table_csv(case_study_scenario().demand).replace("customer1", "café")
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ScenarioError) as err:
+        load_demand_table(path)
+    assert err.value.code == "parse"
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["seed: 2001-13-01\n", "seed: !!int ''\n", "seed: !!float x\n", "name: !!bool x\n",
+     "name: !!timestamp x\n"],
+    ids=repr,
+)
+def test_a_scalar_its_tag_cannot_build_is_a_parse_error(tmp_path, text):
+    path = tmp_path / "scenario.yaml"
+    path.write_text("schema: 1\n" + text, encoding="utf-8")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert err.value.code == "parse"
+
+
+def test_the_loader_is_libyaml_where_pyyaml_has_it():
+    expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert _LOADER is expected
+
+
+def written_documents(directory: Path) -> list[Path]:
+    """Every YAML document the package writes: both modes, both demand forms, the demo."""
+    paths = []
+    for mode in MODES:
+        for demand_file in (None, f"{mode}-demand.csv"):
+            path = directory / f"{mode}-{'file' if demand_file else 'inline'}.yaml"
+            save_scenario(case_study_scenario(mode, 11, 480.0), path, demand_file=demand_file)
+            paths.append(path)
+    assert main(["demo", "--out", str(directory / "demo")]) == 0
+    return paths + sorted((directory / "demo").glob("*.yaml"))
+
+
+def test_every_written_document_loads_alike_with_both_loaders(tmp_path, capsys):
+    for path in written_documents(tmp_path):
+        text = path.read_text(encoding="utf-8")
+        assert _loader_for(text) is _LOADER, path
+        assert yaml.load(text, Loader=_LOADER) == yaml.load(text, Loader=yaml.SafeLoader), path
+
+
+def test_a_document_nested_too_deep_is_a_parse_error(tmp_path):
+    """Nesting that would overflow libyaml's C recursion is read by the pure-Python loader.
+
+    In a subprocess, since a stack overflow there would end the test run.
+    """
+    depth = 30_000  # past where libyaml's composer crashed on Linux
+    base = yaml.safe_dump(CASE_DOC, sort_keys=False)
+    paths = [tmp_path / "flow.yaml", tmp_path / "block.yaml"]
+    paths[0].write_text(base + "x: " + "[" * depth + "]" * depth + "\n", encoding="utf-8")
+    paths[1].write_text(base + "x:\n" + "- " * depth + "y\n", encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from vcsim.scenario import ScenarioError, load_scenario\n"
+        "for path in sys.argv[1:]:\n"
+        "    try:\n"
+        "        load_scenario(path)\n"
+        "    except ScenarioError as exc:\n"
+        "        print(exc.code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(vcsim.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", script, *map(str, paths)],
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    assert out.split() == ["parse"] * len(paths)
+
+
+def test_the_pure_python_loader_gives_the_same_scenarios(tmp_path, capsys):
+    """Where PyYAML lacks libyaml, ``load_scenario`` falls back and reads the same scenarios."""
+    paths = written_documents(tmp_path)
+    script = (
+        "import json, sys\n"
+        "sys.modules['yaml._yaml'] = None  # as if PyYAML were built without libyaml\n"
+        "import yaml\n"
+        "from vcsim.scenario import _LOADER, load_scenario\n"
+        "assert not yaml.__with_libyaml__ and _LOADER is yaml.SafeLoader\n"
+        "for path in sys.argv[1:]:\n"
+        "    sc = load_scenario(path)\n"
+        "    print(json.dumps([sc.to_dict(), sc.digests()], sort_keys=True))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(vcsim.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", script, *map(str, paths)],
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    expected = [
+        json.dumps([sc.to_dict(), sc.digests()], sort_keys=True)
+        for sc in map(load_scenario, paths)
+    ]
+    assert out.splitlines() == expected
+
+
+def read_or_none(text: str, loader):
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError:
+        return None
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize(
+    "text,pure,libyaml",  # what each loader reads; None: it rejects the text
+    [
+        ("name: a\tb\n", None, {"name": "a\tb"}),
+        ("name: !\n", {"name": None}, {"name": ""}),
+        ("a: 1\n\ufeffb: 2\n", {"a": 1, "\ufeffb": 2}, None),
+        ("a: 1\n\ufeff# note\nb: 2\n", None, {"a": 1, "b": 2}),
+    ],
+    ids=["tab-in-plain-scalar", "bare-tag", "bom-before-key", "bom-before-comment"],
+)
+def test_the_loaders_differ_as_the_readme_says(text, pure, libyaml):
+    assert read_or_none(text, yaml.SafeLoader) == pure
+    assert read_or_none(text, yaml.CSafeLoader) == libyaml
+
+
+YAML_EDIT_CHARS = ":-[]{},#&*!|>'\"%@`?\t\n .0123456789PRabxe\u00e9\ufeff"
+
+
+@st.composite
+def edited_case_study_texts(draw) -> tuple[str, bool]:
+    """The case-study YAML, either mode, demand inline or in a CSV, with 1-4 text edits."""
+    mode = draw(st.sampled_from(MODES))
+    demand_file = draw(st.booleans())
+    text = CASE_STUDY_TEXTS[mode, demand_file]
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 4))
+        new = draw(st.text(st.sampled_from(YAML_EDIT_CHARS), max_size=4))
+        text = text[:at] + new + text[at + cut:]
+    return text, demand_file
+
+
+def _case_study_texts() -> dict:
+    texts = {}
+    for mode in MODES:
+        sc = case_study_scenario(mode, 11, 48.0)
+        texts[mode, False] = yaml.safe_dump(sc.to_dict(), sort_keys=False)
+        texts[mode, True] = yaml.safe_dump(
+            {**sc.to_dict(), "demand": {"file": "demand.csv"}}, sort_keys=False
+        )
+    return texts
+
+
+CASE_STUDY_TEXTS = _case_study_texts()
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_case_study_texts())
+def test_an_edited_document_loads_or_is_a_scenario_error(tmp_path_factory, edited):
+    text, demand_file = edited
+    directory = tmp_path_factory.getbasetemp() / "edited"
+    if not directory.exists():
+        directory.mkdir()
+        (directory / "demand.csv").write_text(
+            demand_table_csv(case_study_scenario().demand), encoding="utf-8"
+        )
+    path = directory / ("inline.yaml", "csv.yaml")[demand_file]
+    path.unlink(missing_ok=True)  # a new file: truncating one just written can cost ~30 ms
+    path.write_text(text, encoding="utf-8")
+    try:
+        assert isinstance(load_scenario(path), Scenario)
+    except ScenarioError:
+        pass
