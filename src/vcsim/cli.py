@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .engine import SchedulingError
@@ -21,7 +22,6 @@ from .scenario import (
     case_study_scenario,
     load_scenario,
     save_scenario,
-    scenario_from_dict,
 )
 from .simulation import run_scenario
 
@@ -37,17 +37,14 @@ def _apply_overrides(
     horizon: float | None,
     mode: str | None,
 ) -> Scenario:
-    if seed is None and horizon is None and mode is None:
-        return scenario
-    data = scenario.to_dict()
+    changes: dict = {}
     if seed is not None:
-        data["seed"] = seed
+        changes["seed"] = seed
     if horizon is not None:
-        data["horizon_hours"] = horizon
+        changes["horizon_hours"] = horizon
     if mode is not None:
-        data["mode"] = mode
-        data.pop("processes", None)  # rederive the toggles from the mode
-    return scenario_from_dict(data)
+        changes.update(mode=mode, processes=None)  # rederive the toggles from the mode
+    return replace(scenario, **changes) if changes else scenario
 
 
 def cmd_run(args: argparse.Namespace) -> int:

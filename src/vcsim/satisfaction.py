@@ -24,7 +24,7 @@ class SatisfactionParams:
 
     forgetting_factor must lie strictly inside (0, 1); price_weight must be
     strictly positive (set the price-change signal to zero to disable it).
-    ``Scenario.validate`` checks them once per run, not per vote update.
+    ``Scenario.validate`` checks them once per scenario build, not per vote update.
     """
 
     forgetting_factor: float = 0.3
@@ -97,26 +97,3 @@ def update_vote(state: VoteState, u: float, params: SatisfactionParams) -> VoteS
     x = min(VOTE_MAX, max(VOTE_MIN, x))
     return VoteState(x=x, k=state.k + 1)
 
-
-def zero_input_decay(x0: float, forgetting_factor: float, n: int) -> list[float]:
-    """Vote sequence [x0, x1, ..., xn] under zero input: x_n = (1-a)^n * x0."""
-    if not 0.0 < forgetting_factor < 1.0:
-        raise ValueError(
-            f"forgetting factor out of range (0, 1): {forgetting_factor}"
-        )
-    seq = [x0]
-    for _ in range(n):
-        seq.append((1.0 - forgetting_factor) * seq[-1])
-    return seq
-
-
-def innovation_step(vote: float, forgetting_factor: float) -> float:
-    """Closed-form vote after one update with only the new-product flag set.
-
-    x' = 9 - 0.2*(1-a)*x  (the forgetting factor cancels out of the gain
-    term, so x'=9 exactly at x=0 for any admissible a).
-    """
-    a = forgetting_factor
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"forgetting factor out of range (0, 1): {a}")
-    return 9.0 - 0.2 * (1.0 - a) * vote

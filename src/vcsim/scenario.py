@@ -19,8 +19,8 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import namedtuple
-from dataclasses import MISSING, dataclass, field, fields
-from functools import lru_cache
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache, lru_cache
 from pathlib import Path
 
 import yaml
@@ -52,6 +52,14 @@ class ScenarioError(Exception):
         self.code = code
 
 
+class _Misfit(ScenarioError):
+    """A failed range check; each enclosing check appends its key to ``path``."""
+
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(code, message)
+        self.path: list[str] = []
+
+
 def _require(condition: bool, code: str, message: str, *args) -> None:
     """Raise ``code`` unless ``condition``; ``message`` is formatted with ``args`` only then."""
     if not condition:
@@ -61,17 +69,14 @@ def _require(condition: bool, code: str, message: str, *args) -> None:
 # -- codecs ------------------------------------------------------------------
 #
 # A codec reads a document value (``load``), writes it back (``dump``; None:
-# as is) and checks its range (``check(value, where, path)``; None: any value
-# goes). Checks format their message only when they fail, because
-# ``validate`` runs on every scenario build.
+# as is) and checks its range (``check(value)``; None: any value goes).
+# Checks format their message only when they fail, because ``validate`` runs
+# on every scenario build: a failed check raises ``_Misfit``, the checks it
+# passes through add the document path, and ``validate`` joins it.
 
 _Codec = namedtuple("_Codec", "load dump check", defaults=(None, None))
 _ABSENT = object()
 _ANY_ITEM = "item"  # map keys that are item codes of either kind, kept as codes
-
-
-def _path(where: str, key: str) -> str:
-    return f"{where}.{key}" if where and key else where or key
 
 
 def _number(value) -> float:
@@ -90,9 +95,9 @@ def _number_as_written(value):
 def _rule(ok, code: str, text: str):
     """A range check: ``ok(value)`` holds, or error ``code`` names the defect."""
 
-    def check(value, where: str, path: str) -> None:
+    def check(value) -> None:
         if not ok(value):
-            raise ScenarioError(code, f"{_path(where, path)}: {value!r} is not {text}")
+            raise _Misfit(code, f"{value!r} is not {text}")
 
     return check
 
@@ -155,9 +160,13 @@ def _map(kind: str | None, value: _Codec, optional: bool = False) -> _Codec:
             items = [(k, value.dump(v)) for k, v in items]
         return dict(items) if prefix is None else {prefix + str(k): v for k, v in items}
 
-    def check(mapping, where: str, path: str) -> None:
+    def check(mapping) -> None:
         for k, v in (mapping or {}).items():
-            value.check(v, where, f"{path}.{prefix or ''}{k}")
+            try:
+                value.check(v)
+            except _Misfit as exc:
+                exc.path.append(f"{prefix or ''}{k}")
+                raise
 
     return _Codec(load, dump, None if value.check is None else check)
 
@@ -165,12 +174,16 @@ def _map(kind: str | None, value: _Codec, optional: bool = False) -> _Codec:
 def _list(item: _Codec, make=list, rule=None) -> _Codec:
     """A sequence of ``item`` values built with ``make``; ``rule`` checks the whole."""
 
-    def check(seq, where: str, path: str) -> None:
+    def check(seq) -> None:
         if rule is not None:
-            rule(seq, where, path)
+            rule(seq)
         if item.check is not None:
             for i, x in enumerate(seq):
-                item.check(x, where, f"{path}.{i}")
+                try:
+                    item.check(x)
+                except _Misfit as exc:
+                    exc.path.append(str(i))
+                    raise
 
     dump = list if item.dump is None else lambda seq: [item.dump(x) for x in seq]
     has_check = rule is not None or item.check is not None
@@ -195,7 +208,7 @@ def _spec(cls, declared: dict | None = None) -> _Codec:
     ``declared`` maps field names to them for a class declared elsewhere.
     A nested spec's flattened keys follow the spec's own.
     """
-    declared = declared or {f.name: f for f in fields(cls)}
+    declared = declared or {f.name: f for f in fields(cls) if "doc" in f.metadata}
     entries = []
     for attr, declaration in declared.items():
         path, codec, absent = declaration.metadata["doc"]
@@ -235,17 +248,27 @@ def _spec(cls, declared: dict | None = None) -> _Codec:
                 out.setdefault(keys[0], {})[keys[1]] = value
         return out
 
-    def check(obj, where: str, path: str) -> None:
-        where = _path(where, path)
+    def check(obj) -> None:
         for attr, key, check in checks:
-            check(getattr(obj, attr), where, key)
+            try:
+                check(getattr(obj, attr))
+            except _Misfit as exc:
+                if key:  # "" keeps a nested spec's keys in this mapping
+                    exc.path.append(key)
+                raise
 
     return _Codec(load, dump, check)
 
 
+def _string(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ScenarioError("parse", f"not a string: {value!r}")
+
+
 _NUM = _Codec(_number)
 _INT = _Codec(int)
-_STR = _Codec(str)
+_STR = _Codec(_string)
 _FREQUENCY = _num("bad-frequency", "(0, inf]")
 _STOCK = _num("negative-stock", "[0, inf]")
 _KG_PER_BOX = _num("bad-bom-quantity", "(0, inf]")
@@ -314,7 +337,7 @@ _LEAD_TIME = _Codec(
 )
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class SupplierSpec:
     name: str = _field(_STR)
     raws: tuple[int, ...] = _field(_list(_INT, tuple), absent=())
@@ -325,7 +348,7 @@ class SupplierSpec:
     lead_time: LeadTime = _field(_LEAD_TIME, default_factory=LeadTime)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class FirmSpec:
     name: str = _field(_STR, default="firm")
     fgi: dict[int, float] = _field(_PRODUCT_STOCK, default_factory=dict)
@@ -341,7 +364,7 @@ class FirmSpec:
     lead_time: LeadTime = _field(_LEAD_TIME, default_factory=lambda: LeadTime(hours=2.0))
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RetailerSpec:
     name: str = _field(_STR, default="retailer")
     stock: dict[int, float] = _field(_PRODUCT_STOCK, default_factory=dict)
@@ -351,7 +374,7 @@ class RetailerSpec:
     lead_time: LeadTime = _field(_LEAD_TIME, default_factory=LeadTime)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class CustomerSpec:
     name: str = _field(_STR)
     lot_size: float = _field(_num("bad-lot-size", "(0, inf]"), absent=1)
@@ -360,7 +383,7 @@ class CustomerSpec:
     )
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class UpstreamSpec:
     """Tier-2 source feeding the suppliers; stock is unbounded."""
 
@@ -369,7 +392,7 @@ class UpstreamSpec:
     lead_time: LeadTime = _field(_LEAD_TIME, default_factory=lambda: LeadTime(hours=2.0))
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class SupportConfig:
     defect_probability: dict[int, float] = _field(  # per product
         _map(PRODUCT, _num("bad-defect-probability", "[0, 1]")), default_factory=dict
@@ -379,13 +402,13 @@ class SupportConfig:
     max_defective_fraction: float = _field(_num("bad-defective-fraction", "(0, 1]"), default=0.25)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class MarketConfig:
     vote_threshold: float = _field(_NUM, default=6.0)
     frequency_hours: float = _field(_FREQUENCY, default=6.0)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class InnovationConfig:
     delay_hours: float = _field(_num("bad-innovation-delay", "[0, inf]"), default=8.0)
     technology_cost: float = _field(_NUM, default=500.0)
@@ -402,7 +425,7 @@ class ProspectSpec:
     boxes_per_day: float = _field(_num("bad-prospect-rate", "(0, inf]"))
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class SellConfig:
     capacity_fraction: float = _field(_num("bad-capacity-fraction", "(0, 1]"), default=0.5)
     frequency_hours: float = _field(_FREQUENCY, default=12.0)
@@ -410,7 +433,7 @@ class SellConfig:
     prospects: tuple[ProspectSpec, ...] = _field(_list(_spec(ProspectSpec), tuple), default=())
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class DemandTable:
     """Monthly demand in boxes per (customer, product); absent means zero."""
 
@@ -463,7 +486,7 @@ def _dump_demand(table: DemandTable) -> dict:
     }
 
 
-_DEMAND = _Codec(_load_demand, _dump_demand, lambda table, where, path: table.validate())
+_DEMAND = _Codec(_load_demand, _dump_demand, DemandTable.validate)
 
 
 # SatisfactionParams is a dataclass of the satisfaction module, so the
@@ -478,7 +501,7 @@ _PARAMS = _spec(SatisfactionParams, {
 })
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class SatisfactionConfig:
     params: SatisfactionParams = _field(_PARAMS, "", default_factory=SatisfactionParams)
     initial_vote: float = _field(_num("bad-initial-vote", "[0, 10]"), default=8.0)
@@ -496,8 +519,16 @@ _PROCESSES = _Codec(
 _CATALOG = _list(_INT, tuple, _rule(len, "empty-catalog", "a non-empty list"))
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
+    """A run's whole input, validated when built and immutable afterwards.
+
+    ``processes`` None means the toggles follow ``mode``. A variant comes
+    from ``dataclasses.replace``, which builds and validates a new instance.
+    The mappings and lists a scenario holds are read-only by contract, so
+    instances may share them.
+    """
+
     name: str = _field(_STR, absent="unnamed")
     seed: int = _field(_SEED, absent=0)
     horizon_hours: float = _field(_num("bad-horizon", "[0, inf)"), absent=48.0)
@@ -532,6 +563,16 @@ class Scenario:
     market: MarketConfig = _field(_spec(MarketConfig), absent={})
     innovation: InnovationConfig = _field(_spec(InnovationConfig), absent={})
     sell: SellConfig = _field(_spec(SellConfig), absent={})
+    # ``digests()``, computed on first use; ``replace`` starts without it
+    _digests: tuple[str, str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.processes is None:
+            toggles = {p: self.mode == "vcor" for p in VCOR_PROCESSES}
+            object.__setattr__(self, "processes", toggles)
+        self.validate()
 
     # -- derived --------------------------------------------------------
 
@@ -562,10 +603,14 @@ class Scenario:
     def validate(self) -> None:
         """Check each field against its table entry, then the cross-references.
 
-        This runs on every scenario build and every run, so the loops over
-        many entries test and raise inline rather than call ``_require``.
+        Every scenario build runs this, so the loops over many entries test
+        and raise inline rather than call ``_require``.
         """
-        _SCENARIO.check(self, "", "")
+        try:
+            _SCENARIO.check(self)
+        except _Misfit as exc:
+            path = ".".join(reversed(exc.path))
+            raise ScenarioError(exc.code, f"{path}: {exc}") from None
         enabled = [p for p, on in self.processes.items() if on]
         _require(
             self.mode == "vcor" or not enabled,
@@ -652,15 +697,18 @@ class Scenario:
         Each is the sha256 prefix of the compact, key-sorted JSON of a dict:
         ``to_dict()``, and for the topology the same without the keys a
         SCOR/VCOR pair may differ in. Each top-level value is encoded once,
-        and both blobs are joined from those parts.
+        and both blobs are joined from those parts. They are computed once
+        per instance.
         """
-        parts = [
-            (key, f"{_escape(key)}:{_ENCODE(value)}")
-            for key, value in sorted(self.to_dict().items())
-        ]
-        full = "{" + ",".join(part for _, part in parts) + "}"
-        shared = "{" + ",".join(part for key, part in parts if key not in _PAIR_VARIANT) + "}"
-        return _short_sha256(full), _short_sha256(shared)
+        if self._digests is None:
+            parts = [
+                (key, f"{_escape(key)}:{_ENCODE(value)}")
+                for key, value in sorted(self.to_dict().items())
+            ]
+            full = "{" + ",".join(part for _, part in parts) + "}"
+            shared = "{" + ",".join(part for key, part in parts if key not in _PAIR_VARIANT) + "}"
+            object.__setattr__(self, "_digests", (_short_sha256(full), _short_sha256(shared)))
+        return self._digests
 
     def digest(self) -> str:
         return self.digests()[0]
@@ -699,11 +747,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         if base_dir is not None and isinstance(demand, dict) and "file" in demand:
             # a relative demand file is relative to the scenario file
             data = {**data, "demand": {**demand, "file": base_dir / demand["file"]}}
-        scenario = _SCENARIO.load(data)
-        if scenario.processes is None:
-            scenario.processes = {p: scenario.mode == "vcor" for p in VCOR_PROCESSES}
-        scenario.validate()
-        return scenario
+        return _SCENARIO.load(data)
     except OrderValidationError as exc:
         raise ScenarioError("bad-item-code", str(exc)) from exc
     except _MALFORMED as exc:
@@ -824,14 +868,20 @@ def case_study_scenario(
     Inventory levels carry the reference values, and so do the spec defaults
     it keeps for rescheduling frequencies, lead times and production capacity;
     policies, prices, and behavioral weights are documented calibration
-    defaults.
+    defaults. Each call derives its scenario from one built per mode, whose
+    specs it shares.
     """
     _require(mode in MODES, "bad-mode", "unknown mode {!r}", mode)
+    return replace(_case_study(mode), seed=seed, horizon_hours=horizon_hours)
+
+
+@cache
+def _case_study(mode: str) -> Scenario:
     raw_price = {"R1": 2.0, "R2": 2.0, "R3": 2.0}
-    scenario = Scenario(
+    return Scenario(
         name=f"case-study-{mode}",
-        seed=seed,
-        horizon_hours=horizon_hours,
+        seed=42,
+        horizon_hours=48.0,
         mode=mode,
         processes={p: mode == "vcor" for p in VCOR_PROCESSES},
         products=(1, 2, 3),
@@ -919,5 +969,3 @@ def case_study_scenario(
             )
         ),
     )
-    scenario.validate()
-    return scenario

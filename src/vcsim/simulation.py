@@ -39,7 +39,6 @@ class RunArtifacts:
 
 def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunArtifacts:
     """Execute one deterministic run; optionally persist all artifact files."""
-    scenario.validate()
     engine = Engine(seed=scenario.seed)
     chain = Chain(scenario, engine)
     chain.register()

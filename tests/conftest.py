@@ -73,7 +73,7 @@ def build_scenario(
         demand_rows = {("customer1", pid): (720.0,) * 12 for pid in products}
     if customers is None:
         customers = [CustomerSpec(name="customer1", lot_size=10.0)]
-    scenario = Scenario(
+    return Scenario(
         name="test-chain",
         seed=seed,
         horizon_hours=horizon,
@@ -149,8 +149,6 @@ def build_scenario(
             prospects=prospects,
         ),
     )
-    scenario.validate()
-    return scenario
 
 
 def build_chain(scenario: Scenario) -> Chain:

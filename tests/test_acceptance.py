@@ -19,9 +19,7 @@ from vcsim.satisfaction import (
     VoteState,
     customer_input,
     innovation_gain,
-    innovation_step,
     update_vote,
-    zero_input_decay,
 )
 from vcsim.scenario import (
     CustomerSpec,
@@ -44,6 +42,8 @@ from vcsim.scenario import (
     case_study_scenario,
 )
 from vcsim.simulation import run_scenario
+
+from test_satisfaction import innovation_step, zero_input_decay
 
 VCOR_EVENT_KINDS = {
     "activate-market",
@@ -227,7 +227,7 @@ def _random_scenario(index: int) -> Scenario:
         )
         for i in range(rng.randint(0, 2))
     )
-    scenario = Scenario(
+    return Scenario(
         name=f"conservation-{index}",
         seed=index,
         horizon_hours=rng.choice([24.0, 36.0, 48.0]),
@@ -309,8 +309,6 @@ def _random_scenario(index: int) -> Scenario:
             prospects=prospects,
         ),
     )
-    scenario.validate()
-    return scenario
 
 
 def _random_lead(rng: random.Random) -> LeadTime:

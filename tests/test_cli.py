@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from vcsim.cli import main
-from vcsim.scenario import case_study_scenario, save_scenario
+from vcsim.cli import _apply_overrides, main
+from vcsim.scenario import case_study_scenario, load_scenario, save_scenario, scenario_from_dict
 
 
 @pytest.fixture()
@@ -79,6 +79,35 @@ class TestRun:
             assert main(["run", str(scenario_file), "--out", str(out)]) == 0
         for name in ("trace.jsonl", "ledger.jsonl", "kpi.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def round_trip_overrides(scenario, seed, horizon, mode):
+    """The overrides as a rebuild from the document, the way they were once applied."""
+    data = scenario.to_dict()
+    if seed is not None:
+        data["seed"] = seed
+    if horizon is not None:
+        data["horizon_hours"] = horizon
+    if mode is not None:
+        data["mode"] = mode
+        data.pop("processes")
+    return scenario_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "seed,horizon,mode",
+    [(7, None, None), (None, 12.0, None), (None, None, "scor"), (None, None, "vcor"),
+     (0, 2880.0, "vcor"), (None, None, None)],
+    ids=repr,
+)
+def test_overrides_match_a_rebuild_from_the_document(tmp_path, capsys, seed, horizon, mode):
+    assert main(["demo", "--out", str(tmp_path)]) == 0
+    for name in ("scor", "vcor"):
+        scenario = load_scenario(tmp_path / f"{name}.yaml")
+        overridden = _apply_overrides(scenario, seed, horizon, mode)
+        expected = round_trip_overrides(scenario, seed, horizon, mode)
+        assert overridden.to_dict() == expected.to_dict()
+        assert overridden.digests() == expected.digests()
 
 
 class TestDemoAndCompare:

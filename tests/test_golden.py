@@ -53,7 +53,7 @@ from vcsim.simulation import run_scenario
 
 
 def micro_scenario() -> Scenario:
-    scenario = Scenario(
+    return Scenario(
         name="golden-micro",
         seed=1,
         horizon_hours=30.0,
@@ -113,8 +113,6 @@ def micro_scenario() -> Scenario:
         innovation=InnovationConfig(),
         sell=SellConfig(),
     )
-    scenario.validate()
-    return scenario
 
 
 @pytest.fixture(scope="module")

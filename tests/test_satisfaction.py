@@ -1,5 +1,7 @@
 """Vote model: update rule, input function, innovation gain, decay shapes."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,9 +11,7 @@ from vcsim.satisfaction import (
     VoteState,
     customer_input,
     innovation_gain,
-    innovation_step,
     update_vote,
-    zero_input_decay,
 )
 from vcsim.scenario import ScenarioError, case_study_scenario
 
@@ -21,6 +21,33 @@ VOTES = st.floats(min_value=0.0, max_value=10.0)
 
 def params(**overrides) -> SatisfactionParams:
     return SatisfactionParams(**overrides)
+
+
+# closed-form oracles of the model
+
+
+def zero_input_decay(x0: float, forgetting_factor: float, n: int) -> list[float]:
+    """Vote sequence [x0, x1, ..., xn] under zero input: x_n = (1-a)^n * x0."""
+    if not 0.0 < forgetting_factor < 1.0:
+        raise ValueError(
+            f"forgetting factor out of range (0, 1): {forgetting_factor}"
+        )
+    seq = [x0]
+    for _ in range(n):
+        seq.append((1.0 - forgetting_factor) * seq[-1])
+    return seq
+
+
+def innovation_step(vote: float, forgetting_factor: float) -> float:
+    """Closed-form vote after one update with only the new-product flag set.
+
+    x' = 9 - 0.2*(1-a)*x  (the forgetting factor cancels out of the gain
+    term, so x'=9 exactly at x=0 for any admissible a).
+    """
+    a = forgetting_factor
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"forgetting factor out of range (0, 1): {a}")
+    return 9.0 - 0.2 * (1.0 - a) * vote
 
 
 class TestCustomerInput:
@@ -165,8 +192,7 @@ class TestInnovationStep:
 def validate_with(p: SatisfactionParams) -> None:
     """Scenario validation, which checks the parameters, of the case study using ``p``."""
     scenario = case_study_scenario()
-    scenario.satisfaction.params = p
-    scenario.validate()
+    replace(scenario, satisfaction=replace(scenario.satisfaction, params=p))
 
 
 class TestParams:

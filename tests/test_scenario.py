@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from vcsim.scenario import (
     Scenario,
     ScenarioError,
     _LOADER,
+    _case_study,
     _loader_for,
     case_study_scenario,
     demand_table_csv,
@@ -88,8 +90,7 @@ class TestCaseStudyProfile:
         import hashlib
         import json
 
-        sc = case_study_scenario(mode=mode, seed=11)
-        sc.name = name
+        sc = replace(case_study_scenario(mode=mode, seed=11), name=name)
 
         def oracle(d):
             blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
@@ -529,8 +530,7 @@ def test_an_odd_document_is_rejected_or_runs(doc):
         scenario = scenario_from_dict(doc)
     except ScenarioError:
         return
-    scenario.horizon_hours = min(scenario.horizon_hours, 24.0)
-    run_scenario(scenario)
+    run_scenario(replace(scenario, horizon_hours=min(scenario.horizon_hours, 24.0)))
 
 
 def test_an_infinite_horizon_built_in_code_is_bad_horizon():
@@ -542,7 +542,187 @@ def test_an_infinite_horizon_built_in_code_is_bad_horizon():
         assert err.value.code == "bad-horizon"
 
 
+# -- an immutable scenario, validated when built -------------------------------
+
+
+def init_fields(scenario: Scenario) -> dict:
+    return {f.name: getattr(scenario, f.name) for f in fields(scenario) if f.init}
+
+
+# defects expressible both as a field and as a document key of the same name
+FIELD_DEFECTS = [
+    ({"seed": -1}, "bad-seed"),
+    ({"horizon_hours": -1.0}, "bad-horizon"),
+    ({"mode": "x"}, "bad-mode"),
+    ({"mode": "scor"}, "mode-toggle-conflict"),  # the VCOR toggles stay on
+    ({"customers": []}, "no-customers"),
+]
+
+
+def build_by(route: str, changes: dict, tmp_path: Path) -> Scenario:
+    base = case_study_scenario("vcor", 3, 24.0)
+    if route == "constructor":
+        return Scenario(**{**init_fields(base), **changes})
+    if route == "replace":
+        return replace(base, **changes)
+    data = {**base.to_dict(), **changes}
+    if route == "scenario_from_dict":
+        return scenario_from_dict(data)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    return load_scenario(path)
+
+
+@pytest.mark.parametrize("changes,code", FIELD_DEFECTS, ids=[c for _, c in FIELD_DEFECTS])
+@pytest.mark.parametrize(
+    "route", ["constructor", "replace", "scenario_from_dict", "load_scenario"]
+)
+def test_no_route_builds_an_invalid_scenario(route, changes, code, tmp_path):
+    with pytest.raises(ScenarioError) as err:
+        build_by(route, changes, tmp_path)
+    assert err.value.code == code
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [(("x", 1, 48.0), "bad-mode"), (("scor", -1, 48.0), "bad-seed"),
+     (("vcor", 1, -48.0), "bad-horizon")],
+    ids=["bad-mode", "bad-seed", "bad-horizon"],
+)
+def test_case_study_scenario_builds_no_invalid_scenario(args, code):
+    with pytest.raises(ScenarioError) as err:
+        case_study_scenario(*args)
+    assert err.value.code == code
+
+
+@pytest.mark.parametrize(
+    "target,attr",
+    [
+        (lambda sc: sc, "seed"),
+        (lambda sc: sc, "processes"),
+        (lambda sc: sc.firm, "name"),
+        (lambda sc: sc.customers[0], "lot_size"),
+        (lambda sc: sc.satisfaction, "params"),
+        (lambda sc: sc.demand, "rows"),
+    ],
+    ids=["seed", "processes", "firm.name", "customers.0.lot_size", "satisfaction.params",
+         "demand.rows"],
+)
+def test_a_scenario_and_its_specs_are_frozen(target, attr):
+    obj = target(case_study_scenario("vcor"))
+    with pytest.raises(FrozenInstanceError):
+        setattr(obj, attr, getattr(obj, attr))
+
+
+def test_absent_processes_follow_the_mode_on_every_route():
+    for mode in MODES:
+        sc = case_study_scenario(mode)
+        built = Scenario(**{**init_fields(sc), "processes": None})
+        assert built.processes == sc.processes
+        assert replace(sc, processes=None).processes == sc.processes
+    scor = case_study_scenario("scor")
+    assert all(replace(scor, mode="vcor", processes=None).processes.values())
+
+
+# (mode, seed, horizon, digests) of the case study as a full build of every
+# spec made them, before the scenarios were derived from one template per
+# mode; an int horizon keeps a digest of its own
+CASE_STUDY_DIGESTS = [
+    ("scor", 0, 48.0, ("bfed031cc2def53f", "b6230cd75169c1d4")),
+    ("scor", 1, 0.5, ("7242d1487c8b789f", "82ae01e778789f16")),
+    ("scor", 42, 48, ("c543a53c75358e1a", "3c10b096320c3dbe")),
+    ("scor", 42, 48.0, ("221b4d72cdd18607", "d24750fa9edc5a36")),
+    ("scor", 977, 2880.0, ("c83f634c21939e47", "88b189664152f971")),
+    ("vcor", 0, 48.0, ("494e76949f95aff0", "b6230cd75169c1d4")),
+    ("vcor", 1, 0.5, ("1d56b09814643bcf", "82ae01e778789f16")),
+    ("vcor", 42, 48, ("275498c033bcb24d", "3c10b096320c3dbe")),
+    ("vcor", 42, 48.0, ("0d3cbe91c892ac0a", "d24750fa9edc5a36")),
+    ("vcor", 977, 2880.0, ("7768bd878bdd1cb4", "88b189664152f971")),
+]
+
+
+@pytest.mark.parametrize(
+    "mode,seed,horizon,digests",
+    CASE_STUDY_DIGESTS,
+    ids=[f"{mode}-{seed}-{horizon!r}" for mode, seed, horizon, _ in CASE_STUDY_DIGESTS],
+)
+def test_a_derived_case_study_equals_a_fresh_build(mode, seed, horizon, digests):
+    derived = case_study_scenario(mode, seed, horizon)
+    fresh = Scenario(**{**init_fields(_case_study.__wrapped__(mode)),
+                        "seed": seed, "horizon_hours": horizon})
+    assert derived == fresh
+    assert derived.to_dict() == fresh.to_dict()
+    assert derived.digests() == fresh.digests() == digests
+    assert type(derived.horizon_hours) is type(horizon)
+
+
+def test_digests_are_kept_per_instance_and_replace_starts_afresh():
+    sc = case_study_scenario("vcor", 5)
+    assert sc.digests() is sc.digests()
+    assert replace(sc) == sc and replace(sc).digests() == sc.digests()
+    assert replace(sc, seed=6).digests() == case_study_scenario("vcor", 6).digests()
+    assert replace(sc, seed=6).digests() != sc.digests()
+
+
+def test_a_long_run_leaves_the_shared_template_unchanged():
+    template = _case_study("vcor")
+    before = template.to_dict(), replace(template).digests()
+    run_scenario(case_study_scenario("vcor", 42, 2880.0))
+    # a copy recomputes the digests, so a changed spec would show
+    assert (template.to_dict(), replace(template).digests()) == before
+
+
+# a check formats the document path of its value only when it fails
+PATH_MESSAGES = [
+    ("customers.0.lot_size", 0, "customers.0.lot_size: 0.0 is not within (0, inf]"),
+    (
+        "retailer.reorder.P1",
+        {"point": 500.0, "up_to": 500.0},
+        "retailer.reorder.P1: ReorderPolicy(point=500.0, up_to=500.0) is not point < up_to",
+    ),
+    ("prices.retailer.P1", -1.0, "prices.retailer.P1: -1.0 is not >= 0"),
+    (
+        "sell.prospects.1.boxes_per_day",
+        0,
+        "sell.prospects.1.boxes_per_day: 0.0 is not within (0, inf]",
+    ),
+    (
+        "satisfaction.forgetting_factor",
+        1.5,
+        "satisfaction.forgetting_factor: 1.5 is not within (0, 1)",
+    ),
+]
+
+
+@pytest.mark.parametrize("path,value,message", PATH_MESSAGES, ids=[c[0] for c in PATH_MESSAGES])
+def test_a_failed_check_names_the_full_document_path(path, value, message):
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(mutated(PIN_DOC, path, value))
+    assert str(err.value) == message
+
+
 # -- reading files: encoding and the YAML loader ------------------------------
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("name: case-study-vcor", "name: [1]"),
+        ("name: case-study-vcor", "name: {a: 1}"),
+        ("name: case-study-vcor", "name: &a [*a]"),
+        ("- name: customer1", "- name: [1]"),
+        ("R1: supplier2", "R1: [1]"),
+    ],
+    ids=["list", "mapping", "recursive-alias", "customer-name", "raw-source"],
+)
+def test_a_name_that_is_not_a_string_is_a_parse_error(tmp_path, old, new):
+    text = yaml.safe_dump(case_study_scenario("vcor").to_dict(), sort_keys=False)
+    assert text.count(old) == 1
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert err.value.code == "parse"
 
 
 def test_a_scenario_file_that_is_not_utf8_is_a_parse_error(tmp_path):
