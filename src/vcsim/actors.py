@@ -64,20 +64,6 @@ class ProductionJob:
 
 
 @dataclass(slots=True)
-class SupportState:
-    """Retailer-side support knobs; education only ever lowers defect rates."""
-
-    defect_probability: dict[int, float]
-    education_decay: float
-    handling_hours: float
-    max_defective_fraction: float
-
-    def educate(self, product_id: int) -> None:
-        current = self.defect_probability.get(product_id, 0.0)
-        self.defect_probability[product_id] = current * self.education_decay
-
-
-@dataclass(slots=True)
 class InnovationProject:
     product_id: int
     apply_at: float
@@ -121,9 +107,14 @@ def admit_prospects(
 
 
 @dataclass(slots=True)
-class _SignalStats:
-    """Running per-(customer, product) means feeding the vote-update signals."""
+class Voter:
+    """The satisfaction state of one (customer, product) pair: its vote, the
+    new-product flag, the last unit price paid and the running sums behind
+    the delay and quality signals."""
 
+    vote: VoteState
+    new_product: bool = False
+    last_price: float = 0.0  # 0: no delivery yet, so no price change
     deliveries: int = 0
     time_total: float = 0.0
     conform_total: float = 0.0
@@ -202,30 +193,23 @@ class Chain:
         self.contracts: dict[str, Contract] = {}
         self.committed_rate = 0.0
 
-        # support state
-        self.support = SupportState(
-            defect_probability=dict(scenario.support.defect_probability),
-            education_decay=scenario.support.education_decay,
-            handling_hours=scenario.support.handling_hours,
-            max_defective_fraction=scenario.support.max_defective_fraction,
-        )
+        # support: education lowers these per-product defect rates
+        self.defect_probability = dict(scenario.support.defect_probability)
 
-        # satisfaction state, one entry per (customer, product) with demand
+        # satisfaction state, one voter per (customer, product) with demand
         initial = VoteState(x=scenario.satisfaction.initial_vote)
-        self.votes: dict[tuple[str, int], VoteState] = {
-            (c.name, pid): initial
+        self.voters: dict[tuple[str, int], Voter] = {
+            (c.name, pid): Voter(initial)
             for c in scenario.customers
             for pid in self._products_of.get(c.name, [])
         }
-        self.innovation_flag: dict[tuple[str, int], bool] = dict.fromkeys(self.votes, False)
+        # each product's voters in ``voters`` order, so a peer mean adds the
+        # same floats in the same order as a scan of every voter
+        self._voters_of: dict[int, list[Voter]] = {}
+        for (_, pid), voter in self.voters.items():
+            self._voters_of.setdefault(pid, []).append(voter)
         self.support_latch: dict[str, bool] = {c.name: False for c in scenario.customers}
-        self.signal_stats: dict[tuple[str, int], _SignalStats] = {
-            key: _SignalStats() for key in self.votes
-        }
-        self.last_unit_price: dict[tuple[str, int], float] = {}
         self.satisfaction_series: list[dict] = []
-        # the flags keep their keys even where a caller replaces ``votes``
-        self._flag_keys = self._voters
 
         engine.on("activate-deliver", self._on_deliver)
         engine.on("activate-source", self._on_source)
@@ -237,22 +221,6 @@ class Chain:
         engine.on("order-arrival", self._on_arrival)
         engine.on("support-intake", self._on_support_intake)
         engine.on("innovation-complete", self._on_innovation_complete)
-
-    @property
-    def votes(self) -> dict[tuple[str, int], VoteState]:
-        """Vote per (customer, product). Assigning a new mapping re-indexes
-        it for the peer means; a key added to the mapping in place is not
-        indexed."""
-        return self._votes
-
-    @votes.setter
-    def votes(self, votes: dict[tuple[str, int], VoteState]) -> None:
-        # each product's vote keys in ``votes`` order, so a peer mean adds
-        # the same floats in the same order as a scan of every vote
-        self._votes = votes
-        self._voters: dict[int, list[tuple[str, int]]] = {}
-        for key in votes:
-            self._voters.setdefault(key[1], []).append(key)
 
     # ------------------------------------------------------------------
     # wiring
@@ -578,21 +546,21 @@ class Chain:
             self._flag_defect_if_drawn(order, now)
             if order.replacement_for is not None:
                 self._resolve_ticket(order, now)
-            key = (order.client, order.item.id)
-            if key in self._votes:
-                self._update_vote(order, now)
+            voter = self.voters.get((order.client, order.item.id))
+            if voter is not None:
+                self._update_vote(voter, order, now)
 
     # ------------------------------------------------------------------
     # support loop
 
     def _flag_defect_if_drawn(self, order: Order, now: float) -> None:
-        p_def = self.support.defect_probability.get(order.item.id, 0.0)
+        p_def = self.defect_probability.get(order.item.id, 0.0)
         if p_def <= 0:
             return
         rng = self.engine.streams.stream(self._defect_stream)
         if rng.random() >= p_def:
             return
-        fraction = rng.uniform(0.0, self.support.max_defective_fraction)
+        fraction = rng.uniform(0.0, self.scenario.support.max_defective_fraction)
         defective = min(order.quantity, max(1.0, round(fraction * order.quantity)))
         order.defective_qty = defective
         if self.scenario.vcor_enabled("support"):
@@ -616,7 +584,7 @@ class Chain:
             quantity=ticket.defective_qty,
             now=now,
             replacement_for=ticket.ticket_id,
-            shippable_after=now + self.support.handling_hours,
+            shippable_after=now + self.scenario.support.handling_hours,
         )
         ticket.replacement_order_id = replacement.order_id
         if self.scenario.support_cost_per_ticket:
@@ -632,55 +600,55 @@ class Chain:
         original = self.ledger.orders[ticket.order_id]
         if original.status is _RETURN_REQUESTED:
             self.ledger.transition(original.order_id, _RESOLVED, now)
-        self.support.educate(ticket.item.id)
+        pid = ticket.item.id
+        decay = self.scenario.support.education_decay
+        self.defect_probability[pid] = self.defect_probability.get(pid, 0.0) * decay
         self.support_latch[replacement.client] = True
 
     # ------------------------------------------------------------------
     # satisfaction
 
-    def _peer_vote(self, customer: str, pid: int) -> float:
-        votes = self._votes
-        others = [votes[key].x for key in self._voters.get(pid, ()) if key[0] != customer]
+    def _peer_vote(self, voter: Voter, pid: int) -> float:
+        """Mean vote of the product's other voters."""
+        others = [v.vote.x for v in self._voters_of[pid] if v is not voter]
         return _left_sum(others) / len(others) if others else 0.0
 
-    def _update_vote(self, order: Order, now: float) -> None:
-        customer, pid = order.client, order.item.id
-        key = (customer, pid)
-        state = self._votes[key]
-        stats = self.signal_stats[key]
+    def _update_vote(self, voter: Voter, order: Order, now: float) -> None:
+        customer = order.client
+        state = voter.vote
         params = self.scenario.satisfaction.params
 
         delivery_time = now - order.created_at
         conform = (order.quantity - order.defective_qty) / order.quantity
         unit_price = self.scenario.price_of(order.provider, order.item)
 
-        if stats.deliveries:
-            mean_time = stats.time_total / stats.deliveries
+        if voter.deliveries:
+            mean_time = voter.time_total / voter.deliveries
             delay_pct = 100.0 * (delivery_time - mean_time) / mean_time if mean_time > 0 else 0.0
-            mean_conform = stats.conform_total / stats.deliveries
+            mean_conform = voter.conform_total / voter.deliveries
             quality_pct = 100.0 * conform / mean_conform if mean_conform > 0 else 100.0 * conform
         else:
             delay_pct = 0.0
             quality_pct = 100.0
-        previous_price = self.last_unit_price.get(key)
+        previous_price = voter.last_price
         price_change_pct = (
             100.0 * (unit_price - previous_price) / previous_price
             if previous_price
             else 0.0
         )
 
-        flagged_new = self.innovation_flag.get(key, False)
+        flagged_new = voter.new_product
         signals = InputSignals(
             new_product=flagged_new,
             support_resolved=self.support_latch.get(customer, False),
             price_change_pct=price_change_pct,
             delay_pct=delay_pct,
             quality_pct=quality_pct,
-            peer_vote=self._peer_vote(customer, pid),
+            peer_vote=self._peer_vote(voter, order.item.id),
         )
         gain = innovation_gain(state.x, params.forgetting_factor) if flagged_new else 0.0
         new_state = update_vote(state, customer_input(gain, signals, params), params)
-        self._votes[key] = new_state
+        voter.vote = new_state
         self.satisfaction_series.append(
             {
                 "k": new_state.k,
@@ -692,13 +660,12 @@ class Chain:
         )
 
         # consume the one-shot signals, then roll the running means forward
-        if flagged_new:
-            self.innovation_flag[key] = False
+        voter.new_product = False
         self.support_latch[customer] = False
-        self.last_unit_price[key] = unit_price
-        stats.deliveries += 1
-        stats.time_total += delivery_time
-        stats.conform_total += conform
+        voter.last_price = unit_price
+        voter.deliveries += 1
+        voter.time_total += delivery_time
+        voter.conform_total += conform
 
     # ------------------------------------------------------------------
     # market, research & develop
@@ -711,9 +678,9 @@ class Chain:
         seller and start acquiring production technology for it."""
         if not self.scenario.vcor_enabled("research"):
             return None
-        if self.active_project is not None or not self.votes:
+        if self.active_project is not None or not self.voters:
             return None
-        mean_vote = _left_sum(s.x for s in self.votes.values()) / len(self.votes)
+        mean_vote = _left_sum(v.vote.x for v in self.voters.values()) / len(self.voters)
         if mean_vote >= self.scenario.market.vote_threshold:
             return None
         target = renewal_target(self.firm_sales_boxes, self.renewed_products)
@@ -747,8 +714,8 @@ class Chain:
         self.active_project = None
         if self.scenario.vcor_enabled("develop"):
             self.launches.append((now, pid))
-            for key in self._flag_keys.get(pid, ()):
-                self.innovation_flag[key] = True
+            for voter in self._voters_of.get(pid, ()):
+                voter.new_product = True
 
     # ------------------------------------------------------------------
     # sell

@@ -68,7 +68,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    print(f"valid: {scenario.name} digest={scenario.digest()} mode={scenario.mode}")
+    print(f"valid: {scenario.name} digest={scenario.digests()[0]} mode={scenario.mode}")
     return EXIT_OK
 
 

@@ -27,10 +27,6 @@ class SchedulingError(Exception):
     """
 
 
-class QueueExhausted(Exception):
-    """Raised by :meth:`Engine.advance` on an empty queue (normal termination)."""
-
-
 class Event(NamedTuple):
     """One scheduled occurrence: who fires, what kind, when.
 
@@ -93,7 +89,7 @@ class Engine:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self.now = 0.0  # simulation time in hours; advance() only moves it forward
+        self.now = 0.0  # simulation time in hours; run_until() only moves it forward
         self.streams = RandomStreams(seed)
         self.trace: list[Event] = []
         self._queue: list[Event] = []
@@ -140,16 +136,6 @@ class Engine:
 
     # -- execution ----------------------------------------------------
 
-    def advance(self) -> tuple[float, Event]:
-        """Pop and return the minimum-key event, advancing the clock to it."""
-        if not self._queue:
-            raise QueueExhausted("simulation exhausted: event queue is empty")
-        event = heappop(self._queue)
-        if event.fire_time < self.now:
-            raise SchedulingError(f"clock cannot move backwards: {event.fire_time} < {self.now}")
-        self.now = event.fire_time
-        return event.fire_time, event
-
     def run_until(self, t_end: float) -> list[Event]:
         """Process every event with fire_time <= t_end, in total order.
 
@@ -168,7 +154,6 @@ class Engine:
         queue, trace = self._queue, self.trace
         handlers, periodic_of = self._handlers, self._periodic_of
         while queue and queue[0][0] <= t_end:
-            # advance(), inlined: this loop runs once per event
             event = heappop(queue)
             t, _, target, kind, _ = event
             if t < self.now:

@@ -8,6 +8,7 @@ their demand view out of it; the metrics layer folds it after the run.
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
@@ -172,6 +173,7 @@ _OPEN = OrderStatus.OPEN
 _FGI = OrderStatus.FGI
 _IN_TRANSIT = OrderStatus.IN_TRANSIT
 _DELIVERED = OrderStatus.DELIVERED
+_INF = math.inf
 
 
 class Ledger:
@@ -231,6 +233,10 @@ class Ledger:
     def append_order(self, order: Order) -> int:
         if order.order_id in self.orders:
             raise CorruptionError(f"duplicate order id {order.order_id}")
+        if not 0 <= order.created_at < _INF:  # also true for NaN
+            raise OrderValidationError(
+                f"order creation time must be finite and >= 0, got {order.created_at}"
+            )
         if order.status is not _OPEN:
             raise OrderValidationError(
                 f"new orders must be Open, got {order.status.value}"
@@ -268,9 +274,10 @@ class Ledger:
                 f"illegal transition {status.value} -> {new_status.value} "
                 f"for order {order_id}"
             )
-        if at < order.last_transition_at:
+        if not order.last_transition_at <= at < _INF:  # also true for NaN
             raise TransitionError(
-                f"transition at t={at} precedes last transition of order {order_id}"
+                f"transition at t={at} precedes last transition of order {order_id} "
+                "or is not finite"
             )
         if status is _OPEN:
             del self._open[(order.provider, order.item)][order_id]
@@ -313,20 +320,12 @@ class Ledger:
 
     # -- demand views -----------------------------------------------------
 
-    def open_orders(self, provider: str, item: Item | None = None) -> list[Order]:
-        """Current Open orders of one provider, oldest first."""
-        if item is None:
-            found = [
-                o
-                for (owner, _), bucket in self._open.items()
-                if owner == provider
-                for o in bucket.values()
-            ]
-        else:
-            bucket = self._open.get((provider, item))
-            if not bucket:
-                return []
-            found = list(bucket.values())
+    def open_orders(self, provider: str, item: Item) -> list[Order]:
+        """Current Open orders of one provider for one item, oldest first."""
+        bucket = self._open.get((provider, item))
+        if not bucket:
+            return []
+        found = list(bucket.values())
         found.sort(key=_OLDEST_FIRST)
         return found
 
@@ -387,68 +386,81 @@ class Ledger:
         Replay goes through the live writers. An order record waits until
         its Open transition record, which is the entry ``append_order`` logs,
         so the rebuilt transition log keeps the exported interleaving; every
-        later record goes through ``transition``. Illegal moves, time
-        reversals and transitions of unknown orders raise ``TransitionError``.
+        later record goes through ``transition``, and every ticket through
+        ``open_ticket``, in id order. Illegal moves, time reversals and
+        transitions of unknown orders raise ``TransitionError``; a record
+        that is not one the export writes raises ``CorruptionError`` naming
+        its line.
         """
         ledger = cls()
         pending: dict[int, Order] = {}
-        for line in lines:
+        for number, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            kind = rec.get("record")
-            if kind == "header":
-                continue  # provenance line of exported artifact files
-            if kind == "order":
-                order = Order(
-                    order_id=rec["order_id"],
-                    client=rec["client"],
-                    provider=rec["provider"],
-                    item=Item.parse(rec["item"]),
-                    quantity=rec["quantity"],
-                    created_at=rec["created_at"],
-                    replacement_for=rec.get("replacement_for"),
-                    shippable_after=rec.get("shippable_after", rec["created_at"]),
-                    defective_qty=rec.get("defective_qty", 0.0),
-                )
-                if order.order_id in pending:
-                    raise CorruptionError(f"duplicate order id {order.order_id}")
-                pending[order.order_id] = order
-            elif kind == "transition":
-                order_id, at = rec["order_id"], rec["at"]
-                try:
-                    status = OrderStatus(rec["status"])
-                except ValueError:
-                    raise CorruptionError(f"unknown order status: {rec['status']!r}") from None
-                order = pending.pop(order_id, None)
-                if order is None:
-                    ledger.transition(order_id, status, at)
-                elif status is OrderStatus.OPEN and at == order.created_at:
-                    ledger.append_order(order)
-                else:
-                    raise CorruptionError(
-                        f"order {order_id} must first be logged Open at "
-                        f"t={order.created_at}, got {status.value} at t={at}"
-                    )
-            elif kind == "ticket":
-                ticket = SupportTicket(
-                    ticket_id=rec["ticket_id"],
-                    order_id=rec["order_id"],
-                    customer=rec["customer"],
-                    item=Item.parse(rec["item"]),
-                    defective_qty=rec["defective_qty"],
-                    opened_at=rec["opened_at"],
-                    replacement_order_id=rec.get("replacement_order_id"),
-                    resolved_at=rec.get("resolved_at"),
-                )
-                ledger.tickets[ticket.ticket_id] = ticket
-                ledger._next_ticket_id = max(ledger._next_ticket_id, ticket.ticket_id + 1)
-            else:
-                raise CorruptionError(f"unknown ledger record: {line[:80]}")
+            try:
+                ledger._replay(json.loads(line), pending)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise CorruptionError(
+                    f"line {number}: malformed ledger record: {exc!r}"
+                ) from None
         if pending:
             raise CorruptionError(f"order {min(pending)} has no Open transition record")
         return ledger
+
+    def _replay(self, rec: dict, pending: dict[int, Order]) -> None:
+        kind = rec.get("record")
+        if kind == "header":
+            return  # provenance line of exported artifact files
+        if kind == "order":
+            order = Order(
+                order_id=rec["order_id"],
+                client=rec["client"],
+                provider=rec["provider"],
+                item=Item.parse(rec["item"]),
+                quantity=rec["quantity"],
+                created_at=rec["created_at"],
+                replacement_for=rec.get("replacement_for"),
+                shippable_after=rec.get("shippable_after", rec["created_at"]),
+                defective_qty=rec.get("defective_qty", 0.0),
+            )
+            if order.order_id in pending:
+                raise CorruptionError(f"duplicate order id {order.order_id}")
+            pending[order.order_id] = order
+        elif kind == "transition":
+            order_id, at = rec["order_id"], rec["at"]
+            try:
+                status = OrderStatus(rec["status"])
+            except ValueError:
+                raise CorruptionError(f"unknown order status: {rec['status']!r}") from None
+            order = pending.pop(order_id, None)
+            if order is None:
+                self.transition(order_id, status, at)
+            elif status is OrderStatus.OPEN and at == order.created_at:
+                self.append_order(order)
+            else:
+                raise CorruptionError(
+                    f"order {order_id} must first be logged Open at "
+                    f"t={order.created_at}, got {status.value} at t={at}"
+                )
+        elif kind == "ticket":
+            ticket_id, order_id = rec["ticket_id"], rec["order_id"]
+            if ticket_id != self._next_ticket_id:
+                raise CorruptionError(
+                    f"ticket {ticket_id} out of sequence, expected {self._next_ticket_id}"
+                )
+            order = self.orders.get(order_id)
+            if order is None:
+                raise CorruptionError(f"ticket {ticket_id} for unknown order {order_id}")
+            if Item.parse(rec["item"]) != order.item:
+                raise CorruptionError(f"ticket {ticket_id} names another item than its order")
+            ticket = self.open_ticket(
+                order, rec["defective_qty"], rec["customer"], rec["opened_at"]
+            )
+            ticket.replacement_order_id = rec.get("replacement_order_id")
+            ticket.resolved_at = rec.get("resolved_at")
+        else:
+            raise CorruptionError(f"unknown ledger record kind: {kind!r}")
 
 
 def replay_final_statuses(transitions: Iterable[tuple[int, str, float]]) -> dict[int, str]:

@@ -53,11 +53,17 @@ class ScenarioError(Exception):
 
 
 class _Misfit(ScenarioError):
-    """A failed range check; each enclosing check appends its key to ``path``."""
+    """A value that failed to load or a failed range check; each enclosing
+    load or check appends its key to ``path``, and ``_located`` joins it."""
 
     def __init__(self, code: str, message: str) -> None:
         super().__init__(code, message)
         self.path: list[str] = []
+
+
+def _located(exc: _Misfit) -> ScenarioError:
+    path = ".".join(reversed(exc.path))
+    return ScenarioError(exc.code, f"{path}: {exc}" if path else str(exc))
 
 
 def _require(condition: bool, code: str, message: str, *args) -> None:
@@ -71,8 +77,9 @@ def _require(condition: bool, code: str, message: str, *args) -> None:
 # A codec reads a document value (``load``), writes it back (``dump``; None:
 # as is) and checks its range (``check(value)``; None: any value goes).
 # Checks format their message only when they fail, because ``validate`` runs
-# on every scenario build: a failed check raises ``_Misfit``, the checks it
-# passes through add the document path, and ``validate`` joins it.
+# on every scenario build: a failed check, like a value that fails to load,
+# raises ``_Misfit``, the checks or loads it passes through add the document
+# path, and ``validate`` or ``scenario_from_dict`` joins it.
 
 _Codec = namedtuple("_Codec", "load dump check", defaults=(None, None))
 _ABSENT = object()
@@ -80,10 +87,34 @@ _ANY_ITEM = "item"  # map keys that are item codes of either kind, kept as codes
 
 
 def _number(value) -> float:
-    x = float(value)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise _Misfit("parse", f"not a number: {value!r}") from None
     if math.isfinite(x):
         return x
-    raise ScenarioError("parse", f"not a finite number: {value!r}")
+    raise _Misfit("parse", f"not a finite number: {value!r}")
+
+
+def _integer(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise _Misfit("parse", f"not an integer: {value!r}")
+
+
+def _mapping(doc) -> dict:
+    if isinstance(doc, dict):
+        return doc
+    raise _Misfit("parse", f"not a mapping: {doc!r}")
+
+
+def _load_at(key, load, doc):
+    """``load(doc)``, adding ``key`` to the path of a value that fails to load."""
+    try:
+        return load(doc)
+    except _Misfit as exc:
+        exc.path.append(str(key))
+        raise
 
 
 def _number_as_written(value):
@@ -125,7 +156,10 @@ def _one_of(code: str, values: tuple[str, ...]) -> _Codec:
 def _item(code) -> Item:
     # a document repeats a few item codes as map keys, so each distinct key
     # is parsed once and its item shared, like ``ledger.product``/``raw``
-    return Item.parse(str(code))
+    try:
+        return Item.parse(str(code))
+    except OrderValidationError as exc:
+        raise _Misfit("bad-item-code", str(exc)) from None
 
 
 def _map(kind: str | None, value: _Codec, optional: bool = False) -> _Codec:
@@ -144,13 +178,16 @@ def _map(kind: str | None, value: _Codec, optional: bool = False) -> _Codec:
         if prefix is None:
             return item.code
         if item.kind != kind:
-            raise ScenarioError("wrong-item-kind", f"expected a {kind} code, got {code}")
+            raise _Misfit("wrong-item-kind", f"expected a {kind} code, got {code}")
         return item.id
 
     def load(doc):
         if optional and doc is None:
             return None
-        return {key(k): value.load(v) for k, v in (doc or {}).items()}
+        return {
+            _load_at(k, key, k): _load_at(k, value.load, v)
+            for k, v in _mapping(doc or {}).items()
+        }
 
     def dump(mapping):
         if mapping is None:
@@ -185,9 +222,14 @@ def _list(item: _Codec, make=list, rule=None) -> _Codec:
                     exc.path.append(str(i))
                     raise
 
+    def load(doc):
+        if not isinstance(doc, (list, tuple)):
+            raise _Misfit("parse", f"not a list: {doc!r}")
+        return make([_load_at(i, item.load, x) for i, x in enumerate(doc)])
+
     dump = list if item.dump is None else lambda seq: [item.dump(x) for x in seq]
     has_check = rule is not None or item.check is not None
-    return _Codec(lambda doc: make(map(item.load, doc)), dump, check if has_check else None)
+    return _Codec(load, dump, check if has_check else None)
 
 
 def _field(codec: _Codec, path: str | None = None, *, absent=MISSING, **default):
@@ -218,20 +260,18 @@ def _spec(cls, declared: dict | None = None) -> _Codec:
     checks = [(attr, key, codec.check) for attr, key, _, codec, _ in entries if codec.check]
 
     def load(doc):
-        kwargs = {}
+        doc, kwargs = _mapping(doc), {}
         for attr, key, keys, codec, absent in entries:
             node = doc
             for part in keys[:-1]:
-                node = node.get(part, {})
+                node = _load_at(part, _mapping, node.get(part, {}))
             value = node.get(keys[-1], _ABSENT) if keys else node
             if value is _ABSENT:
                 if absent is MISSING:
                     continue  # the dataclass default, or a missing-argument TypeError
                 value = absent
-            try:
-                kwargs[attr] = codec.load(value)
-            except ScenarioError as exc:
-                raise ScenarioError(exc.code, f"{key}: {exc}" if key else str(exc)) from None
+            # "" keeps a nested spec's keys in this mapping, and adds no key
+            kwargs[attr] = _load_at(key, codec.load, value) if key else codec.load(value)
         return cls(**kwargs)
 
     def dump(obj) -> dict:
@@ -263,18 +303,18 @@ def _spec(cls, declared: dict | None = None) -> _Codec:
 def _string(value) -> str:
     if isinstance(value, str):
         return value
-    raise ScenarioError("parse", f"not a string: {value!r}")
+    raise _Misfit("parse", f"not a string: {value!r}")
 
 
 _NUM = _Codec(_number)
-_INT = _Codec(int)
+_INT = _Codec(_integer)
 _STR = _Codec(_string)
 _FREQUENCY = _num("bad-frequency", "(0, inf]")
 _STOCK = _num("negative-stock", "[0, inf]")
 _KG_PER_BOX = _num("bad-bom-quantity", "(0, inf]")
 _RECIPE = _map(RAW, _KG_PER_BOX)
 _RAW_STOCK, _PRODUCT_STOCK = _map(RAW, _STOCK), _map(PRODUCT, _STOCK)
-_SEED = _Codec(int, check=_rule(lambda x: x >= 0, "bad-seed", ">= 0"))
+_SEED = _Codec(_integer, check=_rule(lambda x: x >= 0, "bad-seed", ">= 0"))
 
 
 # -- building blocks -----------------------------------------------------
@@ -465,15 +505,20 @@ class DemandTable:
                 )
 
 
+def _load_demand_row(row) -> tuple[tuple[str, int], tuple[float, ...]]:
+    row = _mapping(row)
+    key = (str(row["customer"]), _load_at("product", _integer, row["product"]))
+    return key, _load_at("monthly", _MONTHS.load, row["monthly"])
+
+
+_MONTHS = _list(_NUM, tuple)
+_DEMAND_ROWS = _list(_Codec(_load_demand_row))
+
+
 def _load_demand(d: dict) -> DemandTable:
-    if "file" in d:
+    if "file" in _mapping(d):
         return load_demand_table(d["file"])
-    return DemandTable(
-        rows={
-            (str(row["customer"]), int(row["product"])): tuple(map(_number, row["monthly"]))
-            for row in d.get("rows", ())
-        }
-    )
+    return DemandTable(rows=dict(_load_at("rows", _DEMAND_ROWS.load, d.get("rows", ()))))
 
 
 def _dump_demand(table: DemandTable) -> dict:
@@ -512,7 +557,7 @@ _HOLDING_COST = _Codec(
     _number_as_written, check=_rule(lambda x: x >= 0, "negative-holding-cost", ">= 0")
 )
 _PROCESSES = _Codec(
-    lambda d: None if d is None else {p: bool(on) for p, on in d.items()},  # None: from mode
+    lambda d: None if d is None else {p: bool(on) for p, on in _mapping(d).items()},  # None: mode
     lambda d: {p: bool(d.get(p, False)) for p in VCOR_PROCESSES},
     _rule(lambda d: set(d) <= set(VCOR_PROCESSES), "unknown-process", "a map of known processes"),
 )
@@ -563,10 +608,6 @@ class Scenario:
     market: MarketConfig = _field(_spec(MarketConfig), absent={})
     innovation: InnovationConfig = _field(_spec(InnovationConfig), absent={})
     sell: SellConfig = _field(_spec(SellConfig), absent={})
-    # ``digests()``, computed on first use; ``replace`` starts without it
-    _digests: tuple[str, str] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.processes is None:
@@ -609,8 +650,7 @@ class Scenario:
         try:
             _SCENARIO.check(self)
         except _Misfit as exc:
-            path = ".".join(reversed(exc.path))
-            raise ScenarioError(exc.code, f"{path}: {exc}") from None
+            raise _located(exc) from None
         enabled = [p for p, on in self.processes.items() if on]
         _require(
             self.mode == "vcor" or not enabled,
@@ -696,26 +736,17 @@ class Scenario:
 
         Each is the sha256 prefix of the compact, key-sorted JSON of a dict:
         ``to_dict()``, and for the topology the same without the keys a
-        SCOR/VCOR pair may differ in. Each top-level value is encoded once,
-        and both blobs are joined from those parts. They are computed once
-        per instance.
+        SCOR/VCOR pair may differ in, which a comparable pair must share.
+        Each top-level value is encoded once, and both blobs are joined from
+        those parts.
         """
-        if self._digests is None:
-            parts = [
-                (key, f"{_escape(key)}:{_ENCODE(value)}")
-                for key, value in sorted(self.to_dict().items())
-            ]
-            full = "{" + ",".join(part for _, part in parts) + "}"
-            shared = "{" + ",".join(part for key, part in parts if key not in _PAIR_VARIANT) + "}"
-            object.__setattr__(self, "_digests", (_short_sha256(full), _short_sha256(shared)))
-        return self._digests
-
-    def digest(self) -> str:
-        return self.digests()[0]
-
-    def topology_digest(self) -> str:
-        """Digest of everything a SCOR/VCOR pair must share to be comparable."""
-        return self.digests()[1]
+        parts = [
+            (key, f"{_escape(key)}:{_ENCODE(value)}")
+            for key, value in sorted(self.to_dict().items())
+        ]
+        full = "{" + ",".join(part for _, part in parts) + "}"
+        shared = "{" + ",".join(part for key, part in parts if key not in _PAIR_VARIANT) + "}"
+        return _short_sha256(full), _short_sha256(shared)
 
 
 # the top-level keys a SCOR/VCOR pair may differ in, left out of the topology digest
@@ -748,8 +779,8 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
             # a relative demand file is relative to the scenario file
             data = {**data, "demand": {**demand, "file": base_dir / demand["file"]}}
         return _SCENARIO.load(data)
-    except OrderValidationError as exc:
-        raise ScenarioError("bad-item-code", str(exc)) from exc
+    except _Misfit as exc:
+        raise _located(exc) from None
     except _MALFORMED as exc:
         raise ScenarioError("parse", f"malformed scenario document: {exc!r}") from exc
 

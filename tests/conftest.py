@@ -195,9 +195,6 @@ def assert_views_match_scan(
         ]
 
     for provider in providers:
-        assert [o.order_id for o in ledger.open_orders(provider)] == scan(
-            provider, OrderStatus.OPEN
-        )
         assert [o.order_id for o in ledger.fgi_orders(provider)] == scan(
             provider, OrderStatus.FGI
         )

@@ -2,8 +2,9 @@
 
 import pytest
 
-from vcsim.actors import SupportState, admit_prospects, renewal_target
+from vcsim.actors import admit_prospects, renewal_target
 from vcsim.ledger import OrderStatus, OrderValidationError, product, raw
+from vcsim.satisfaction import VoteState
 from vcsim.scenario import CustomerSpec, ProspectSpec, ReorderPolicy
 from vcsim.simulation import run_scenario
 
@@ -242,26 +243,27 @@ class TestSupportLoop:
         assert len(set(ids)) == len(ids)
 
 
+def educated(chain_builder, p_def: float, decay: float) -> float:
+    """P1's defect probability after one replacement delivery resolves a ticket."""
+    chain = chain_builder(mode="vcor", defect_probability={1: p_def}, education_decay=decay)
+    order = chain.ledger.place("customer1", "retailer", product(1), 10.0, at=0.0)
+    ticket = chain.ledger.open_ticket(order, 1.0, "customer1", at=1.0)
+    replacement = chain.ledger.place(
+        "customer1", "retailer", product(1), 1.0, at=1.0, replacement_for=ticket.ticket_id
+    )
+    chain._resolve_ticket(replacement, now=2.0)
+    return chain.defect_probability[1]
+
+
 class TestEducateCustomer:
-    def test_multiplicative_decay(self):
-        state = SupportState(
-            defect_probability={1: 0.10},
-            education_decay=0.9,
-            handling_hours=2.3,
-            max_defective_fraction=0.25,
-        )
-        state.educate(1)
-        assert state.defect_probability[1] == pytest.approx(0.09)
+    def test_multiplicative_decay(self, chain_builder):
+        assert educated(chain_builder, 0.10, 0.9) == pytest.approx(0.09)
 
-    def test_zero_is_a_fixed_point(self):
-        state = SupportState({1: 0.0}, 0.9, 2.3, 0.25)
-        state.educate(1)
-        assert state.defect_probability[1] == 0.0
+    def test_zero_is_a_fixed_point(self, chain_builder):
+        assert educated(chain_builder, 0.0, 0.9) == 0.0
 
-    def test_decay_one_disables_education(self):
-        state = SupportState({1: 0.2}, 1.0, 2.3, 0.25)
-        state.educate(1)
-        assert state.defect_probability[1] == 0.2
+    def test_decay_one_disables_education(self, chain_builder):
+        assert educated(chain_builder, 0.2, 1.0) == 0.2
 
 
 class TestMonitorExperience:
@@ -283,13 +285,16 @@ class TestMonitorExperience:
         assert resolution_times <= series_times
 
 
+def set_every_vote(chain, x: float) -> None:
+    for voter in chain.voters.values():
+        voter.vote = VoteState(x=x)
+
+
 class TestAnalyzeMarket:
     def test_low_mean_vote_triggers_project_on_least_sold_product(self, chain_builder):
-        from vcsim.satisfaction import VoteState
-
         chain = chain_builder(mode="vcor")
-        chain.votes[("customer1", 1)] = VoteState(x=5.8)
-        chain.votes[("customer1", 2)] = VoteState(x=6.1)
+        chain.voters[("customer1", 1)].vote = VoteState(x=5.8)
+        chain.voters[("customer1", 2)].vote = VoteState(x=6.1)
         chain.firm_sales_boxes = {1: 296.0, 2: 150.0}
         target = chain.analyze_market(now=10.0)
         assert target == 2
@@ -297,45 +302,38 @@ class TestAnalyzeMarket:
         assert chain.active_project.apply_at == 18.0  # 10 + 8 h acquisition
 
     def test_vote_at_threshold_does_not_trigger(self, chain_builder):
-        from vcsim.satisfaction import VoteState
-
         chain = chain_builder(mode="vcor", vote_threshold=6.0)
-        chain.votes = {("customer1", 1): VoteState(x=6.0)}
+        set_every_vote(chain, 6.0)
         assert chain.analyze_market(now=10.0) is None
 
     def test_active_project_blocks_new_trigger(self, chain_builder):
-        from vcsim.satisfaction import VoteState
-
         chain = chain_builder(mode="vcor")
-        chain.votes = {("customer1", 1): VoteState(x=1.0)}
+        set_every_vote(chain, 1.0)
         assert chain.analyze_market(now=6.0) is not None
         assert chain.analyze_market(now=12.0) is None
 
     def test_research_toggle_gates_acquisition(self, chain_builder):
-        from vcsim.satisfaction import VoteState
-
         processes = {"support": True, "market": True, "research": False,
                      "develop": True, "sell": True}
         chain = chain_builder(mode="vcor", processes=processes)
-        chain.votes = {("customer1", 1): VoteState(x=1.0)}
+        set_every_vote(chain, 1.0)
         assert chain.analyze_market(now=6.0) is None
 
 
 class TestPeerVote:
     def test_mean_of_the_other_customers_votes_on_that_product(self, chain_builder):
-        from vcsim.satisfaction import VoteState
-
-        chain = chain_builder(mode="vcor")
-        # replacing the mapping re-indexes it; the mean follows its order
-        chain.votes = {
-            ("c3", 1): VoteState(x=2.0),
-            ("c1", 1): VoteState(x=4.0),
-            ("c2", 2): VoteState(x=9.0),
-            ("c2", 1): VoteState(x=7.0),
-        }
-        assert chain._peer_vote("c1", 1) == (2.0 + 7.0) / 2
-        assert chain._peer_vote("c2", 2) == 0.0
-        assert chain._peer_vote("c9", 3) == 0.0
+        votes = {("c3", 1): 2.0, ("c1", 1): 4.0, ("c2", 1): 7.0, ("c2", 2): 9.0}
+        chain = chain_builder(
+            mode="vcor",
+            customers=[CustomerSpec(name=name, lot_size=10.0) for name in ("c3", "c1", "c2")],
+            demand_rows={key: (720.0,) * 12 for key in votes},
+        )
+        # the voters follow the customer order; each product's mean follows theirs
+        assert list(chain.voters) == list(votes)
+        for key, x in votes.items():
+            chain.voters[key].vote = VoteState(x=x)
+        assert chain._peer_vote(chain.voters[("c1", 1)], 1) == (2.0 + 7.0) / 2
+        assert chain._peer_vote(chain.voters[("c2", 2)], 2) == 0.0
 
 
 class TestRenewalTarget:
@@ -355,10 +353,8 @@ class TestRenewalTarget:
 
 class TestIntroduceTechnologyAndLaunch:
     def test_delayed_application_books_cost(self, chain_builder):
-        from vcsim.satisfaction import VoteState
-
         chain = chain_builder(mode="vcor", innovation_delay=8.0, technology_cost=250.0)
-        chain.votes = {("customer1", 1): VoteState(x=1.0), ("customer1", 2): VoteState(x=1.0)}
+        set_every_vote(chain, 1.0)
         chain.engine.now = 10.0
         target = chain.analyze_market(now=10.0)
         chain.engine.run_until(48.0)
@@ -367,19 +363,15 @@ class TestIntroduceTechnologyAndLaunch:
         assert [(e.time, e.amount) for e in entries] == [(18.0, 250.0)]
 
     def test_zero_cost_books_nothing(self, chain_builder):
-        from vcsim.satisfaction import VoteState
-
         chain = chain_builder(mode="vcor", technology_cost=0.0)
-        chain.votes = {("customer1", 1): VoteState(x=1.0)}
+        set_every_vote(chain, 1.0)
         chain.analyze_market(now=0.0)
         chain.engine.run_until(48.0)
         assert [e for e in chain.costs.entries if e.category == "technology"] == []
 
     def test_bom_override_changes_the_recipe(self, chain_builder):
-        from vcsim.satisfaction import VoteState
-
         chain = chain_builder(mode="vcor", bom_override={2: 2.0})
-        chain.votes = {("customer1", 1): VoteState(x=1.0)}
+        set_every_vote(chain, 1.0)
         chain.firm_sales_boxes = {1: 0.0, 2: 100.0}
         chain.analyze_market(now=0.0)
         chain.engine.run_until(48.0)
@@ -399,9 +391,9 @@ class TestIntroduceTechnologyAndLaunch:
             },
         )
         chain.apply_innovation(1, now=20.0)
-        assert chain.innovation_flag[("customer1", 1)]
-        assert chain.innovation_flag[("customer2", 1)]
-        assert not chain.innovation_flag[("customer2", 2)]
+        assert chain.voters[("customer1", 1)].new_product
+        assert chain.voters[("customer2", 1)].new_product
+        assert not chain.voters[("customer2", 2)].new_product
         assert chain.launches == [(20.0, 1)]
 
     def test_first_post_launch_delivery_clears_only_that_customer(self, chain_builder):
@@ -421,21 +413,21 @@ class TestIntroduceTechnologyAndLaunch:
         chain.ship_orders("retailer", now=6.0)
         chain.engine.run_until(10.0)
         assert order.status is OrderStatus.DELIVERED
-        assert not chain.innovation_flag[("customer1", 1)]
-        assert chain.innovation_flag[("customer2", 1)]  # no delivery there yet
+        assert not chain.voters[("customer1", 1)].new_product
+        assert chain.voters[("customer2", 1)].new_product  # no delivery there yet
 
     def test_launch_without_deliveries_keeps_flags_raised(self, chain_builder):
         chain = chain_builder(mode="vcor")
         chain.apply_innovation(1, now=40.0)
         chain.engine.run_until(48.0)
-        assert chain.innovation_flag[("customer1", 1)]
+        assert chain.voters[("customer1", 1)].new_product
 
     def test_develop_toggle_gates_the_launch(self, chain_builder):
         processes = {"support": True, "market": True, "research": True,
                      "develop": False, "sell": True}
         chain = chain_builder(mode="vcor", processes=processes)
         chain.apply_innovation(1, now=5.0)
-        assert not chain.innovation_flag[("customer1", 1)]
+        assert not chain.voters[("customer1", 1)].new_product
         assert chain.launches == []
 
 

@@ -5,34 +5,27 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from vcsim.engine import (
-    Engine,
-    QueueExhausted,
-    SchedulingError,
-    trace_lines,
-)
+from vcsim.engine import Engine, SchedulingError, trace_lines
 
 
 def test_schedule_at_zero_fires_first():
     eng = Engine()
+    eng.schedule(1.0, "a", "later")
     eng.schedule(0.0, "a", "ping")
-    t, event = eng.advance()
-    assert t == 0.0
-    assert event.kind == "ping"
+    assert [(e.fire_time, e.kind) for e in eng.run_until(0.0)] == [(0.0, "ping")]
 
 
 def test_simultaneous_events_fire_in_insertion_order():
     eng = Engine()
     eng.schedule(3.0, "x", "A")
     eng.schedule(3.0, "x", "B")
-    assert eng.advance()[1].kind == "A"
-    assert eng.advance()[1].kind == "B"
+    assert [e.kind for e in eng.run_until(3.0)] == ["A", "B"]
 
 
 def test_scheduling_in_the_past_is_an_error():
     eng = Engine()
     eng.schedule(5.0, "x", "later")
-    eng.advance()  # clock -> 5
+    eng.run_until(5.0)  # clock -> 5
     with pytest.raises(SchedulingError):
         eng.schedule(2.0, "x", "too-late")
 
@@ -58,12 +51,11 @@ def test_a_horizon_that_is_not_a_number_is_an_error():
         eng.run_until(-1.0)
 
 
-def test_advance_pops_minimum_and_moves_clock():
+def test_run_until_pops_minimum_and_moves_clock():
     eng = Engine()
     eng.schedule(4.0, "x", "Y")
     eng.schedule(1.0, "x", "X")
-    t, event = eng.advance()
-    assert (t, event.kind) == (1.0, "X")
+    assert [(e.fire_time, e.kind) for e in eng.run_until(2.0)] == [(1.0, "X")]
     assert eng.now == 1.0
 
 
@@ -71,12 +63,13 @@ def test_sequence_number_breaks_time_ties():
     eng = Engine()
     eng.schedule(2.0, "x", "B")  # seq 0
     eng.schedule(2.0, "x", "A")  # seq 1
-    assert eng.advance()[1].kind == "B"
+    assert [e.kind for e in eng.run_until(2.0)] == ["B", "A"]
 
 
-def test_advance_on_empty_queue_signals_exhaustion():
-    with pytest.raises(QueueExhausted):
-        Engine().advance()
+def test_run_until_on_an_empty_queue_ends_normally():
+    eng = Engine()
+    assert eng.run_until(48.0) == []
+    assert eng.now == 0.0
 
 
 @pytest.mark.parametrize(

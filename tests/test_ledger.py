@@ -1,6 +1,7 @@
 """Order ledger: validation, transitions, demand views, inventory, replay."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from vcsim.ledger import (
     CorruptionError,
     InventoryRecord,
     Ledger,
+    LedgerError,
     Order,
     OrderStatus,
     OrderValidationError,
@@ -33,7 +35,7 @@ class TestAppendOrder:
     def test_replenishment_lands_in_provider_demand_view(self):
         ledger = make_ledger()
         order = ledger.place("retailer", "firm", product(1), 500.0, at=2.5)
-        open_now = ledger.open_orders("firm")
+        open_now = ledger.open_orders("firm", product(1))
         assert [o.order_id for o in open_now] == [order.order_id]
         assert open_now[0].created_at == 2.5
         assert open_now[0].status is OrderStatus.OPEN
@@ -145,7 +147,7 @@ def test_replaying_transitions_reproduces_final_statuses(data):
 
 class TestOpenOrders:
     def test_empty_ledger(self):
-        assert make_ledger().open_orders("firm") == []
+        assert make_ledger().open_orders("firm", product(1)) == []
 
     def test_filters_status_and_sorts_oldest_first(self):
         ledger = make_ledger()
@@ -154,7 +156,7 @@ class TestOpenOrders:
         done = ledger.place("retailer", "firm", product(1), 1.0, at=0.0)
         for status in (OrderStatus.FGI, OrderStatus.IN_TRANSIT, OrderStatus.DELIVERED):
             ledger.transition(done.order_id, status, at=2.0)
-        assert [o.order_id for o in ledger.open_orders("firm")] == [
+        assert [o.order_id for o in ledger.open_orders("firm", product(1))] == [
             newer.order_id,
             older.order_id,
         ]
@@ -285,6 +287,49 @@ class TestExportImport:
             Ledger.from_lines([order_line])  # no Open record
         with pytest.raises(CorruptionError):
             Ledger.from_lines([order_line, open_line.replace('"at":3.0', '"at":1.0')])
+
+    @pytest.mark.parametrize("at", [math.nan, math.inf], ids=repr)
+    def test_replay_rejects_a_transition_at_a_time_that_is_not_finite(self, at):
+        # NaN compares false with everything: accepted, any later time would pass
+        ledger = make_ledger()
+        ledger.place("retailer", "firm", product(1), 5.0, at=0.0)
+        bad = json.dumps({"record": "transition", "order_id": 1, "status": "FGI", "at": at})
+        with pytest.raises(TransitionError):
+            Ledger.from_lines(ledger.export_lines() + [bad])
+
+    @pytest.mark.parametrize("created_at", [-5.0, math.nan, math.inf], ids=repr)
+    def test_replay_rejects_an_order_created_at_a_bad_time(self, created_at):
+        ledger = make_ledger()
+        ledger.place("retailer", "firm", product(1), 5.0, at=0.0)
+        order_line, open_line = (
+            json.dumps({**json.loads(line), key: created_at})
+            for line, key in zip(ledger.export_lines(), ("created_at", "at"))
+        )
+        with pytest.raises(LedgerError):  # NaN also fails the Open record's time check
+            Ledger.from_lines([order_line, open_line])
+        with pytest.raises(OrderValidationError):
+            ledger.place("retailer", "firm", product(1), 5.0, at=created_at)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"order_id": 99}, {"defective_qty": 6.0}, {"ticket_id": 1}, {"item": "P2"}],
+        ids=["unknown-order", "defective-above-quantity", "duplicate-id", "other-item"],
+    )
+    def test_replay_opens_tickets_as_the_live_writer_does(self, change):
+        ledger = make_ledger()
+        order = ledger.place("customer1", "retailer", product(1), 5.0, at=0.0)
+        ledger.open_ticket(order, 1.0, "customer1", at=1.0)
+        ledger.open_ticket(order, 2.0, "customer1", at=2.0)
+        lines = ledger.export_lines()
+        lines[-1] = json.dumps({**json.loads(lines[-1]), **change})
+        with pytest.raises((CorruptionError, OrderValidationError)):
+            Ledger.from_lines(lines)
+
+    @pytest.mark.parametrize("bad", ["[1]", '"x"', '{"record":"order"}', "{"], ids=repr)
+    def test_a_malformed_line_is_corruption_naming_its_number(self, bad):
+        lines = make_ledger().export_lines() + ["", bad]
+        with pytest.raises(CorruptionError, match="^line 2: "):
+            Ledger.from_lines(lines)
 
 
 class TestInventory:

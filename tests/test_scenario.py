@@ -76,12 +76,12 @@ class TestCaseStudyProfile:
     def test_modes_share_topology_digest(self):
         scor = case_study_scenario(mode="scor", seed=5)
         vcor = case_study_scenario(mode="vcor", seed=5)
-        assert scor.topology_digest() == vcor.topology_digest()
-        assert scor.digest() != vcor.digest()
+        assert scor.digests()[1] == vcor.digests()[1]
+        assert scor.digests()[0] != vcor.digests()[0]
 
     def test_seed_changes_digest(self):
         assert (
-            case_study_scenario(seed=1).digest() != case_study_scenario(seed=2).digest()
+            case_study_scenario(seed=1).digests()[0] != case_study_scenario(seed=2).digests()[0]
         )
 
     @pytest.mark.parametrize("mode", ["scor", "vcor"])
@@ -100,7 +100,6 @@ class TestCaseStudyProfile:
         shared = {k: v for k, v in d.items() if k not in
                   ("mode", "processes", "support", "market", "innovation", "sell", "name")}
         assert sc.digests() == (oracle(d), oracle(shared))
-        assert (sc.digest(), sc.topology_digest()) == sc.digests()
 
 
 class TestValidationCodes:
@@ -171,7 +170,7 @@ class TestFiles:
         save_scenario(sc, path)
         loaded = load_scenario(path)
         assert loaded.to_dict() == sc.to_dict()
-        assert loaded.digest() == sc.digest()
+        assert loaded.digests() == sc.digests()
 
     def test_demand_csv_round_trip(self, tmp_path):
         sc = case_study_scenario()
@@ -351,6 +350,17 @@ CODE_CASES = [
     ("prices.ghost", {"P1": 2.0}, "item-kind-not-used-by-role"),
     ("costs.holding_per_unit_hour.upstream", {"R1": 0.1}, "item-kind-not-used-by-role"),
     ("costs.holding_per_unit_hour.customer1", {"R1": 0.1}, "item-kind-not-used-by-role"),
+    # an integer field takes only a YAML int that is not a bool
+    ("seed", 1.5, "parse"),
+    ("seed", "3", "parse"),
+    ("seed", True, "parse"),
+    ("catalog.products", [1.7, 2, 3], "parse"),
+    ("sell.prospects.1.priority", 2.9, "parse"),
+    ("demand.rows.0.product", 1.9, "parse"),
+    # a value of the wrong type anywhere in a section
+    ("customers.1.name", [1], "parse"),
+    ("firm.fgi.P1", "x", "parse"),
+    ("suppliers", [5], "parse"),
 ]
 
 
@@ -656,9 +666,8 @@ def test_a_derived_case_study_equals_a_fresh_build(mode, seed, horizon, digests)
     assert type(derived.horizon_hours) is type(horizon)
 
 
-def test_digests_are_kept_per_instance_and_replace_starts_afresh():
+def test_replace_gives_the_digests_of_the_new_values():
     sc = case_study_scenario("vcor", 5)
-    assert sc.digests() is sc.digests()
     assert replace(sc) == sc and replace(sc).digests() == sc.digests()
     assert replace(sc, seed=6).digests() == case_study_scenario("vcor", 6).digests()
     assert replace(sc, seed=6).digests() != sc.digests()
@@ -666,10 +675,9 @@ def test_digests_are_kept_per_instance_and_replace_starts_afresh():
 
 def test_a_long_run_leaves_the_shared_template_unchanged():
     template = _case_study("vcor")
-    before = template.to_dict(), replace(template).digests()
+    before = template.to_dict(), template.digests()
     run_scenario(case_study_scenario("vcor", 42, 2880.0))
-    # a copy recomputes the digests, so a changed spec would show
-    assert (template.to_dict(), replace(template).digests()) == before
+    assert (template.to_dict(), template.digests()) == before
 
 
 # a check formats the document path of its value only when it fails
@@ -696,6 +704,27 @@ PATH_MESSAGES = [
 
 @pytest.mark.parametrize("path,value,message", PATH_MESSAGES, ids=[c[0] for c in PATH_MESSAGES])
 def test_a_failed_check_names_the_full_document_path(path, value, message):
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(mutated(PIN_DOC, path, value))
+    assert str(err.value) == message
+
+
+# a value that fails to load names its document path the same way
+LOAD_MESSAGES = [
+    ("customers.1.name", [1], "customers.1.name: not a string: [1]"),
+    ("firm.fgi.P1", "x", "firm.fgi.P1: not a number: 'x'"),
+    ("suppliers", [5], "suppliers.0: not a mapping: 5"),
+    ("seed", True, "seed: not an integer: True"),
+    ("catalog.products", [1.7, 2, 3], "catalog.products.0: not an integer: 1.7"),
+    ("demand.rows.3.product", 1.9, "demand.rows.3.product: not an integer: 1.9"),
+    ("firm.frequencies", 5, "firm.frequencies: not a mapping: 5"),
+    ("retailer.stock.R1", 5.0, "retailer.stock.R1: expected a product code, got R1"),
+    ("prices.retailer.X1", 10.0, "prices.retailer.X1: bad item code: 'X1'"),
+]
+
+
+@pytest.mark.parametrize("path,value,message", LOAD_MESSAGES, ids=[c[0] for c in LOAD_MESSAGES])
+def test_a_value_that_fails_to_load_names_its_document_path(path, value, message):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(mutated(PIN_DOC, path, value))
     assert str(err.value) == message
