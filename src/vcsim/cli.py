@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .engine import SchedulingError
-from .jsonl import _indented
+from .jsonl import _ENCODE_INDENTED
 from .ledger import LedgerError
 from .metrics import ComparisonError, KpiReport, compare_runs
 from .scenario import (
@@ -93,7 +93,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else Path("compare-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "comparison.json").write_text(
-        _indented(comparison) + "\n", encoding="utf-8"
+        _ENCODE_INDENTED(comparison) + "\n", encoding="utf-8"
     )
     csv_lines = [
         f"# topology={comparison['topology_digest']} seed={comparison['seed']}",

@@ -1,17 +1,18 @@
-"""Record formatters for the JSON-lines artifact files and ``kpi.json``.
+"""Record formatters for the JSON-lines artifact files, and the encoder of
+the two indented reports.
 
 Every line is the compact, key-sorted, ASCII-escaped JSON that
 ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` gives, with
 floats as Python ``repr``. Records with fixed keys are formatted directly,
 keys already in sorted order; dicts whose keys are not fixed (event payloads,
-the header, scenario parts) go through one shared encoder. ``_indented``
-writes ``json.dumps(value, sort_keys=True, indent=2)`` the same way.
+the header, scenario parts) go through one shared encoder. ``kpi.json`` and
+``comparison.json`` are ``json.dumps(report, sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
 
 from json import JSONEncoder
-from json.encoder import c_make_encoder, encode_basestring_ascii as _escape
+from json.encoder import _make_iterencode, c_make_encoder, encode_basestring_ascii as _escape
 
 if c_make_encoder is None:  # no C accelerator: the pure-Python encoder
     _ENCODE = JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -35,6 +36,20 @@ def _num(x) -> str:
     elif type(x) is int:
         return repr(x)
     return _ENCODE(x)
+
+
+# json.dumps(value, sort_keys=True, indent=2) builds this encoder on every call.
+# Before Python 3.13 it is pure Python, and its nested functions refer to one
+# another, so each call would leave a reference cycle for the collector to
+# free; this one is built once. ``_num`` writes floats as json.dumps does.
+_iter_indented = _make_iterencode(
+    None, JSONEncoder().default, _escape, "  ", _num, ": ", ",", True, False, True
+)
+
+
+def _ENCODE_INDENTED(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``."""
+    return "".join(_iter_indented(value, 0))
 
 
 class _Quoted(dict):
@@ -94,54 +109,4 @@ def _satisfaction_line(e: dict, q: _Quoted) -> str:
     return (
         f'{{"customer":{q[e["customer"]]},"k":{_num(e["k"])},'
         f'"product":{q[e["product"]]},"time":{_num(e["time"])},"vote":{_num(e["vote"])}}}'
-    )
-
-
-# -- indented JSON (kpi.json) ---------------------------------------------
-
-
-class _Records(list):
-    """A list the indent emitter writes with a fixed-key formatter per element."""
-
-    __slots__ = ("element",)
-
-    def __init__(self, element, records) -> None:
-        super().__init__(records)
-        self.element = element
-
-
-def _indented(value, pad: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` for a JSON value with
-    str keys; ``pad`` is a newline and the indent of the line the value is on."""
-    if type(value) is str:
-        return _escape(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        body = ("," + inner).join(
-            [f"{_escape(k)}: {_indented(value[k], inner)}" for k in sorted(value)]
-        )
-        return f"{{{inner}{body}{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        element = value.element if type(value) is _Records else _indented
-        body = ("," + inner).join([element(v, inner) for v in value])
-        return f"[{inner}{body}{pad}]"
-    return _num(value)
-
-
-def _delivery_row(row, pad: str) -> str:
-    """An ``[order_id, hours]`` row, as ``_indented`` writes it."""
-    return f"[{pad}  {_num(row[0])},{pad}  {_num(row[1])}{pad}]"
-
-
-def _satisfaction_entry(e: dict, pad: str) -> str:
-    """A satisfaction entry, as ``_indented`` writes it."""
-    return (
-        f'{{{pad}  "customer": {_escape(e["customer"])},{pad}  "k": {_num(e["k"])},'
-        f'{pad}  "product": {_escape(e["product"])},{pad}  "time": {_num(e["time"])},'
-        f'{pad}  "vote": {_num(e["vote"])}{pad}}}'
     )

@@ -300,9 +300,22 @@ class Ledger:
     def open_ticket(
         self, order: Order, defective_qty: float, customer: str, at: float
     ) -> SupportTicket:
+        """Register a defective delivery: the order's client reports it, at a
+        finite time no earlier than the delivery."""
         if order.order_id not in self.orders:
             raise OrderValidationError(f"ticket for unknown order {order.order_id}")
-        if defective_qty <= 0 or defective_qty > order.quantity:
+        if customer != order.client:
+            raise OrderValidationError(
+                f"ticket by {customer!r} for order {order.order_id} of {order.client!r}"
+            )
+        if order.delivered_at is None:
+            raise OrderValidationError(f"ticket for undelivered order {order.order_id}")
+        if not order.delivered_at <= at < _INF:  # also true for NaN
+            raise OrderValidationError(
+                f"ticket at t={at} for order {order.order_id} delivered at "
+                f"t={order.delivered_at}, or not finite"
+            )
+        if not 0 < defective_qty <= order.quantity:  # also true for NaN
             raise OrderValidationError(
                 f"defective quantity {defective_qty} outside (0, {order.quantity}]"
             )
@@ -458,7 +471,13 @@ class Ledger:
                 order, rec["defective_qty"], rec["customer"], rec["opened_at"]
             )
             ticket.replacement_order_id = rec.get("replacement_order_id")
-            ticket.resolved_at = rec.get("resolved_at")
+            resolved_at = rec.get("resolved_at")
+            if resolved_at is not None and not ticket.opened_at <= resolved_at < _INF:
+                raise CorruptionError(
+                    f"ticket {ticket_id} resolved at t={resolved_at}, before it was "
+                    f"opened at t={ticket.opened_at} or not finite"
+                )
+            ticket.resolved_at = resolved_at
         else:
             raise CorruptionError(f"unknown ledger record kind: {kind!r}")
 

@@ -14,12 +14,7 @@ from operator import add
 from types import UnionType
 from typing import Iterable, NamedTuple, get_args, get_origin, get_type_hints
 
-from .jsonl import (
-    _Records,
-    _delivery_row,
-    _indented,
-    _satisfaction_entry,
-)
+from .jsonl import _ENCODE_INDENTED
 from .ledger import InventoryRecord, Ledger, PRODUCT
 from .scenario import Scenario
 
@@ -101,10 +96,10 @@ def sales_profitability(sales_profit: float, costs: float) -> float | None:
 # -- full report ---------------------------------------------------------
 
 
-def _converted(load, dump, **default):
+def _converted(load, dump):
     """A report field with its own dict form: ``dump`` writes it, ``load``
-    reads it back (None: as it is)."""
-    return field(**default, metadata={"load": load, "dump": dump})
+    reads it back."""
+    return field(metadata={"load": load, "dump": dump})
 
 
 def _conforms(value, hint) -> bool:
@@ -112,10 +107,6 @@ def _conforms(value, hint) -> bool:
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:
         return any(_conforms(value, arg) for arg in args)
-    if origin is list:
-        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
-    if origin is tuple:
-        return type(value) is tuple and len(value) == len(args) and all(map(_conforms, value, args))
     if origin is dict:
         return type(value) is dict and all(
             type(k) is str and _conforms(v, args[1]) for k, v in value.items()
@@ -162,11 +153,6 @@ class ActorKpis(_DictForm):
     delivered_count: int = 0
     mean_delivery_time: float | None = None
     max_delivery_time: float | None = None
-    delivery_series: list[tuple[int, float]] = _converted(  # (order_id, hours)
-        lambda rows: [(oid, hours) for oid, hours in rows],
-        lambda series: _Records(_delivery_row, map(list, series)),
-        default_factory=list,
-    )
     sales_profit: float = 0.0
     costs: dict[str, float] = field(default_factory=dict)
     mean_stock_value: dict[str, float | None] = field(default_factory=dict)
@@ -177,6 +163,12 @@ class ActorKpis(_DictForm):
 
 @dataclass(slots=True)
 class KpiReport(_DictForm):
+    """The indicators of one run: the text of ``kpi.json``.
+
+    Per-order records are not repeated here: each actor's delivery series is
+    in ``delivery_times.csv`` and the vote series in ``satisfaction.jsonl``.
+    """
+
     scenario_digest: str
     topology_digest: str
     seed: int
@@ -186,18 +178,14 @@ class KpiReport(_DictForm):
     total_orders: int
     actors: dict[str, ActorKpis] = _converted(
         lambda d: {name: ActorKpis.from_dict(a) for name, a in d.items()},
-        lambda actors: {name: kpis.to_dict() for name, kpis in sorted(actors.items())},
-    )
-    satisfaction: list[dict] = _converted(
-        None, lambda entries: _Records(_satisfaction_entry, entries)
+        lambda actors: {name: kpis.to_dict() for name, kpis in actors.items()},
     )
     produced_boxes: dict[str, float]
     delivered_to_customers: dict[str, float]
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), sort_keys=True, indent=2)``; the
-        delivery rows and satisfaction entries are formatted directly."""
-        return _indented(self.to_dict())
+        """The text of ``kpi.json``: the dict form, keys sorted, indented by 2."""
+        return _ENCODE_INDENTED(self.to_dict())
 
 
 def build_report(
@@ -205,15 +193,16 @@ def build_report(
     ledger: Ledger,
     inventories: Iterable[InventoryRecord],
     costs: CostLedger,
-    satisfaction_series: list[dict],
     produced_boxes: dict[str, float],
-) -> KpiReport:
+) -> tuple[KpiReport, dict[str, list[tuple[int, float]]]]:
     """Fold the run artifacts of one finished run into a KPI report.
 
     One pass over the orders gives every actor's delivery series and the
     quantities delivered to customers, one pass over the cost entries every
     actor's totals per category. Order ids rise in append order, so each
-    series comes out in order-id order.
+    series comes out in order-id order. The report keeps each series' count,
+    mean and max; the series themselves, ``(order_id, hours)`` per actor,
+    are returned beside it for ``delivery_times.csv``.
     """
     period_hours = scenario.horizon_hours
     customers = {c.name for c in scenario.customers}
@@ -255,7 +244,6 @@ def build_report(
             delivered_count=len(hours),
             mean_delivery_time=_left_sum(hours) / len(hours) if hours else None,
             max_delivery_time=max(hours) if hours else None,
-            delivery_series=delivery_series,
             sales_profit=profit,
             costs={cat: amount for cat, amount in totals[name].items() if amount != 0.0},
             mean_stock_value=stock_values.get(name, {}),
@@ -267,7 +255,7 @@ def build_report(
             kpis.smi[stock_class] = stock_mean_time(period_hours, rotation)
 
     scenario_digest, topology_digest = scenario.digests()
-    return KpiReport(
+    report = KpiReport(
         scenario_digest=scenario_digest,
         topology_digest=topology_digest,
         seed=scenario.seed,
@@ -276,10 +264,10 @@ def build_report(
         census=ledger.census(),
         total_orders=len(ledger.orders),
         actors=actors,
-        satisfaction=satisfaction_series,
         produced_boxes=produced_boxes,
         delivered_to_customers=delivered,
     )
+    return report, series
 
 
 # -- run comparison ---------------------------------------------------------

@@ -87,13 +87,25 @@ _ANY_ITEM = "item"  # map keys that are item codes of either kind, kept as codes
 
 
 def _number(value) -> float:
+    """A YAML int or float as a float; a string or a bool is no number."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise _Misfit("parse", f"not a number: {value!r}")
     try:
         x = float(value)
-    except (TypeError, ValueError):
-        raise _Misfit("parse", f"not a number: {value!r}") from None
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
     if math.isfinite(x):
         return x
     raise _Misfit("parse", f"not a finite number: {value!r}")
+
+
+def _text_number(text: str) -> float:
+    """A number written as text, such as a demand table cell."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise _Misfit("parse", f"not a number: {text!r}") from None
+    return _number(x)
 
 
 def _integer(value) -> int:
@@ -120,7 +132,7 @@ def _load_at(key, load, doc):
 def _number_as_written(value):
     # lead times, prices and holding costs were never converted to float:
     # their ints stay ints, so existing documents keep their digests
-    return value if isinstance(value, int) else _number(value)
+    return value if type(value) is int else _number(value)
 
 
 def _rule(ok, code: str, text: str):
@@ -860,7 +872,7 @@ def load_demand_table(path: str | Path) -> DemandTable:
                 "parse", f"{path}:{lineno}: expected 14 columns, got {len(row)}"
             )
         try:
-            monthly = [0.0 if c.strip() in ("-", "") else _number(c) for c in row[2:]]
+            monthly = [0.0 if c.strip() in ("-", "") else _text_number(c) for c in row[2:]]
             rows[(row[0].strip(), int(row[1]))] = tuple(monthly)
         except (ValueError, ScenarioError) as exc:
             raise ScenarioError("parse", f"{path}:{lineno}: {exc}") from None

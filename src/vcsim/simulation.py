@@ -29,6 +29,8 @@ class RunArtifacts:
     costs: CostLedger
     inventories: dict[tuple[str, str], InventoryRecord]
     report: KpiReport
+    satisfaction: list[dict]  # one entry per vote update
+    delivery_series: dict[str, list[tuple[int, float]]]  # actor: (order_id, hours)
     launches: list[tuple[float, int]]
     consumed_raw_kg: dict[str, float]
 
@@ -45,12 +47,11 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunAr
     trace = engine.run_until(scenario.horizon_hours)
     chain.finalize()
 
-    report = build_report(
+    report, delivery_series = build_report(
         scenario,
         chain.ledger,
         chain.inventories.values(),
         chain.costs,
-        chain.satisfaction_series,
         {product(pid).code: boxes for pid, boxes in sorted(chain.produced_boxes.items())},
     )
     artifacts = RunArtifacts(
@@ -60,6 +61,8 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunAr
         costs=chain.costs,
         inventories=chain.inventories,
         report=report,
+        satisfaction=chain.satisfaction_series,
+        delivery_series=delivery_series,
         launches=chain.launches,
         consumed_raw_kg={
             raw(rid).code: kg for rid, kg in sorted(chain.consumed_raw_kg.items())
@@ -93,7 +96,7 @@ def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
     _write_file(
         out_dir / "satisfaction.jsonl",
         header,
-        [(report.satisfaction, lambda run: [_satisfaction_line(e, q) for e in run])],
+        [(artifacts.satisfaction, lambda run: [_satisfaction_line(e, q) for e in run])],
     )
     _write_file(out_dir / "kpi.json", report.to_json())
     _write_file(
@@ -101,8 +104,8 @@ def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
         f"# scenario={report.scenario_digest} seed={report.seed} mode={report.mode}\n"
         "actor,order_id,delivery_hours",
         [
-            (kpis.delivery_series, partial(_csv_rows, name))
-            for name, kpis in sorted(report.actors.items())
+            (series, partial(_csv_rows, name))
+            for name, series in sorted(artifacts.delivery_series.items())
         ],
     )
 

@@ -392,9 +392,9 @@ def test_golden_micro_scenario():
         (25.0, "customer1"),
     ]
     retailer = artifacts.report.actors["retailer"]
-    assert retailer.delivery_series == [(1, 1.0), (2, 1.0), (4, 7.0), (5, 1.0)]
+    assert artifacts.delivery_series["retailer"] == [(1, 1.0), (2, 1.0), (4, 7.0), (5, 1.0)]
     assert retailer.mean_delivery_time == 2.5
-    assert artifacts.report.actors["firm"].delivery_series == [(3, 6.0)]
+    assert artifacts.delivery_series["firm"] == [(3, 6.0)]
     assert artifacts.stock("retailer", "P1") == 20.0
     assert artifacts.stock("firm", "P1") == 0.0
     assert artifacts.stock("firm", "R1") == 15.0
@@ -436,7 +436,7 @@ def test_mode_structural_checks():
     for customer in {c.name for c in vcor.scenario.customers}:
         series = [
             e
-            for e in vcor.report.satisfaction
+            for e in vcor.satisfaction
             if e["customer"] == customer and e["product"] == code
         ]
         post = [e for e in series if e["time"] >= launch_time]

@@ -247,6 +247,8 @@ def educated(chain_builder, p_def: float, decay: float) -> float:
     """P1's defect probability after one replacement delivery resolves a ticket."""
     chain = chain_builder(mode="vcor", defect_probability={1: p_def}, education_decay=decay)
     order = chain.ledger.place("customer1", "retailer", product(1), 10.0, at=0.0)
+    chain.ledger.transition(order.order_id, OrderStatus.IN_TRANSIT, at=1.0)
+    chain.ledger.transition(order.order_id, OrderStatus.DELIVERED, at=1.0)
     ticket = chain.ledger.open_ticket(order, 1.0, "customer1", at=1.0)
     replacement = chain.ledger.place(
         "customer1", "retailer", product(1), 1.0, at=1.0, replacement_for=ticket.ticket_id
@@ -281,7 +283,7 @@ class TestMonitorExperience:
         # every vote recorded at a replacement delivery time saw s=1; the
         # update at that instant must exist in the series
         resolution_times = {t.resolved_at for t in resolved}
-        series_times = {entry["time"] for entry in artifacts.report.satisfaction}
+        series_times = {entry["time"] for entry in artifacts.satisfaction}
         assert resolution_times <= series_times
 
 
@@ -559,14 +561,14 @@ class TestVoteDynamicsInRuns:
             for o in artifacts.ledger.orders.values()
             if o.client == "customer1" and o.delivered_at is not None
         ]
-        assert len(artifacts.report.satisfaction) == len(delivered)
+        assert len(artifacts.satisfaction) == len(delivered)
 
     def test_votes_decay_toward_quality_floor_without_innovation(self, scenario_builder):
         scenario = scenario_builder(horizon=48.0, initial_vote=8.0)
         artifacts = run_scenario(scenario)
         series = [
             entry["vote"]
-            for entry in artifacts.report.satisfaction
+            for entry in artifacts.satisfaction
             if entry["customer"] == "customer1" and entry["product"] == "P1"
         ]
         assert len(series) >= 3

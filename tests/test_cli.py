@@ -177,8 +177,6 @@ class TestDemoAndCompare:
         [
             ("actors.retailer.sri", [1]),
             ("actors.retailer.delivered_count", "7"),
-            ("actors.retailer.delivery_series", [["1", 2.0]]),
-            ("actors.retailer.delivery_series", [[1, 2.0, 3.0]]),
             ("actors.firm.costs", {"holding": None}),
             ("actors.firm", []),
             ("census", {"Open": 1.5}),
@@ -203,3 +201,27 @@ class TestDemoAndCompare:
         assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
         err = capsys.readouterr().err
         assert "error[parse]" in err and "kpi.json" in err
+
+    def test_compare_reads_a_kpi_file_that_still_holds_the_record_lists(self, tmp_path):
+        # kpi.json once repeated satisfaction.jsonl and delivery_times.csv in
+        # the lists "satisfaction" and actors.*.delivery_series; such a file
+        # still loads, its extra keys ignored
+        from vcsim.simulation import run_scenario
+
+        for mode in ("scor", "vcor"):
+            artifacts = run_scenario(case_study_scenario(mode=mode, seed=9, horizon_hours=24.0))
+            old = artifacts.report.to_dict()
+            old["satisfaction"] = artifacts.satisfaction
+            for name, series in artifacts.delivery_series.items():
+                old["actors"][name]["delivery_series"] = [list(row) for row in series]
+            assert old["satisfaction"] and old["actors"]["retailer"]["delivery_series"]
+            texts = {"old": json.dumps(old, indent=2), "new": artifacts.report.to_json()}
+            for form, text in texts.items():
+                (tmp_path / form / mode).mkdir(parents=True)
+                (tmp_path / form / mode / "kpi.json").write_text(text, encoding="utf-8")
+        for form in ("old", "new"):
+            runs = [str(tmp_path / form / mode) for mode in ("scor", "vcor")]
+            assert main(["compare", *runs, "--out", str(tmp_path / f"{form}-cmp")]) == 0
+        for name in ("comparison.json", "comparison.csv"):
+            old_cmp, new_cmp = tmp_path / "old-cmp" / name, tmp_path / "new-cmp" / name
+            assert old_cmp.read_bytes() == new_cmp.read_bytes()

@@ -230,13 +230,13 @@ class TestLedgerOutcome:
 class TestDeliveryTimes:
     def test_retailer_series_and_mean(self, artifacts):
         retailer = artifacts.report.actors["retailer"]
-        assert retailer.delivery_series == [(1, 1.0), (2, 1.0), (4, 7.0), (5, 1.0)]
+        assert artifacts.delivery_series["retailer"] == [(1, 1.0), (2, 1.0), (4, 7.0), (5, 1.0)]
         assert retailer.mean_delivery_time == 2.5
         assert retailer.max_delivery_time == 7.0
 
     def test_firm_series(self, artifacts):
         firm = artifacts.report.actors["firm"]
-        assert firm.delivery_series == [(3, 6.0)]
+        assert artifacts.delivery_series["firm"] == [(3, 6.0)]
         assert firm.mean_delivery_time == 6.0
 
     def test_suppliers_have_no_deliveries(self, artifacts):

@@ -48,7 +48,7 @@ CASE_STUDY_VCOR_480_SHA256 = {
     "ledger.jsonl": "c457505b6882b3e3dc7b5234de077a75921c183aa9462d405025b482340d7819",
     "costs.jsonl": "67ff3397ccab459829757e03ec0d7addd4bbd0476c1047c2d0f382cbcdc48ae8",
     "satisfaction.jsonl": "909453378ee4000ccf24bee24bbb58b2cba504f2549018c9a37bdffa1b46a3c7",
-    "kpi.json": "d9024d26e4c390acd67dd897bc42d5b373ff51cfbc536b5ca81eca0d51fa6b79",
+    "kpi.json": "879f7d2194b600272092f6401fc3e53926fb700dfbeffe15ffe1e672648f9cdc",
     "delivery_times.csv": "4d49988e26af1f2ed7c10b7668ef1ff66f53ff1420b41aef3ce3a92a02aeadb9",
 }
 

@@ -14,14 +14,11 @@ import vcsim
 from vcsim.engine import Event, trace_lines
 from vcsim.jsonl import (
     _ENCODE,
+    _ENCODE_INDENTED,
     _Quoted,
-    _Records,
     _cost_line,
-    _delivery_row,
-    _indented,
     _num,
     _order_line,
-    _satisfaction_entry,
     _satisfaction_line,
     _ticket_line,
     _transition_line,
@@ -34,10 +31,6 @@ from vcsim.simulation import run_scenario, write_artifacts
 
 def dumps(record) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def dumps_indented(value) -> str:
-    return json.dumps(value, sort_keys=True, indent=2)
 
 
 EDGE_NUMBERS = [
@@ -217,6 +210,11 @@ def test_encode_matches_json(value):
     assert _ENCODE(value) == dumps(value)
 
 
+@given(json_values)
+def test_indented_matches_json(value):
+    assert _ENCODE_INDENTED(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
 # explicit ids: the repr of a bare object() holds its address, which changes per run
 @pytest.mark.parametrize(
     "value",
@@ -243,33 +241,6 @@ def test_encode_without_the_c_encoder_matches_json():
     )
     env = {**os.environ, "PYTHONPATH": str(Path(vcsim.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
-
-
-@given(json_values)
-def test_indented_matches_json(value):
-    assert _indented(value) == dumps_indented(value)
-
-
-@given(
-    st.dictionaries(
-        names,
-        st.lists(st.tuples(st.integers(min_value=0), numbers), max_size=4),
-        max_size=3,
-    ),
-    st.lists(satisfaction_entries, max_size=4),
-)
-def test_fixed_key_records_match_json(series, entries):
-    nested = {
-        name: {"delivery_series": _Records(_delivery_row, map(list, rows))}
-        for name, rows in series.items()
-    }
-    nested["satisfaction"] = _Records(_satisfaction_entry, entries)
-    plain = {
-        name: {"delivery_series": [list(row) for row in rows]}
-        for name, rows in series.items()
-    }
-    plain["satisfaction"] = entries
-    assert _indented(nested) == dumps_indented(plain)
 
 
 def test_case_study_artifacts_reencode_byte_identically(tmp_path):

@@ -31,6 +31,11 @@ def make_ledger() -> Ledger:
     )
 
 
+def deliver(ledger: Ledger, order, at: float) -> None:
+    ledger.transition(order.order_id, OrderStatus.IN_TRANSIT, at=at)
+    ledger.transition(order.order_id, OrderStatus.DELIVERED, at=at)
+
+
 class TestAppendOrder:
     def test_replenishment_lands_in_provider_demand_view(self):
         ledger = make_ledger()
@@ -233,6 +238,7 @@ class TestSupportTickets:
     def test_ticket_records_defective_quantity(self):
         ledger = make_ledger()
         order = ledger.place("customer1", "retailer", product(1), 200.0, at=0.0)
+        deliver(ledger, order, at=5.0)
         ticket = ledger.open_ticket(order, 20.0, "customer1", at=5.0)
         assert ticket.defective_qty == 20.0
         assert ledger.tickets[ticket.ticket_id].order_id == order.order_id
@@ -240,8 +246,29 @@ class TestSupportTickets:
     def test_defective_more_than_ordered_rejected(self):
         ledger = make_ledger()
         order = ledger.place("customer1", "retailer", product(1), 10.0, at=0.0)
+        deliver(ledger, order, at=1.0)
         with pytest.raises(OrderValidationError):
             ledger.open_ticket(order, 11.0, "customer1", at=1.0)
+
+    @pytest.mark.parametrize(
+        "customer,delivered,at",
+        [
+            ("retailer", True, 5.0),
+            ("customer1", False, 5.0),
+            ("customer1", True, 1.0),
+            ("customer1", True, math.nan),
+            ("customer1", True, math.inf),
+        ],
+        ids=["another-customer", "undelivered", "before-delivery", "nan-time", "infinite-time"],
+    )
+    def test_a_ticket_against_the_rules_is_rejected(self, customer, delivered, at):
+        ledger = make_ledger()
+        order = ledger.place("customer1", "retailer", product(1), 10.0, at=0.0)
+        if delivered:
+            deliver(ledger, order, at=2.0)
+        with pytest.raises(OrderValidationError):
+            ledger.open_ticket(order, 1.0, customer, at=at)
+        assert ledger.tickets == {}
 
 
 class TestExportImport:
@@ -252,7 +279,7 @@ class TestExportImport:
         ledger.transition(a.order_id, OrderStatus.FGI, at=2.0)
         ledger.transition(a.order_id, OrderStatus.IN_TRANSIT, at=3.0)
         ledger.transition(a.order_id, OrderStatus.DELIVERED, at=4.0)
-        ledger.open_ticket(a, 2.0, "customer1", at=4.0)
+        ledger.open_ticket(a, 2.0, "retailer", at=4.0)
 
         clone = Ledger.from_lines(ledger.export_lines())
         assert clone.export_lines() == ledger.export_lines()
@@ -312,17 +339,46 @@ class TestExportImport:
 
     @pytest.mark.parametrize(
         "change",
-        [{"order_id": 99}, {"defective_qty": 6.0}, {"ticket_id": 1}, {"item": "P2"}],
-        ids=["unknown-order", "defective-above-quantity", "duplicate-id", "other-item"],
+        [
+            {"order_id": 99},
+            {"defective_qty": 6.0},
+            {"ticket_id": 1},
+            {"item": "P2"},
+            {"customer": "retailer"},
+            {"opened_at": 0.5},
+            {"defective_qty": math.nan},
+        ],
+        ids=[
+            "unknown-order",
+            "defective-above-quantity",
+            "duplicate-id",
+            "other-item",
+            "another-customer",
+            "before-delivery",
+            "nan-defective-quantity",
+        ],
     )
     def test_replay_opens_tickets_as_the_live_writer_does(self, change):
         ledger = make_ledger()
         order = ledger.place("customer1", "retailer", product(1), 5.0, at=0.0)
+        deliver(ledger, order, at=1.0)
         ledger.open_ticket(order, 1.0, "customer1", at=1.0)
         ledger.open_ticket(order, 2.0, "customer1", at=2.0)
         lines = ledger.export_lines()
         lines[-1] = json.dumps({**json.loads(lines[-1]), **change})
         with pytest.raises((CorruptionError, OrderValidationError)):
+            Ledger.from_lines(lines)
+
+    @pytest.mark.parametrize("resolved_at", [0.5, math.nan, math.inf], ids=repr)
+    def test_replay_rejects_a_ticket_resolved_before_it_opened_or_never(self, resolved_at):
+        ledger = make_ledger()
+        order = ledger.place("customer1", "retailer", product(1), 5.0, at=0.0)
+        deliver(ledger, order, at=1.0)
+        ledger.open_ticket(order, 1.0, "customer1", at=1.0).resolved_at = 3.0
+        lines = ledger.export_lines()
+        assert Ledger.from_lines(lines).tickets[1].resolved_at == 3.0
+        lines[-1] = json.dumps({**json.loads(lines[-1]), "resolved_at": resolved_at})
+        with pytest.raises(CorruptionError):
             Ledger.from_lines(lines)
 
     @pytest.mark.parametrize("bad", ["[1]", '"x"', '{"record":"order"}', "{"], ids=repr)

@@ -29,8 +29,9 @@ REFERENCE_PAIRS = [(22.4, 2.13), (12.34, 3.88), (1.2, 39.8), (0.69, 68.8)]
 SCENARIO = case_study_scenario()
 
 
-def _fold(ledger, costs=None) -> KpiReport:
-    return build_report(SCENARIO, ledger, [], costs or CostLedger(), [], {})
+def _fold(ledger, costs=None) -> tuple[KpiReport, dict[str, list[tuple[int, float]]]]:
+    """The report and every actor's (order_id, hours) delivery series."""
+    return build_report(SCENARIO, ledger, [], costs or CostLedger(), {})
 
 
 def _delivered_order(ledger, provider, created, delivered, qty=10.0):
@@ -45,8 +46,9 @@ class TestDeliveryTimes:
         ledger = Ledger()
         _delivered_order(ledger, "firm", 0.0, 4.0)
         _delivered_order(ledger, "firm", 1.0, 7.0)
-        firm = _fold(ledger).actors["firm"]
-        assert [hours for _, hours in firm.delivery_series] == [4.0, 6.0]
+        report, series = _fold(ledger)
+        firm = report.actors["firm"]
+        assert [hours for _, hours in series["firm"]] == [4.0, 6.0]
         assert firm.mean_delivery_time == 5.0
         assert firm.max_delivery_time == 6.0
 
@@ -56,22 +58,22 @@ class TestDeliveryTimes:
         ledger = Ledger()
         for _ in range(10):
             _delivered_order(ledger, "firm", 0.0, 0.1)
-        firm = _fold(ledger).actors["firm"]
+        firm = _fold(ledger)[0].actors["firm"]
         assert firm.mean_delivery_time == 0.9999999999999999 / 10
         assert firm.mean_delivery_time != 0.1
 
     def test_no_deliveries_is_absent_not_zero(self):
         ledger = Ledger()
         ledger.place("client", "firm", product(1), 1.0, at=0.0)
-        firm = _fold(ledger).actors["firm"]
-        assert firm.delivery_series == []
-        assert firm.mean_delivery_time is None
+        report, series = _fold(ledger)
+        assert series["firm"] == []
+        assert report.actors["firm"].mean_delivery_time is None
 
     def test_undelivered_orders_do_not_contribute(self):
         ledger = Ledger()
         _delivered_order(ledger, "firm", 0.0, 4.0)
         ledger.place("client", "firm", product(1), 1.0, at=0.0)
-        assert len(_fold(ledger).actors["firm"].delivery_series) == 1
+        assert len(_fold(ledger)[1]["firm"]) == 1
 
     def test_series_is_keyed_by_order_id_not_insertion(self):
         ledger = Ledger()
@@ -80,7 +82,7 @@ class TestDeliveryTimes:
         for o, t in ((o2, 9.0), (o1, 2.0)):
             ledger.transition(o.order_id, OrderStatus.IN_TRANSIT, at=o.created_at)
             ledger.transition(o.order_id, OrderStatus.DELIVERED, at=t)
-        series = _fold(ledger).actors["firm"].delivery_series
+        series = _fold(ledger)[1]["firm"]
         assert [oid for oid, _ in series] == sorted([o1.order_id, o2.order_id])
 
 
@@ -197,7 +199,7 @@ class TestCostLedger:
         costs.add(1.0, "firm", "production", 10.0)
         costs.add(2.0, "firm", "sales-revenue", 100.0)
         costs.add(3.0, "retailer", "holding", 5.0)
-        actors = _fold(Ledger(), costs).actors
+        actors = _fold(Ledger(), costs)[0].actors
         firm = actors["firm"]
         assert firm.sales_profit + sum(firm.costs.values()) == 110.0
         assert firm.costs["production"] == 10.0
@@ -230,7 +232,6 @@ def _report(mode: str, topo: str = "t0", **actor_overrides) -> KpiReport:
         census={"Open": 0},
         total_orders=0,
         actors=actors,
-        satisfaction=[],
         produced_boxes={},
         delivered_to_customers={},
     )
@@ -338,13 +339,13 @@ def test_the_fold_matches_the_per_actor_scans(orders, entries):
             amount = abs(amount)  # revenue is never negative
         costs.add(float(time), actor, category, amount)
 
-    report = _fold(ledger, costs)
+    report, delivery_series = _fold(ledger, costs)
 
     assert set(report.actors) == set(SCENARIO.actor_names())
     for name, kpis in report.actors.items():
         series, mean, longest = _oracle_delivery(ledger, name)
         assert kpis.delivered_count == len(series)
-        assert kpis.delivery_series == series
+        assert delivery_series[name] == series
         assert kpis.mean_delivery_time == mean
         assert kpis.max_delivery_time == longest
         assert kpis.sales_profit == _oracle_total(costs, name, "sales-revenue")

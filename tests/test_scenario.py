@@ -194,6 +194,20 @@ class TestFiles:
             load_demand_table(path)
         assert err.value.code == "parse"
 
+    @pytest.mark.parametrize(
+        "cell,message", [("x", "not a number: 'x'"), ("inf", "not a finite number: inf")]
+    )
+    def test_demand_csv_cell_that_is_no_finite_number_is_a_parse_error(
+        self, tmp_path, cell, message
+    ):
+        path = tmp_path / "demand.csv"
+        header = "customer,product," + ",".join(f"m{i}" for i in range(1, 13))
+        path.write_text(header + "\nc1,1," + ",".join(["1.5"] * 11 + [cell]) + "\n")
+        with pytest.raises(ScenarioError) as err:
+            load_demand_table(path)
+        assert err.value.code == "parse"
+        assert str(err.value) == f"{path}:2: {message}"
+
     def test_demand_file_reference_resolves_relative_to_scenario(self, tmp_path):
         sc = case_study_scenario()
         (tmp_path / "demand.csv").write_text(
@@ -362,6 +376,13 @@ CODE_CASES = [
     ("firm.fgi.P1", "x", "parse"),
     ("suppliers", [5], "parse"),
 ]
+# a float field takes only a YAML int or float that is not a bool; these
+# paths have parse cases above, so their ids also name the value
+FLOAT_TYPE_CASES = [
+    ("horizon_hours", "48", "parse"),
+    ("horizon_hours", True, "parse"),
+    ("prices.retailer.P1", True, "parse"),
+]
 
 
 def mutated(doc: dict, path: str, value) -> dict:
@@ -382,7 +403,10 @@ def mutated(doc: dict, path: str, value) -> dict:
 
 
 @pytest.mark.parametrize(
-    "path,value,code", CODE_CASES, ids=[f"{code}:{path}" for path, _, code in CODE_CASES]
+    "path,value,code",
+    CODE_CASES + FLOAT_TYPE_CASES,
+    ids=[f"{code}:{path}" for path, _, code in CODE_CASES]
+    + [f"{code}:{path}={value!r}" for path, value, code in FLOAT_TYPE_CASES],
 )
 def test_each_defect_gives_its_error_code(path, value, code):
     with pytest.raises(ScenarioError) as err:

@@ -88,7 +88,7 @@ class TestModeStructure:
         jumped = False
         initial = vcor_run.scenario.satisfaction.initial_vote
         by_customer: dict[str, list] = {}
-        for entry in vcor_run.report.satisfaction:
+        for entry in vcor_run.satisfaction:
             if entry["product"] == code:
                 by_customer.setdefault(entry["customer"], []).append(entry)
         for series in by_customer.values():
@@ -218,7 +218,7 @@ class TestStreamedWriter:
     def test_writing_peaks_below_the_largest_file(self, tmp_path):
         # no record file's text is held whole, so the writer's peak stays
         # under the largest file it writes (building each file whole, it
-        # peaked at ~4x); kpi.json, formatted whole, is the larger part of it
+        # peaked at ~4x)
         artifacts = run_scenario(
             case_study_scenario(mode="vcor", seed=42, horizon_hours=960.0)
         )
@@ -230,6 +230,22 @@ class TestStreamedWriter:
             tracemalloc.stop()
         largest = max(path.stat().st_size for path in tmp_path.iterdir())
         assert peak < largest
+
+    def test_writing_a_long_run_peaks_below_a_quarter_of_the_largest_file(self, tmp_path):
+        # kpi.json holds no per-order list, so no text the writer builds
+        # grows with the horizon: at 2880 h its peak is ~0.28 MB, against
+        # 1.68 MB of ledger.jsonl (1.42 MB when kpi.json repeated the records)
+        artifacts = run_scenario(
+            case_study_scenario(mode="vcor", seed=42, horizon_hours=2880.0)
+        )
+        tracemalloc.start()
+        try:
+            write_artifacts(artifacts, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest = max(path.stat().st_size for path in tmp_path.iterdir())
+        assert peak < largest / 4
 
 
 def test_a_finished_run_leaves_no_cyclic_garbage(tmp_path):
