@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, NamedTuple
 
-from .jsonl import _ENCODE, _Quoted, _trace_line
+from .jsonl import _ENCODE, _trace_line
 
 
 class SchedulingError(Exception):
@@ -27,11 +27,20 @@ class SchedulingError(Exception):
     """
 
 
+@dataclass(slots=True)
+class _Periodic:
+    """A periodic activation: its interval, and the number k of its one
+    pending occurrence, which fires at k * interval."""
+
+    interval: float
+    k: int = 1
+
+
 class Event(NamedTuple):
     """One scheduled occurrence: who fires, what kind, when.
 
     Sequence numbers are unique, so comparing two events never reaches the
-    target or the payload.
+    target, the payload or the periodic activation that scheduled it.
     """
 
     fire_time: float
@@ -39,6 +48,7 @@ class Event(NamedTuple):
     target: str
     kind: str
     payload: dict[str, Any] | None = None
+    periodic: _Periodic | None = None
 
     def payload_digest(self) -> str:
         """Short stable digest of the payload, for trace export."""
@@ -69,14 +79,6 @@ class RandomStreams:
         return rng
 
 
-@dataclass(slots=True)
-class _Periodic:
-    target: str
-    kind: str
-    interval: float
-    fired: int = 0  # occurrences scheduled so far
-
-
 Handler = Callable[["Engine", Event], None]
 
 
@@ -94,9 +96,6 @@ class Engine:
         self.trace: list[Event] = []
         self._queue: list[Event] = []
         self._next_seq = 0
-        self._periodics: list[_Periodic] = []
-        # kind -> target -> its spec; the first registration of a pair wins
-        self._periodic_of: dict[str, dict[str, _Periodic]] = {}
         self._handlers: dict[str, Handler] = {}
 
     # -- scheduling ---------------------------------------------------
@@ -107,7 +106,8 @@ class Engine:
         target: str,
         kind: str,
         payload: dict[str, Any] | None = None,
-    ) -> Event:
+        periodic: _Periodic | None = None,
+    ) -> None:
         """Enqueue an event at absolute time ``at`` (>= now)."""
         if not at >= self.now:  # also true for NaN, which compares false
             raise SchedulingError(
@@ -116,20 +116,18 @@ class Engine:
             )
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(at, seq, target, kind, payload)
-        heappush(self._queue, event)
-        return event
+        heappush(self._queue, Event(at, seq, target, kind, payload, periodic))
 
     def register_periodic(self, target: str, kind: str, interval: float) -> None:
         """Activate (target, kind) at interval, 2*interval, ... until run end.
 
-        The first activation is one full interval after t=0, never at t=0.
+        The first activation is one full interval after t=0, never at t=0;
+        each occurrence schedules the next. Every registration is its own
+        chain, a repeated (target, kind) pair included.
         """
         if interval <= 0:
             raise SchedulingError(f"periodic interval must be positive, got {interval}")
-        spec = _Periodic(target, kind, interval)
-        self._periodics.append(spec)
-        self._periodic_of.setdefault(kind, {}).setdefault(target, spec)
+        self.schedule(interval, target, kind, None, _Periodic(interval))
 
     def on(self, kind: str, handler: Handler) -> None:
         self._handlers[kind] = handler
@@ -146,16 +144,10 @@ class Engine:
         """
         if not t_end >= 0:  # also true for NaN
             raise SchedulingError(f"horizon must be a non-negative number, got {t_end}")
-        for spec in self._periodics:
-            first = spec.interval  # occurrence 1, never t=0
-            if spec.fired == 0 and first <= t_end:
-                self.schedule(first, spec.target, spec.kind, None)
-                spec.fired = 1
-        queue, trace = self._queue, self.trace
-        handlers, periodic_of = self._handlers, self._periodic_of
+        queue, trace, handlers = self._queue, self.trace, self._handlers
         while queue and queue[0][0] <= t_end:
             event = heappop(queue)
-            t, _, target, kind, _ = event
+            t, _, target, kind, _, spec = event
             if t < self.now:
                 raise SchedulingError(f"clock cannot move backwards: {t} < {self.now}")
             self.now = t
@@ -163,20 +155,17 @@ class Engine:
             handler = handlers.get(kind)
             if handler is not None:
                 handler(self, event)
-            by_target = periodic_of.get(kind)
-            spec = None if by_target is None else by_target.get(target)
             if spec is not None:
                 # occurrence times are k*interval, not accumulated sums,
                 # so the count over a horizon is exact
-                nxt = (spec.fired + 1) * spec.interval
+                nxt = (spec.k + 1) * spec.interval
                 if nxt <= t_end:
-                    self.schedule(nxt, spec.target, spec.kind, None)
-                    spec.fired += 1
+                    self.schedule(nxt, target, kind, None, spec)
+                    spec.k += 1
         self._handlers = {}
         return self.trace
 
 
 def trace_lines(trace: list[Event]) -> list[str]:
     """Serialize a fired-event trace, one JSON record per line."""
-    q = _Quoted()
-    return [_trace_line(e, q) for e in trace]
+    return [_trace_line(e) for e in trace]

@@ -52,61 +52,51 @@ def _ENCODE_INDENTED(value) -> str:
     return "".join(_iter_indented(value, 0))
 
 
-class _Quoted(dict):
-    """Per-export cache of the JSON strings of repeating names (actors, kinds, statuses)."""
-
-    __slots__ = ()
-
-    def __missing__(self, name: str) -> str:
-        quoted = self[name] = _escape(name)
-        return quoted
-
-
-def _trace_line(e, q: _Quoted) -> str:
+def _trace_line(e) -> str:
     digest = "-" if e.payload is None else e.payload_digest()
     return (
-        f'{{"digest":"{digest}","kind":{q[e.kind]},"seq":{_num(e.sequence_no)},'
-        f'"t":{_num(e.fire_time)},"target":{q[e.target]}}}'
+        f'{{"digest":"{digest}","kind":{_escape(e.kind)},"seq":{_num(e.sequence_no)},'
+        f'"t":{_num(e.fire_time)},"target":{_escape(e.target)}}}'
     )
 
 
-def _order_line(o, q: _Quoted) -> str:
+def _order_line(o) -> str:
     return (
-        f'{{"client":{q[o.client]},"created_at":{_num(o.created_at)},'
-        f'"defective_qty":{_num(o.defective_qty)},"item":{q[o.item.code]},'
-        f'"order_id":{_num(o.order_id)},"provider":{q[o.provider]},'
+        f'{{"client":{_escape(o.client)},"created_at":{_num(o.created_at)},'
+        f'"defective_qty":{_num(o.defective_qty)},"item":{_escape(o.item.code)},'
+        f'"order_id":{_num(o.order_id)},"provider":{_escape(o.provider)},'
         f'"quantity":{_num(o.quantity)},"record":"order",'
         f'"replacement_for":{_num(o.replacement_for)},'
         f'"shippable_after":{_num(o.shippable_after)}}}'
     )
 
 
-def _transition_line(order_id, status: str, at, q: _Quoted) -> str:
+def _transition_line(order_id, status: str, at) -> str:
     return (
         f'{{"at":{_num(at)},"order_id":{_num(order_id)},'
-        f'"record":"transition","status":{q[status]}}}'
+        f'"record":"transition","status":{_escape(status)}}}'
     )
 
 
-def _ticket_line(t, q: _Quoted) -> str:
+def _ticket_line(t) -> str:
     return (
-        f'{{"customer":{q[t.customer]},"defective_qty":{_num(t.defective_qty)},'
-        f'"item":{q[t.item.code]},"opened_at":{_num(t.opened_at)},'
+        f'{{"customer":{_escape(t.customer)},"defective_qty":{_num(t.defective_qty)},'
+        f'"item":{_escape(t.item.code)},"opened_at":{_num(t.opened_at)},'
         f'"order_id":{_num(t.order_id)},"record":"ticket",'
         f'"replacement_order_id":{_num(t.replacement_order_id)},'
         f'"resolved_at":{_num(t.resolved_at)},"ticket_id":{_num(t.ticket_id)}}}'
     )
 
 
-def _cost_line(e, q: _Quoted) -> str:
+def _cost_line(e) -> str:
     return (
-        f'{{"actor":{q[e.actor]},"amount":{_num(e.amount)},'
-        f'"category":{q[e.category]},"t":{_num(e.time)}}}'
+        f'{{"actor":{_escape(e.actor)},"amount":{_num(e.amount)},'
+        f'"category":{_escape(e.category)},"t":{_num(e.time)}}}'
     )
 
 
-def _satisfaction_line(e: dict, q: _Quoted) -> str:
+def _satisfaction_line(e: dict) -> str:
     return (
-        f'{{"customer":{q[e["customer"]]},"k":{_num(e["k"])},'
-        f'"product":{q[e["product"]]},"time":{_num(e["time"])},"vote":{_num(e["vote"])}}}'
+        f'{{"customer":{_escape(e["customer"])},"k":{_num(e["k"])},'
+        f'"product":{_escape(e["product"])},"time":{_num(e["time"])},"vote":{_num(e["vote"])}}}'
     )

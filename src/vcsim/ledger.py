@@ -16,7 +16,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Iterable
 
-from .jsonl import _Quoted, _order_line, _ticket_line, _transition_line
+from .jsonl import _order_line, _ticket_line, _transition_line
 
 
 class LedgerError(Exception):
@@ -141,7 +141,6 @@ class Order:
     status: OrderStatus = OrderStatus.OPEN
     reserved: float = 0.0
     shippable_after: float = 0.0
-    shipped_at: float | None = None
     delivered_at: float | None = None
     defective_qty: float = 0.0
     replacement_for: int | None = None  # ticket id, for support replacements
@@ -171,7 +170,6 @@ _OLDEST_FIRST = attrgetter("created_at", "order_id")
 # against these, and ``_value_`` is the plain attribute behind ``value``
 _OPEN = OrderStatus.OPEN
 _FGI = OrderStatus.FGI
-_IN_TRANSIT = OrderStatus.IN_TRANSIT
 _DELIVERED = OrderStatus.DELIVERED
 _INF = math.inf
 
@@ -289,8 +287,6 @@ class Ledger:
             if bucket is None:
                 bucket = self._fgi[order.provider] = {}
             bucket[order_id] = order
-        elif new_status is _IN_TRANSIT:
-            order.shipped_at = at
         elif new_status is _DELIVERED:
             order.delivered_at = at
             self._outstanding[(order.client, order.item)] -= 1
@@ -371,20 +367,19 @@ class Ledger:
         the part's records, one JSON record per line, so a writer can format
         a long part a slice at a time.
         """
-        q = _Quoted()
         orders, tickets = self.orders, self.tickets
         return (
             (
                 [orders[i] for i in sorted(orders)],
-                lambda run: [_order_line(o, q) for o in run],
+                lambda run: [_order_line(o) for o in run],
             ),
             (
                 self.transitions,
-                lambda run: [_transition_line(i, status, at, q) for i, status, at in run],
+                lambda run: [_transition_line(i, status, at) for i, status, at in run],
             ),
             (
                 [tickets[i] for i in sorted(tickets)],
-                lambda run: [_ticket_line(t, q) for t in run],
+                lambda run: [_ticket_line(t) for t in run],
             ),
         )
 
@@ -403,7 +398,8 @@ class Ledger:
         ``open_ticket``, in id order. Illegal moves, time reversals and
         transitions of unknown orders raise ``TransitionError``; a record
         that is not one the export writes raises ``CorruptionError`` naming
-        its line.
+        its line. A ticket and its replacement order must name each other;
+        a link that only one side states raises ``CorruptionError`` too.
         """
         ledger = cls()
         pending: dict[int, Order] = {}
@@ -419,6 +415,14 @@ class Ledger:
                 ) from None
         if pending:
             raise CorruptionError(f"order {min(pending)} has no Open transition record")
+        for order in ledger.orders.values():
+            if order.replacement_for is not None:
+                ticket = ledger.tickets.get(order.replacement_for)
+                if ticket is None or ticket.replacement_order_id != order.order_id:
+                    raise CorruptionError(
+                        f"order {order.order_id} replaces ticket {order.replacement_for}, "
+                        "which names no such replacement"
+                    )
         return ledger
 
     def _replay(self, rec: dict, pending: dict[int, Order]) -> None:
@@ -470,7 +474,15 @@ class Ledger:
             ticket = self.open_ticket(
                 order, rec["defective_qty"], rec["customer"], rec["opened_at"]
             )
-            ticket.replacement_order_id = rec.get("replacement_order_id")
+            replacement_id = rec.get("replacement_order_id")
+            if replacement_id is not None:
+                replacement = self.orders.get(replacement_id)
+                if replacement is None or replacement.replacement_for != ticket_id:
+                    raise CorruptionError(
+                        f"ticket {ticket_id} names order {replacement_id} as its "
+                        "replacement, which does not replace it"
+                    )
+            ticket.replacement_order_id = replacement_id
             resolved_at = rec.get("resolved_at")
             if resolved_at is not None and not ticket.opened_at <= resolved_at < _INF:
                 raise CorruptionError(

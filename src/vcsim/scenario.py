@@ -670,6 +670,11 @@ class Scenario:
             "mode=scor forces all value-chain processes off, got {}",
             enabled,
         )
+        seen: set[str] = set()
+        for name in self.actor_names():
+            if name in seen:
+                raise ScenarioError("duplicate-actor-name", f"two actors are named {name!r}")
+            seen.add(name)
 
         products, raws = set(self.products), set(self.raws)
         for pid, needs in self.bom.items():
@@ -682,12 +687,11 @@ class Scenario:
             _require(rid in raws, "unknown-raw", "bom_override uses unknown raw {}", rid)
 
         covered: set[int] = set()
-        producers: dict[str, tuple[int, ...]] = {}  # the first supplier of each name
+        producers = {s.name: s.raws for s in self.suppliers}
         for s in self.suppliers:
             for rid in s.raws:
                 _require(rid in raws, "unknown-raw", "{} produces unknown raw {}", s.name, rid)
             covered.update(s.raws)
-            producers.setdefault(s.name, s.raws)
         _require(raws <= covered, "raw-not-covered", "raws nobody produces: {}", raws - covered)
         for rid, name in self.raw_sources.items():
             _require(rid in raws, "unknown-raw", "source for unknown raw {}", rid)

@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 from .actors import Chain
 from .engine import Engine, Event, trace_lines
-from .jsonl import _ENCODE, _Quoted, _cost_line, _satisfaction_line
+from .jsonl import _ENCODE, _cost_line, _satisfaction_line
 from .ledger import InventoryRecord, Ledger, product, raw
 from .metrics import CostLedger, KpiReport, build_report
 from .scenario import Scenario
@@ -85,18 +85,17 @@ def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
             "mode": report.mode,
         }
     )
-    q = _Quoted()
     _write_file(out_dir / "trace.jsonl", header, [(artifacts.trace, trace_lines)])
     _write_file(out_dir / "ledger.jsonl", header, artifacts.ledger.export_parts())
     _write_file(
         out_dir / "costs.jsonl",
         header,
-        [(artifacts.costs.entries, lambda run: [_cost_line(e, q) for e in run])],
+        [(artifacts.costs.entries, lambda run: [_cost_line(e) for e in run])],
     )
     _write_file(
         out_dir / "satisfaction.jsonl",
         header,
-        [(artifacts.satisfaction, lambda run: [_satisfaction_line(e, q) for e in run])],
+        [(artifacts.satisfaction, lambda run: [_satisfaction_line(e) for e in run])],
     )
     _write_file(out_dir / "kpi.json", report.to_json())
     _write_file(

@@ -198,12 +198,15 @@ class TestSupportLoop:
             if t.replacement_order_id is not None
         ]
         assert held
+        shipped_at = {
+            i: at for i, status, at in artifacts.ledger.transitions if status == "InTransit"
+        }
         for replacement in held:
             assert replacement.shippable_after == pytest.approx(
                 replacement.created_at + 2.3
             )
-            if replacement.shipped_at is not None:
-                assert replacement.shipped_at >= replacement.created_at + 2.3
+            if replacement.order_id in shipped_at:
+                assert shipped_at[replacement.order_id] >= replacement.created_at + 2.3
 
     def test_resolution_decays_defect_probability(self):
         artifacts = self._vcor_support_run(education_decay=0.9)

@@ -161,7 +161,9 @@ def test_periodic_count_is_floor_of_horizon_over_interval(interval, horizon):
     eng = Engine()
     eng.register_periodic("a", "tick", interval)
     trace = eng.run_until(horizon)
-    assert len(trace) == math.floor(horizon / interval)
+    n = math.floor(horizon / interval)
+    assert len(trace) == n
+    assert [e.fire_time for e in trace] == [k * interval for k in range(1, n + 1)]
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=60))
@@ -192,13 +194,13 @@ def test_substreams_differ_by_name():
     assert eng.streams.stream("a").random() != eng.streams.stream("b").random()
 
 
-def test_duplicate_periodic_follows_the_first_registration():
+def test_each_periodic_registration_is_its_own_chain():
     eng = Engine()
     eng.register_periodic("a", "tick", 3.0)
     eng.register_periodic("a", "tick", 5.0)
-    # both first occurrences fire; every one reschedules the 3 h spec
+    # the same (target, kind) twice: each occurrence reschedules its own chain
     times = [e.fire_time for e in eng.run_until(20.0)]
-    assert times == [3.0, 5.0, 6.0, 9.0, 12.0, 15.0, 18.0]
+    assert times == [3.0, 5.0, 6.0, 9.0, 10.0, 12.0, 15.0, 15.0, 18.0, 20.0]
 
 
 def test_trace_lines_schema():

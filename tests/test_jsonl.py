@@ -15,7 +15,6 @@ from vcsim.engine import Event, trace_lines
 from vcsim.jsonl import (
     _ENCODE,
     _ENCODE_INDENTED,
-    _Quoted,
     _cost_line,
     _num,
     _order_line,
@@ -57,13 +56,6 @@ items = st.builds(
 @given(scalars)
 def test_num_matches_json(x):
     assert _num(x) == dumps(x)
-
-
-@given(st.lists(names, max_size=6))
-def test_quoted_names_match_json(strings):
-    q = _Quoted()
-    for s in strings + strings:  # the second pass reads the cache
-        assert q[s] == dumps(s)
 
 
 payloads = st.one_of(
@@ -113,9 +105,8 @@ orders = st.builds(
 
 @given(st.lists(orders, max_size=6))
 def test_order_line_matches_json(records):
-    q = _Quoted()  # shared, as in one export, so repeated names hit the cache
     for o in records:
-        assert _order_line(o, q) == dumps(
+        assert _order_line(o) == dumps(
             {
                 "record": "order",
                 "order_id": o.order_id,
@@ -133,9 +124,8 @@ def test_order_line_matches_json(records):
 
 @given(st.lists(st.tuples(st.integers(min_value=0), names, numbers), max_size=6))
 def test_transition_line_matches_json(records):
-    q = _Quoted()
     for order_id, status, at in records:
-        assert _transition_line(order_id, status, at, q) == dumps(
+        assert _transition_line(order_id, status, at) == dumps(
             {"record": "transition", "order_id": order_id, "status": status, "at": at}
         )
 
@@ -155,9 +145,8 @@ tickets = st.builds(
 
 @given(st.lists(tickets, max_size=6))
 def test_ticket_line_matches_json(records):
-    q = _Quoted()
     for t in records:
-        assert _ticket_line(t, q) == dumps(
+        assert _ticket_line(t) == dumps(
             {
                 "record": "ticket",
                 "ticket_id": t.ticket_id,
@@ -174,9 +163,8 @@ def test_ticket_line_matches_json(records):
 
 @given(st.lists(st.builds(CostEntry, numbers, names, names, numbers), max_size=6))
 def test_cost_line_matches_json(entries):
-    q = _Quoted()
     for e in entries:
-        assert _cost_line(e, q) == dumps(
+        assert _cost_line(e) == dumps(
             {"t": e.time, "actor": e.actor, "category": e.category, "amount": e.amount}
         )
 
@@ -189,9 +177,8 @@ satisfaction_entries = st.fixed_dictionaries(
 
 @given(st.lists(satisfaction_entries, max_size=6))
 def test_satisfaction_line_matches_json(entries):
-    q = _Quoted()
     for e in entries:
-        assert _satisfaction_line(e, q) == dumps(e)
+        assert _satisfaction_line(e) == dumps(e)
 
 
 json_values = st.recursive(

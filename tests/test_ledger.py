@@ -22,6 +22,8 @@ from vcsim.ledger import (
     raw,
     replay_final_statuses,
 )
+from vcsim.scenario import case_study_scenario
+from vcsim.simulation import run_scenario
 
 
 def make_ledger() -> Ledger:
@@ -84,8 +86,10 @@ class TestTransitions:
         order = ledger.place("retailer", "firm", product(1), 5.0, at=0.0)
         ledger.transition(order.order_id, OrderStatus.IN_TRANSIT, at=5.0)
         assert order.status is OrderStatus.IN_TRANSIT
-        assert order.shipped_at == 5.0
-        assert (order.order_id, "InTransit", 5.0) in ledger.transitions
+        shipped_at = [
+            at for i, status, at in ledger.transitions if (i, status) == (order.order_id, "InTransit")
+        ]
+        assert shipped_at == [5.0]
 
     def test_backward_edge_rejected(self):
         ledger = make_ledger()
@@ -378,6 +382,31 @@ class TestExportImport:
         lines = ledger.export_lines()
         assert Ledger.from_lines(lines).tickets[1].resolved_at == 3.0
         lines[-1] = json.dumps({**json.loads(lines[-1]), "resolved_at": resolved_at})
+        with pytest.raises(CorruptionError):
+            Ledger.from_lines(lines)
+
+    @pytest.fixture(scope="class")
+    def case_study_lines(self):
+        ledger = run_scenario(case_study_scenario("vcor", 42, 480.0)).ledger
+        return ledger.export_lines()
+
+    @pytest.mark.parametrize(
+        "record,key,value",
+        [
+            ("ticket", "replacement_order_id", 99999),
+            ("ticket", "replacement_order_id", 1),
+            ("order", "replacement_for", 99999),
+        ],
+        ids=["ticket-names-no-order", "ticket-names-an-unrelated-order", "order-names-no-ticket"],
+    )
+    def test_replay_rejects_a_replacement_link_only_one_side_states(
+        self, case_study_lines, record, key, value
+    ):
+        lines = list(case_study_lines)
+        assert Ledger.from_lines(lines).export_lines() == lines
+        records = [json.loads(line) for line in lines]
+        i = next(i for i, rec in enumerate(records) if rec["record"] == record and rec[key])
+        lines[i] = json.dumps({**records[i], key: value})
         with pytest.raises(CorruptionError):
             Ledger.from_lines(lines)
 

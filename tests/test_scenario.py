@@ -364,6 +364,10 @@ CODE_CASES = [
     ("prices.ghost", {"P1": 2.0}, "item-kind-not-used-by-role"),
     ("costs.holding_per_unit_hour.upstream", {"R1": 0.1}, "item-kind-not-used-by-role"),
     ("costs.holding_per_unit_hour.customer1", {"R1": 0.1}, "item-kind-not-used-by-role"),
+    # every actor name is unique across the roles
+    ("suppliers.0.name", "supplier2", "duplicate-actor-name"),
+    ("customers.1.name", "retailer", "duplicate-actor-name"),
+    ("sell.prospects.0.name", "customer1", "duplicate-actor-name"),
     # an integer field takes only a YAML int that is not a bool
     ("seed", 1.5, "parse"),
     ("seed", "3", "parse"),
