@@ -12,6 +12,7 @@ events fire in insertion (FIFO) order.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -19,9 +20,12 @@ from typing import Any, Callable, NamedTuple
 
 from .jsonl import _ENCODE, _trace_line
 
+_INF = math.inf
+
 
 class SchedulingError(Exception):
-    """Raised when an event is scheduled in the past or with a bad interval.
+    """Raised for an event time in the past, infinite or NaN, a bad
+    interval, or a horizon that is negative, infinite or NaN.
 
     Signals a logic bug in the caller; the engine never clamps times.
     """
@@ -108,11 +112,11 @@ class Engine:
         payload: dict[str, Any] | None = None,
         periodic: _Periodic | None = None,
     ) -> None:
-        """Enqueue an event at absolute time ``at`` (>= now)."""
-        if not at >= self.now:  # also true for NaN, which compares false
+        """Enqueue an event at absolute time ``at`` (>= now, finite)."""
+        if not self.now <= at < _INF:  # also true for NaN, which compares false
             raise SchedulingError(
                 f"cannot schedule '{kind}' at t={at} when now={self.now}: "
-                "the time is past or not a number"
+                "the time is past, infinite or not a number"
             )
         seq = self._next_seq
         self._next_seq = seq + 1
@@ -142,8 +146,9 @@ class Engine:
         dropped, since their owner (a ``Chain``) holds this engine, and that
         cycle would leave the whole run to the cyclic garbage collector.
         """
-        if not t_end >= 0:  # also true for NaN
-            raise SchedulingError(f"horizon must be a non-negative number, got {t_end}")
+        if not 0 <= t_end < _INF:  # also true for NaN
+            # a periodic's next occurrence is always <= an infinite horizon
+            raise SchedulingError(f"horizon must be a finite non-negative number, got {t_end}")
         queue, trace, handlers = self._queue, self.trace, self._handlers
         while queue and queue[0][0] <= t_end:
             event = heappop(queue)

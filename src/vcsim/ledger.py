@@ -397,9 +397,10 @@ class Ledger:
         later record goes through ``transition``, and every ticket through
         ``open_ticket``, in id order. Illegal moves, time reversals and
         transitions of unknown orders raise ``TransitionError``; a record
-        that is not one the export writes raises ``CorruptionError`` naming
-        its line. A ticket and its replacement order must name each other;
-        a link that only one side states raises ``CorruptionError`` too.
+        that is not one the export writes, an id that is not an int
+        included, raises ``CorruptionError`` naming its line. A ticket and
+        its replacement order must name each other; a link that only one
+        side states raises ``CorruptionError`` too.
         """
         ledger = cls()
         pending: dict[int, Order] = {}
@@ -431,13 +432,13 @@ class Ledger:
             return  # provenance line of exported artifact files
         if kind == "order":
             order = Order(
-                order_id=rec["order_id"],
+                order_id=_id_of(rec, "order_id"),
                 client=rec["client"],
                 provider=rec["provider"],
                 item=Item.parse(rec["item"]),
                 quantity=rec["quantity"],
                 created_at=rec["created_at"],
-                replacement_for=rec.get("replacement_for"),
+                replacement_for=_id_of(rec, "replacement_for", optional=True),
                 shippable_after=rec.get("shippable_after", rec["created_at"]),
                 defective_qty=rec.get("defective_qty", 0.0),
             )
@@ -445,7 +446,7 @@ class Ledger:
                 raise CorruptionError(f"duplicate order id {order.order_id}")
             pending[order.order_id] = order
         elif kind == "transition":
-            order_id, at = rec["order_id"], rec["at"]
+            order_id, at = _id_of(rec, "order_id"), rec["at"]
             try:
                 status = OrderStatus(rec["status"])
             except ValueError:
@@ -461,7 +462,7 @@ class Ledger:
                     f"t={order.created_at}, got {status.value} at t={at}"
                 )
         elif kind == "ticket":
-            ticket_id, order_id = rec["ticket_id"], rec["order_id"]
+            ticket_id, order_id = _id_of(rec, "ticket_id"), _id_of(rec, "order_id")
             if ticket_id != self._next_ticket_id:
                 raise CorruptionError(
                     f"ticket {ticket_id} out of sequence, expected {self._next_ticket_id}"
@@ -474,7 +475,7 @@ class Ledger:
             ticket = self.open_ticket(
                 order, rec["defective_qty"], rec["customer"], rec["opened_at"]
             )
-            replacement_id = rec.get("replacement_order_id")
+            replacement_id = _id_of(rec, "replacement_order_id", optional=True)
             if replacement_id is not None:
                 replacement = self.orders.get(replacement_id)
                 if replacement is None or replacement.replacement_for != ticket_id:
@@ -492,6 +493,17 @@ class Ledger:
             ticket.resolved_at = resolved_at
         else:
             raise CorruptionError(f"unknown ledger record kind: {kind!r}")
+
+
+def _id_of(rec: dict, key: str, optional: bool = False) -> int | None:
+    """The id under ``key``: an int, not a float or a bool, or None if ``optional``.
+
+    A float id would equal and hash as the int, then export as a float.
+    """
+    value = rec.get(key) if optional else rec[key]
+    if type(value) is int or (optional and value is None):
+        return value
+    raise TypeError(f"{key} is not an integer: {value!r}")
 
 
 def replay_final_statuses(transitions: Iterable[tuple[int, str, float]]) -> dict[int, str]:

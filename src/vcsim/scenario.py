@@ -9,9 +9,10 @@ three-supplier / one-firm / one-retailer / two-customer chain over a
 48-hour horizon.
 
 Each spec field is declared once, with its document path and codec (see
-``_field``). ``Scenario.to_dict``, the parser and the per-field checks of
-``Scenario.validate`` loop over these declarations; only the checks that
-relate fields to each other are written out by hand.
+``_field``). ``Scenario.to_dict``, the parser, the per-field checks of
+``Scenario.validate`` and the parts of ``Scenario.digests`` loop over these
+declarations; only the checks that relate fields to each other are written
+out by hand.
 """
 
 from __future__ import annotations
@@ -256,8 +257,8 @@ def _field(codec: _Codec, path: str | None = None, *, absent=MISSING, **default)
     return field(**default, metadata={"doc": (path, codec, absent)})
 
 
-def _spec(cls, declared: dict | None = None) -> _Codec:
-    """The codec of a spec dataclass, from its ``_field`` declarations.
+def _declarations(cls, declared: dict | None = None) -> list[tuple]:
+    """``(attr, key, keys, codec, absent)`` per ``_field`` of ``cls``.
 
     ``declared`` maps field names to them for a class declared elsewhere.
     A nested spec's flattened keys follow the spec's own.
@@ -269,6 +270,12 @@ def _spec(cls, declared: dict | None = None) -> _Codec:
         key = attr if path is None else path
         entries.append((attr, key, key.split(".") if key else [], codec, absent))
     entries.sort(key=lambda entry: not entry[2])
+    return entries
+
+
+def _spec(cls, declared: dict | None = None) -> _Codec:
+    """The codec of a spec dataclass, from its ``_field`` declarations."""
+    entries = _declarations(cls, declared)
     checks = [(attr, key, codec.check) for attr, key, _, codec, _ in entries if codec.check]
 
     def load(doc):
@@ -321,7 +328,8 @@ def _string(value) -> str:
 _NUM = _Codec(_number)
 _INT = _Codec(_integer)
 _STR = _Codec(_string)
-_FREQUENCY = _num("bad-frequency", "(0, inf]")
+# times and intervals are finite: the engine schedules no event at infinity
+_FREQUENCY = _num("bad-frequency", "(0, inf)")
 _STOCK = _num("negative-stock", "[0, inf]")
 _KG_PER_BOX = _num("bad-bom-quantity", "(0, inf]")
 _RECIPE = _map(RAW, _KG_PER_BOX)
@@ -380,8 +388,8 @@ def _dump_lead_time(lt: LeadTime) -> dict:
 
 def _lead_time_ok(lt: LeadTime) -> bool:
     if lt.kind == "uniform":
-        return 0 <= lt.low <= lt.high
-    return lt.kind in ("fixed", "exponential") and lt.hours >= 0
+        return 0 <= lt.low <= lt.high < math.inf
+    return lt.kind in ("fixed", "exponential") and 0 <= lt.hours < math.inf
 
 
 _LEAD_TIME = _Codec(
@@ -409,7 +417,7 @@ class FirmSpec:
     production_mode: dict[int, str] = _field(
         _map(PRODUCT, _one_of("bad-production-mode", PRODUCTION_MODES)), default_factory=dict
     )
-    capacity_boxes_per_day: float = _field(_num("bad-capacity", "(0, inf]"), default=185.0)
+    capacity_boxes_per_day: float = _field(_num("bad-capacity", "(0, inf)"), default=185.0)
     deliver_every: float = _field(_FREQUENCY, "frequencies.deliver", default=2.5)
     source_every: float = _field(_FREQUENCY, "frequencies.source", default=3.0)
     make_every: float = _field(_FREQUENCY, "frequencies.make", default=3.0)
@@ -450,7 +458,7 @@ class SupportConfig:
         _map(PRODUCT, _num("bad-defect-probability", "[0, 1]")), default_factory=dict
     )
     education_decay: float = _field(_num("bad-education-decay", "(0, 1]"), default=0.9)
-    handling_hours: float = _field(_num("bad-handling-time", "[0, inf]"), default=2.3)
+    handling_hours: float = _field(_num("bad-handling-time", "[0, inf)"), default=2.3)
     max_defective_fraction: float = _field(_num("bad-defective-fraction", "(0, 1]"), default=0.25)
 
 
@@ -462,7 +470,7 @@ class MarketConfig:
 
 @dataclass(frozen=True, slots=True)
 class InnovationConfig:
-    delay_hours: float = _field(_num("bad-innovation-delay", "[0, inf]"), default=8.0)
+    delay_hours: float = _field(_num("bad-innovation-delay", "[0, inf)"), default=8.0)
     technology_cost: float = _field(_NUM, default=500.0)
     bom_override: dict[int, float] | None = _field(  # raw id -> kg per box
         _map(RAW, _KG_PER_BOX, optional=True), default=None
@@ -657,12 +665,19 @@ class Scenario:
         """Check each field against its table entry, then the cross-references.
 
         Every scenario build runs this, so the loops over many entries test
-        and raise inline rather than call ``_require``.
+        and raise inline rather than call ``_require``. A field value that
+        passed its check before, in this or another scenario, is not checked
+        again (see ``_memo``); the cross-references are checked every time.
         """
-        try:
-            _SCENARIO.check(self)
-        except _Misfit as exc:
-            raise _located(exc) from None
+        for attr, key, check in _CHECKS:
+            value = getattr(self, attr)
+            if (attr, id(value)) not in _memo:
+                try:
+                    check(value)
+                except _Misfit as exc:
+                    exc.path.append(key)
+                    raise _located(exc) from None
+                _remember((attr, id(value)), value, None)
         enabled = [p for p, on in self.processes.items() if on]
         _require(
             self.mode == "vcor" or not enabled,
@@ -748,21 +763,31 @@ class Scenario:
         return {"schema": SCHEMA_VERSION, **_SCENARIO.dump(self)}
 
     def digests(self) -> tuple[str, str]:
-        """The scenario digest and the topology digest, from one dump.
+        """The scenario digest and the topology digest.
 
         Each is the sha256 prefix of the compact, key-sorted JSON of a dict:
         ``to_dict()``, and for the topology the same without the keys a
         SCOR/VCOR pair may differ in, which a comparable pair must share.
-        Each top-level value is encoded once, and both blobs are joined from
-        those parts.
+        Both blobs are joined from one part per field, its key and the JSON
+        of its document value; a value's part is encoded once per process
+        and kept in ``_memo`` for the scenarios that share the value.
         """
-        parts = [
-            (key, f"{_escape(key)}:{_ENCODE(value)}")
-            for key, value in sorted(self.to_dict().items())
-        ]
-        full = "{" + ",".join(part for _, part in parts) + "}"
-        shared = "{" + ",".join(part for key, part in parts if key not in _PAIR_VARIANT) + "}"
-        return _short_sha256(full), _short_sha256(shared)
+        full, shared = [], []
+        for head, members, tail, in_topology in _DIGEST_LAYOUT:
+            parts = []
+            for attr, prefix, dump in members:
+                value = getattr(self, attr)
+                key = (attr, id(value))
+                part = _memo.get(key, _UNSEEN)[1]
+                if part is None:
+                    part = prefix + _ENCODE(value if dump is None else dump(value))
+                    _remember(key, value, part)
+                parts.append(part)
+            text = head + ",".join(parts) + tail
+            full.append(text)
+            if in_topology:
+                shared.append(text)
+        return _short_sha256("{%s}" % ",".join(full)), _short_sha256("{%s}" % ",".join(shared))
 
 
 # the top-level keys a SCOR/VCOR pair may differ in, left out of the topology digest
@@ -774,6 +799,61 @@ def _short_sha256(text: str) -> str:
 
 
 _SCENARIO = _spec(Scenario)
+
+
+# -- the shared-value memo ---------------------------------------------------
+#
+# A scenario derived by ``dataclasses.replace`` shares each unchanged field
+# value with its template by identity, and the values are read-only by
+# contract. So a value that passed its field's check is remembered under
+# (field, id(value)), and with it the digest part of the value once
+# ``digests`` has encoded it. An entry holds its value, so the id is not
+# reused while the entry lives; a value that fails its check is never
+# remembered. Past ``_MEMO_SIZE`` entries the oldest goes first.
+
+_MEMO_SIZE = 256
+_memo: dict[tuple[str, int], tuple[object, str | None]] = {}
+_UNSEEN = (None, None)
+
+
+def _remember(key: tuple[str, int], value, part: str | None) -> None:
+    if key not in _memo and len(_memo) >= _MEMO_SIZE:
+        _memo.pop(next(iter(_memo)), None)  # None: another thread evicted it first
+    _memo[key] = (value, part)
+
+
+_CHECKS = [
+    (attr, key, codec.check)
+    for attr, key, _, codec, _ in _declarations(Scenario)
+    if codec.check is not None
+]
+
+
+def _digest_layout() -> list[tuple]:
+    """``(head, members, tail, in_topology)`` per top-level key of ``to_dict``, in key order.
+
+    A key's JSON is its head, its members' parts joined by commas, and its
+    tail. A member is ``(attr, prefix, dump)``: its part is the prefix
+    (its key) and the compact JSON of the field's dumped value. The fields
+    of a dotted path ("catalog.bom") are members of one JSON object.
+    """
+    groups: dict[str, list] = {}
+    for attr, _, keys, codec, _ in _declarations(Scenario):
+        groups.setdefault(keys[0], []).append((keys[1:], attr, codec.dump))
+    layout = [("schema", f"{_escape('schema')}:{_ENCODE(SCHEMA_VERSION)}", (), "")]
+    for top, members in groups.items():
+        name = _escape(top) + ":"
+        if members[0][0]:  # "group.key" paths
+            parts = tuple((attr, _escape(sub) + ":", dump) for (sub,), attr, dump in sorted(members))
+            layout.append((top, name + "{", parts, "}"))
+        else:
+            ((_, attr, dump),) = members
+            layout.append((top, "", ((attr, name, dump),), ""))
+    layout.sort(key=lambda entry: entry[0])
+    return [(head, parts, tail, top not in _PAIR_VARIANT) for top, head, parts, tail in layout]
+
+
+_DIGEST_LAYOUT = _digest_layout()
 
 
 # -- parsing ---------------------------------------------------------------

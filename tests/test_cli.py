@@ -31,6 +31,13 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "forgetting-factor-out-of-range" in capsys.readouterr().err
 
+    def test_the_printed_digest_is_the_digest_of_the_run(self, scenario_file, tmp_path, capsys):
+        assert main(["validate", str(scenario_file)]) == 0
+        printed = capsys.readouterr().out.split("digest=")[1].split()[0]
+        assert main(["run", str(scenario_file), "--out", str(tmp_path / "out")]) == 0
+        kpi = json.loads((tmp_path / "out" / "kpi.json").read_text(encoding="utf-8"))
+        assert printed == kpi["scenario_digest"]
+
     def test_missing_file_exits_three(self, tmp_path):
         assert main(["validate", str(tmp_path / "absent.yaml")]) == 3
 

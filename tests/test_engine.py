@@ -51,6 +51,24 @@ def test_a_horizon_that_is_not_a_number_is_an_error():
         eng.run_until(-1.0)
 
 
+def test_an_infinite_time_is_an_error():
+    # no periodic is registered: with one, run_until(inf) would never return,
+    # since every next occurrence is <= an infinite horizon
+    eng = Engine()
+    with pytest.raises(SchedulingError):
+        eng.schedule(math.inf, "x", "never")
+    eng.schedule(1.0, "x", "a")
+    with pytest.raises(SchedulingError):
+        eng.run_until(math.inf)
+    assert eng.now == 0.0
+    assert [e.kind for e in eng.run_until(5.0)] == ["a"]
+
+
+def test_an_infinite_periodic_interval_is_an_error():
+    with pytest.raises(SchedulingError):
+        Engine().register_periodic("x", "tick", math.inf)
+
+
 def test_run_until_pops_minimum_and_moves_clock():
     eng = Engine()
     eng.schedule(4.0, "x", "Y")

@@ -410,6 +410,29 @@ class TestExportImport:
         with pytest.raises(CorruptionError):
             Ledger.from_lines(lines)
 
+    @pytest.mark.parametrize(
+        "record,key,convert",
+        [
+            ("order", "order_id", float),
+            ("order", "replacement_for", float),
+            ("transition", "order_id", float),
+            ("ticket", "ticket_id", float),
+            ("ticket", "ticket_id", bool),  # ticket 1 as true, which equals 1
+            ("ticket", "order_id", float),
+            ("ticket", "replacement_order_id", float),
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_replay_rejects_an_id_that_is_not_an_int(self, case_study_lines, record, key, convert):
+        # a float id equals and hashes as the int, so it would replay and
+        # then export as a float
+        lines = list(case_study_lines)
+        records = [json.loads(line) for line in lines]
+        i = next(i for i, rec in enumerate(records) if rec["record"] == record and rec[key])
+        lines[i] = json.dumps({**records[i], key: convert(records[i][key])})
+        with pytest.raises(CorruptionError, match=f"^line {i + 1}: .*{key} is not an integer"):
+            Ledger.from_lines(lines)
+
     @pytest.mark.parametrize("bad", ["[1]", '"x"', '{"record":"order"}', "{"], ids=repr)
     def test_a_malformed_line_is_corruption_naming_its_number(self, bad):
         lines = make_ledger().export_lines() + ["", bad]

@@ -18,11 +18,14 @@ import vcsim
 from vcsim.cli import main
 from vcsim.scenario import (
     MODES,
+    LeadTime,
     Scenario,
     ScenarioError,
     _LOADER,
+    _MEMO_SIZE,
     _case_study,
     _loader_for,
+    _memo,
     case_study_scenario,
     demand_table_csv,
     load_demand_table,
@@ -580,6 +583,29 @@ def test_an_infinite_horizon_built_in_code_is_bad_horizon():
         assert err.value.code == "bad-horizon"
 
 
+@pytest.mark.parametrize(
+    "spec,changes,code",
+    [
+        ("firm", {"make_every": math.inf}, "bad-frequency"),
+        ("firm", {"capacity_boxes_per_day": math.inf}, "bad-capacity"),
+        ("sell", {"order_interval_hours": math.inf}, "bad-frequency"),
+        ("retailer", {"lead_time": LeadTime(hours=math.inf)}, "bad-lead-time"),
+        ("retailer", {"lead_time": LeadTime("uniform", low=0.0, high=math.inf)}, "bad-lead-time"),
+        ("support", {"handling_hours": math.inf}, "bad-handling-time"),
+        ("innovation", {"delay_hours": math.inf}, "bad-innovation-delay"),
+    ],
+    ids=["frequency", "capacity", "order-interval", "lead-time", "uniform-lead-time", "handling",
+         "delay"],
+)
+def test_an_infinite_time_or_capacity_built_in_code_is_rejected(spec, changes, code):
+    # like the horizon: the engine schedules no event at infinity, and
+    # production counts its capacity in whole boxes
+    sc = case_study_scenario("vcor")
+    with pytest.raises(ScenarioError) as err:
+        replace(sc, **{spec: replace(getattr(sc, spec), **changes)})
+    assert err.value.code == code
+
+
 # -- an immutable scenario, validated when built -------------------------------
 
 
@@ -692,6 +718,32 @@ def test_a_derived_case_study_equals_a_fresh_build(mode, seed, horizon, digests)
     assert derived.to_dict() == fresh.to_dict()
     assert derived.digests() == fresh.digests() == digests
     assert type(derived.horizon_hours) is type(horizon)
+    # every value of a rebuild from the document is new to the memo; the
+    # rebuild's horizon is a float, so an int horizon has other digests
+    rebuilt = scenario_from_dict(derived.to_dict())
+    assert rebuilt == derived
+    if type(horizon) is float:
+        assert rebuilt.digests() == digests
+
+
+def test_the_memo_keeps_its_bound_and_an_evicted_scenario_its_digests():
+    first = scenario_from_dict(case_study_scenario("scor", 0, 48.0).to_dict())
+    assert first.digests() == CASE_STUDY_DIGESTS[0][3]
+    doc = first.to_dict()
+    for _ in range(_MEMO_SIZE + 1):
+        scenario_from_dict(doc).digests()
+        assert len(_memo) <= _MEMO_SIZE
+    assert ("firm", id(first.firm)) not in _memo
+    assert first.digests() == CASE_STUDY_DIGESTS[0][3]
+
+
+def test_a_value_that_fails_its_check_is_never_remembered():
+    template = case_study_scenario("vcor")
+    prices = {**template.prices, "retailer": {**template.prices["retailer"], "P1": -1.0}}
+    for _ in range(2):
+        with pytest.raises(ScenarioError) as err:
+            replace(template, prices=prices)
+        assert err.value.code == "negative-price"
 
 
 def test_replace_gives_the_digests_of_the_new_values():
