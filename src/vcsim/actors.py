@@ -148,6 +148,12 @@ class Chain:
         self._transport_stream = {name: f"{name}:transport" for name in self.lead_times}
         self._defect_stream = f"{self.retailer_name}:defects"
         self._products_of = scenario.demand.products_by_customer()
+        # the arrival stream name and monthly demand row per (customer, product)
+        self._arrivals: dict[tuple[str, int], tuple[str, tuple[float, ...]]] = {
+            (name, pid): (f"{name}:arrivals:P{pid}", scenario.demand.rows[(name, pid)])
+            for name, pids in self._products_of.items()
+            for pid in pids
+        }
 
         # reorder policies per actor, in deterministic item order
         self.policies: dict[str, dict[Item, ReorderPolicy]] = {}
@@ -294,18 +300,18 @@ class Chain:
     # demand generation
 
     def _schedule_next_arrival(self, customer: CustomerSpec, pid: int, from_time: float) -> None:
+        stream, row = self._arrivals[(customer.name, pid)]
         t = from_time
         while True:
             month_index = int(t // HOURS_PER_MONTH)
-            month = month_index % 12 + 1
-            monthly = self.scenario.demand.boxes_for(customer.name, pid, month)
+            monthly = row[month_index % 12]
             if monthly <= 0:
                 t = (month_index + 1) * HOURS_PER_MONTH
                 if t > self.horizon:
                     return
                 continue
             if customer.arrivals == "memoryless":
-                rng = self.engine.streams.stream(f"{customer.name}:arrivals:P{pid}")
+                rng = self.engine.streams.stream(stream)
                 orders_per_hour = monthly / (HOURS_PER_MONTH * customer.lot_size)
                 nxt = t + rng.expovariate(orders_per_hour)
             else:

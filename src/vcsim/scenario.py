@@ -18,10 +18,12 @@ out by hand.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache, lru_cache
+from operator import attrgetter
 from pathlib import Path
 
 import yaml
@@ -119,6 +121,14 @@ def _mapping(doc) -> dict:
     if isinstance(doc, dict):
         return doc
     raise _Misfit("parse", f"not a mapping: {doc!r}")
+
+
+def _entry(doc: dict, key: str):
+    """``doc[key]``, or a parse error that names the missing key."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise _Misfit("parse", f"missing key {key!r}") from None
 
 
 def _load_at(key, load, doc):
@@ -348,8 +358,13 @@ class ReorderPolicy:
     up_to: float
 
 
+def _load_policy(doc) -> ReorderPolicy:
+    doc = _mapping(doc)
+    return ReorderPolicy(*(_load_at(k, _number, _entry(doc, k)) for k in ("point", "up_to")))
+
+
 _POLICY = _Codec(
-    lambda d: ReorderPolicy(_number(d["point"]), _number(d["up_to"])),
+    _load_policy,
     lambda p: {"point": p.point, "up_to": p.up_to},
     _rule(lambda p: p.point < p.up_to, "reorder-point-not-below-up-to", "point < up_to"),
 )
@@ -372,12 +387,16 @@ class LeadTime:
         return rng.expovariate(1.0 / self.hours) if self.hours > 0 else 0.0
 
 
-def _load_lead_time(d: dict) -> LeadTime:
-    kind = d.get("kind", "fixed")
+def _load_lead_time(doc) -> LeadTime:
+    doc = _mapping(doc)
+
+    def number(key):
+        return _load_at(key, _number_as_written, doc.get(key, 0.0))
+
+    kind = doc.get("kind", "fixed")
     if kind == "uniform":
-        low, high = d.get("low", 0.0), d.get("high", 0.0)
-        return LeadTime(kind, low=_number_as_written(low), high=_number_as_written(high))
-    return LeadTime(kind, hours=_number_as_written(d.get("hours", 0.0)))
+        return LeadTime(kind, low=number("low"), high=number("high"))
+    return LeadTime(kind, hours=number("hours"))
 
 
 def _dump_lead_time(lt: LeadTime) -> dict:
@@ -527,8 +546,8 @@ class DemandTable:
 
 def _load_demand_row(row) -> tuple[tuple[str, int], tuple[float, ...]]:
     row = _mapping(row)
-    key = (str(row["customer"]), _load_at("product", _integer, row["product"]))
-    return key, _load_at("monthly", _MONTHS.load, row["monthly"])
+    key = (str(_entry(row, "customer")), _load_at("product", _integer, _entry(row, "product")))
+    return key, _load_at("monthly", _MONTHS.load, _entry(row, "monthly"))
 
 
 _MONTHS = _list(_NUM, tuple)
@@ -641,12 +660,9 @@ class Scenario:
         return bool(self.processes.get(process, False))
 
     def actor_names(self) -> list[str]:
-        names = [self.upstream.name]
-        names += [s.name for s in self.suppliers]
-        names += [self.firm.name, self.retailer.name]
-        names += [c.name for c in self.customers]
-        names += [p.name for p in self.sell.prospects]
-        return names
+        return _actor_names(
+            self.upstream, self.suppliers, self.firm, self.retailer, self.customers, self.sell
+        )
 
     def price_of(self, actor: str, item: Item) -> float:
         try:
@@ -667,7 +683,8 @@ class Scenario:
         Every scenario build runs this, so the loops over many entries test
         and raise inline rather than call ``_require``. A field value that
         passed its check before, in this or another scenario, is not checked
-        again (see ``_memo``); the cross-references are checked every time.
+        again, and the cross-references are checked once for each set of the
+        values they read (see ``_memo``).
         """
         for attr, key, check in _CHECKS:
             value = getattr(self, attr)
@@ -678,84 +695,11 @@ class Scenario:
                     exc.path.append(key)
                     raise _located(exc) from None
                 _remember((attr, id(value)), value, None)
-        enabled = [p for p, on in self.processes.items() if on]
-        _require(
-            self.mode == "vcor" or not enabled,
-            "mode-toggle-conflict",
-            "mode=scor forces all value-chain processes off, got {}",
-            enabled,
-        )
-        seen: set[str] = set()
-        for name in self.actor_names():
-            if name in seen:
-                raise ScenarioError("duplicate-actor-name", f"two actors are named {name!r}")
-            seen.add(name)
-
-        products, raws = set(self.products), set(self.raws)
-        for pid, needs in self.bom.items():
-            _require(pid in products, "unknown-product", "recipe for unknown product {}", pid)
-            for rid in needs:
-                _require(rid in raws, "unknown-raw", "recipe of P{} uses unknown raw {}", pid, rid)
-        for pid in self.products:
-            _require(pid in self.bom, "missing-recipe", "product {} has no recipe", pid)
-        for rid in self.innovation.bom_override or ():
-            _require(rid in raws, "unknown-raw", "bom_override uses unknown raw {}", rid)
-
-        covered: set[int] = set()
-        producers = {s.name: s.raws for s in self.suppliers}
-        for s in self.suppliers:
-            for rid in s.raws:
-                _require(rid in raws, "unknown-raw", "{} produces unknown raw {}", s.name, rid)
-            covered.update(s.raws)
-        _require(raws <= covered, "raw-not-covered", "raws nobody produces: {}", raws - covered)
-        for rid, name in self.raw_sources.items():
-            _require(rid in raws, "unknown-raw", "source for unknown raw {}", rid)
-            _require(name in producers, "raw-source-not-supplier", "{!r} is no supplier", name)
-            _require(rid in producers[name], "raw-source-not-producer", "{} lacks R{}", name, rid)
-        unsourced = raws.difference(self.raw_sources)
-        _require(not unsourced, "raw-not-covered", "raws without a source: {}", unsourced)
-
-        customers = {c.name for c in self.customers}
-        for name, pid in self.demand.rows:
-            if name not in customers:
-                raise ScenarioError("unknown-customer", f"demand of unknown {name!r}")
-            if pid not in products:
-                raise ScenarioError("unknown-product", f"demand for unknown product {pid}")
-        for p in self.sell.prospects:
-            _require(p.product in products, "unknown-product", "{} wants P{}", p.name, p.product)
-
-        # every actor that can ship goods needs a unit price for them
-        sellers = [(self.retailer.name, "P", self.products), (self.firm.name, "P", self.products)]
-        sellers.append((self.upstream.name, "R", self.raws))
-        sellers += [(s.name, "R", s.raws) for s in self.suppliers]
-        for seller, prefix, ids in sellers:
-            priced = self.prices.get(seller, {})
-            for i in ids:
-                code = prefix + str(i)
-                if code not in priced:
-                    raise ScenarioError("missing-price", f"{seller} has no price for {code}")
-
-        # an actor prices what it sells (``price_of``) or stocks (as its unit
-        # value), and holds what it stocks, received goods included; no run
-        # reads any other entry
-        buyers = {self.retailer.name, *(c.name for c in self.customers)}
-        buyers.update(p.name for p in self.sell.prospects)
-        suppliers = {s.name for s in self.suppliers}
-        for path, table, raw_traders in (
-            ("prices", self.prices, suppliers | {self.upstream.name}),
-            ("costs.holding_per_unit_hour", self.holding_costs, suppliers),
-        ):
-            for name, entries in table.items():
-                if name == self.firm.name:
-                    kinds = "PR"
-                else:
-                    kinds = ("P" if name in buyers else "") + ("R" if name in raw_traders else "")
-                for code in entries:
-                    if not code or code[0] not in kinds:
-                        raise ScenarioError(
-                            "item-kind-not-used-by-role",
-                            f"{path}.{name}.{code} is never read: {name!r} trades no such item",
-                        )
+        values = _REFERENCED(self)
+        key = ("<references>", tuple(map(id, values)))
+        if key not in _memo:
+            _check_references(*values)
+            _remember(key, values, None)
 
     # -- serialization ----------------------------------------------------
 
@@ -790,6 +734,106 @@ class Scenario:
         return _short_sha256("{%s}" % ",".join(full)), _short_sha256("{%s}" % ",".join(shared))
 
 
+def _actor_names(upstream, suppliers, firm, retailer, customers, sell) -> list[str]:
+    names = [upstream.name]
+    names += [s.name for s in suppliers]
+    names += [firm.name, retailer.name]
+    names += [c.name for c in customers]
+    names += [p.name for p in sell.prospects]
+    return names
+
+
+def _check_references(
+    mode, processes, products, raws, bom, suppliers, raw_sources, firm, retailer,
+    customers, upstream, demand, prices, holding_costs, innovation, sell,
+) -> None:
+    """The checks that relate a scenario's fields to each other.
+
+    It reads only its arguments, so ``Scenario.validate`` keys the memo of
+    its verdict by the identities of exactly these fields.
+    """
+    enabled = [p for p, on in processes.items() if on]
+    _require(
+        mode == "vcor" or not enabled,
+        "mode-toggle-conflict",
+        "mode=scor forces all value-chain processes off, got {}",
+        enabled,
+    )
+    seen: set[str] = set()
+    for name in _actor_names(upstream, suppliers, firm, retailer, customers, sell):
+        if name in seen:
+            raise ScenarioError("duplicate-actor-name", f"two actors are named {name!r}")
+        seen.add(name)
+
+    known_products, known_raws = set(products), set(raws)
+    for pid, needs in bom.items():
+        _require(pid in known_products, "unknown-product", "recipe for unknown product {}", pid)
+        for rid in needs:
+            _require(rid in known_raws, "unknown-raw", "recipe of P{} uses unknown raw {}", pid, rid)
+    for pid in products:
+        _require(pid in bom, "missing-recipe", "product {} has no recipe", pid)
+    for rid in innovation.bom_override or ():
+        _require(rid in known_raws, "unknown-raw", "bom_override uses unknown raw {}", rid)
+
+    covered: set[int] = set()
+    producers = {s.name: s.raws for s in suppliers}
+    for s in suppliers:
+        for rid in s.raws:
+            _require(rid in known_raws, "unknown-raw", "{} produces unknown raw {}", s.name, rid)
+        covered.update(s.raws)
+    _require(
+        known_raws <= covered, "raw-not-covered", "raws nobody produces: {}", known_raws - covered
+    )
+    for rid, name in raw_sources.items():
+        _require(rid in known_raws, "unknown-raw", "source for unknown raw {}", rid)
+        _require(name in producers, "raw-source-not-supplier", "{!r} is no supplier", name)
+        _require(rid in producers[name], "raw-source-not-producer", "{} lacks R{}", name, rid)
+    unsourced = known_raws.difference(raw_sources)
+    _require(not unsourced, "raw-not-covered", "raws without a source: {}", unsourced)
+
+    customer_names = {c.name for c in customers}
+    for name, pid in demand.rows:
+        if name not in customer_names:
+            raise ScenarioError("unknown-customer", f"demand of unknown {name!r}")
+        if pid not in known_products:
+            raise ScenarioError("unknown-product", f"demand for unknown product {pid}")
+    for p in sell.prospects:
+        _require(p.product in known_products, "unknown-product", "{} wants P{}", p.name, p.product)
+
+    # every actor that can ship goods needs a unit price for them
+    sellers = [(retailer.name, "P", products), (firm.name, "P", products)]
+    sellers.append((upstream.name, "R", raws))
+    sellers += [(s.name, "R", s.raws) for s in suppliers]
+    for seller, prefix, ids in sellers:
+        priced = prices.get(seller, {})
+        for i in ids:
+            code = prefix + str(i)
+            if code not in priced:
+                raise ScenarioError("missing-price", f"{seller} has no price for {code}")
+
+    # an actor prices what it sells (``price_of``) or stocks (as its unit
+    # value), and holds what it stocks, received goods included; no run
+    # reads any other entry
+    buyers = {retailer.name, *customer_names}
+    buyers.update(p.name for p in sell.prospects)
+    supplier_names = {s.name for s in suppliers}
+    for path, table, raw_traders in (
+        ("prices", prices, supplier_names | {upstream.name}),
+        ("costs.holding_per_unit_hour", holding_costs, supplier_names),
+    ):
+        for name, entries in table.items():
+            if name == firm.name:
+                kinds = "PR"
+            else:
+                kinds = ("P" if name in buyers else "") + ("R" if name in raw_traders else "")
+            for code in entries:
+                if not code or code[0] not in kinds:
+                    raise ScenarioError(
+                        "item-kind-not-used-by-role",
+                        f"{path}.{name}.{code} is never read: {name!r} trades no such item",
+                    )
+
+
 # the top-level keys a SCOR/VCOR pair may differ in, left out of the topology digest
 _PAIR_VARIANT = frozenset({"mode", "processes", "support", "market", "innovation", "sell", "name"})
 
@@ -807,16 +851,18 @@ _SCENARIO = _spec(Scenario)
 # value with its template by identity, and the values are read-only by
 # contract. So a value that passed its field's check is remembered under
 # (field, id(value)), and with it the digest part of the value once
-# ``digests`` has encoded it. An entry holds its value, so the id is not
-# reused while the entry lives; a value that fails its check is never
+# ``digests`` has encoded it. Values that passed the cross-reference checks
+# together are remembered under ("<references>", their ids), in the order
+# of ``_check_references``' parameters. An entry holds its values, so no id
+# is reused while the entry lives; values that fail a check are never
 # remembered. Past ``_MEMO_SIZE`` entries the oldest goes first.
 
 _MEMO_SIZE = 256
-_memo: dict[tuple[str, int], tuple[object, str | None]] = {}
+_memo: dict[tuple[str, object], tuple[object, str | None]] = {}
 _UNSEEN = (None, None)
 
 
-def _remember(key: tuple[str, int], value, part: str | None) -> None:
+def _remember(key: tuple[str, object], value, part: str | None) -> None:
     if key not in _memo and len(_memo) >= _MEMO_SIZE:
         _memo.pop(next(iter(_memo)), None)  # None: another thread evicted it first
     _memo[key] = (value, part)
@@ -827,6 +873,8 @@ _CHECKS = [
     for attr, key, _, codec, _ in _declarations(Scenario)
     if codec.check is not None
 ]
+# the fields ``_check_references`` reads, as a tuple of a scenario's values
+_REFERENCED = attrgetter(*inspect.signature(_check_references).parameters)
 
 
 def _digest_layout() -> list[tuple]:

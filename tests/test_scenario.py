@@ -1,6 +1,7 @@
 """Scenario loading, validation codes, the reference profile, round trips."""
 
 import copy
+import inspect
 import json
 import math
 import os
@@ -18,12 +19,15 @@ import vcsim
 from vcsim.cli import main
 from vcsim.scenario import (
     MODES,
+    DemandTable,
     LeadTime,
     Scenario,
     ScenarioError,
     _LOADER,
     _MEMO_SIZE,
+    _REFERENCED,
     _case_study,
+    _check_references,
     _loader_for,
     _memo,
     case_study_scenario,
@@ -382,6 +386,16 @@ CODE_CASES = [
     ("customers.1.name", [1], "parse"),
     ("firm.fgi.P1", "x", "parse"),
     ("suppliers", [5], "parse"),
+    # a lead time or a reorder policy that is no mapping, or lacks a key
+    ("firm.lead_time", "x", "parse"),
+    ("suppliers.0.lead_time", 5, "parse"),
+    ("retailer.lead_time", [1], "parse"),
+    ("upstream.lead_time", "x", "parse"),
+    ("firm.raw_reorder.R1", 5, "parse"),
+    ("retailer.reorder.P1", [1], "parse"),
+    ("firm.raw_reorder.R1.up_to", None, "parse"),
+    ("suppliers.0.reorder.R1.point", None, "parse"),
+    ("demand.rows.0.customer", None, "parse"),
 ]
 # a float field takes only a YAML int or float that is not a bool; these
 # paths have parse cases above, so their ids also name the value
@@ -746,6 +760,83 @@ def test_a_value_that_fails_its_check_is_never_remembered():
         assert err.value.code == "negative-price"
 
 
+# per field that ``_check_references`` reads: the mode of the template, a
+# new value of that field alone that breaks a cross-reference, and its code
+REFERENCE_BREAKS = {
+    "mode": ("vcor", lambda t: "scor", "mode-toggle-conflict"),
+    "processes": ("scor", lambda t: {**t.processes, "support": True}, "mode-toggle-conflict"),
+    "products": ("vcor", lambda t: (1, 2, 3, 4), "missing-recipe"),
+    "raws": ("vcor", lambda t: (1, 2, 3, 4), "raw-not-covered"),
+    "bom": ("vcor", lambda t: {**t.bom, 9: {1: 1.0}}, "unknown-product"),
+    "suppliers": (
+        "vcor", lambda t: [replace(t.suppliers[0], raws=(9,)), *t.suppliers[1:]], "unknown-raw"
+    ),
+    "raw_sources": (
+        "vcor", lambda t: {**t.raw_sources, 1: "supplier3"}, "raw-source-not-producer"
+    ),
+    "firm": ("vcor", lambda t: replace(t.firm, name="ghost"), "missing-price"),
+    "retailer": ("vcor", lambda t: replace(t.retailer, name=t.firm.name), "duplicate-actor-name"),
+    "customers": (
+        "vcor",
+        lambda t: [replace(t.customers[0], name="ghost"), *t.customers[1:]],
+        "unknown-customer",
+    ),
+    "upstream": ("vcor", lambda t: replace(t.upstream, name="ghost"), "missing-price"),
+    "demand": (
+        "vcor",
+        lambda t: DemandTable({**t.demand.rows, ("ghost", 1): (1.0,) * 12}),
+        "unknown-customer",
+    ),
+    "prices": ("vcor", lambda t: {**t.prices, "upstream": {}}, "missing-price"),
+    "holding_costs": (
+        "vcor",
+        lambda t: {**t.holding_costs, "retailer": {"R1": 0.1}},
+        "item-kind-not-used-by-role",
+    ),
+    "innovation": ("vcor", lambda t: replace(t.innovation, bom_override={9: 1.0}), "unknown-raw"),
+    "sell": (
+        "vcor",
+        lambda t: replace(t.sell, prospects=(replace(t.sell.prospects[0], product=9),)),
+        "unknown-product",
+    ),
+}
+
+
+def test_every_field_the_reference_checks_read_has_a_breaking_case():
+    assert list(REFERENCE_BREAKS) == list(inspect.signature(_check_references).parameters)
+
+
+@pytest.mark.parametrize("attr", list(REFERENCE_BREAKS))
+def test_a_derived_scenario_that_breaks_a_reference_is_rejected(attr):
+    mode, new_value, code = REFERENCE_BREAKS[attr]
+    template = case_study_scenario(mode, 3)
+    # the template's verdict is remembered, so only the key can tell the change
+    assert ("<references>", tuple(map(id, _REFERENCED(template)))) in _memo
+    with pytest.raises(ScenarioError) as err:
+        replace(template, **{attr: new_value(template)})
+    assert err.value.code == code
+
+
+def test_the_reference_checks_run_once_per_template_and_on_every_failure(monkeypatch):
+    calls = []
+
+    def counted(*values):
+        calls.append(values)
+        _check_references(*values)
+
+    monkeypatch.setattr(vcsim.scenario, "_check_references", counted)
+    monkeypatch.setattr(vcsim.scenario, "_memo", {})
+    for seed in range(1000, 1050):
+        case_study_scenario(MODES[seed % 2], seed)
+    assert len(calls) == len(MODES)
+    template = case_study_scenario("vcor", 7)
+    for failures in (1, 2):
+        with pytest.raises(ScenarioError) as err:
+            replace(template, products=(1, 2, 3, 4))
+        assert err.value.code == "missing-recipe"
+        assert len(calls) == len(MODES) + failures
+
+
 def test_replace_gives_the_digests_of_the_new_values():
     sc = case_study_scenario("vcor", 5)
     assert replace(sc) == sc and replace(sc).digests() == sc.digests()
@@ -800,6 +891,12 @@ LOAD_MESSAGES = [
     ("firm.frequencies", 5, "firm.frequencies: not a mapping: 5"),
     ("retailer.stock.R1", 5.0, "retailer.stock.R1: expected a product code, got R1"),
     ("prices.retailer.X1", 10.0, "prices.retailer.X1: bad item code: 'X1'"),
+    ("firm.lead_time", "x", "firm.lead_time: not a mapping: 'x'"),
+    ("retailer.lead_time.hours", "x", "retailer.lead_time.hours: not a number: 'x'"),
+    ("firm.raw_reorder.R1", 5, "firm.raw_reorder.R1: not a mapping: 5"),
+    ("firm.raw_reorder.R1.up_to", None, "firm.raw_reorder.R1: missing key 'up_to'"),
+    ("retailer.reorder.P1.point", "x", "retailer.reorder.P1.point: not a number: 'x'"),
+    ("demand.rows.0.monthly", None, "demand.rows.0: missing key 'monthly'"),
 ]
 
 
