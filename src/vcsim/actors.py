@@ -622,7 +622,7 @@ class Chain:
     def _update_vote(self, voter: Voter, order: Order, now: float) -> None:
         customer = order.client
         state = voter.vote
-        params = self.scenario.satisfaction.params
+        params = self.scenario.satisfaction
 
         delivery_time = now - order.created_at
         conform = (order.quantity - order.defective_qty) / order.quantity

@@ -20,11 +20,11 @@ from typing import NamedTuple
 
 @dataclass(frozen=True, slots=True)
 class SatisfactionParams:
-    """Weights of the vote-update input.
+    """The starting vote and the weights of the vote-update input.
 
-    forgetting_factor must lie strictly inside (0, 1); price_weight must be
-    strictly positive (set the price-change signal to zero to disable it).
-    ``Scenario.validate`` checks them once per scenario build, not per vote update.
+    initial_vote lies in [0, 10], forgetting_factor strictly inside (0, 1),
+    and price_weight is strictly positive (set the price-change signal to
+    zero to disable it). ``Scenario.validate`` checks them per scenario build.
     """
 
     forgetting_factor: float = 0.3
@@ -33,6 +33,7 @@ class SatisfactionParams:
     delay_weight: float = -0.05     # weight of the delivery-delay percentage
     quality_weight: float = 0.02    # weight of the conform-ratio percentage
     peer_weight: float = 0.1        # coupling to the other customers' votes
+    initial_vote: float = 8.0       # every voter's vote before its first update
 
 
 class InputSignals(NamedTuple):

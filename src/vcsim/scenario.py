@@ -59,9 +59,9 @@ class _Misfit(ScenarioError):
     """A value that failed to load or a failed range check; each enclosing
     load or check appends its key to ``path``, and ``_located`` joins it."""
 
-    def __init__(self, code: str, message: str) -> None:
+    def __init__(self, code: str, message: str, *path: str) -> None:
         super().__init__(code, message)
-        self.path: list[str] = []
+        self.path: list[str] = list(path)
 
 
 def _located(exc: _Misfit) -> ScenarioError:
@@ -85,7 +85,6 @@ def _require(condition: bool, code: str, message: str, *args) -> None:
 # path, and ``validate`` or ``scenario_from_dict`` joins it.
 
 _Codec = namedtuple("_Codec", "load dump check", defaults=(None, None))
-_ABSENT = object()
 _ANY_ITEM = "item"  # map keys that are item codes of either kind, kept as codes
 
 
@@ -189,8 +188,8 @@ def _map(kind: str | None, value: _Codec, optional: bool = False) -> _Codec:
     """A mapping whose values go through ``value``.
 
     Keys are item codes of ``kind`` (PRODUCT or RAW; held as item ids), item
-    codes of either kind (``_ANY_ITEM``) or names (None). A missing or empty
-    document value reads as an empty mapping, or as None when ``optional``.
+    codes of either kind (``_ANY_ITEM``) or names (None). A null document
+    value reads as an empty mapping, or as None when ``optional``.
     """
     prefix = {PRODUCT: "P", RAW: "R"}.get(kind)
 
@@ -209,7 +208,7 @@ def _map(kind: str | None, value: _Codec, optional: bool = False) -> _Codec:
             return None
         return {
             _load_at(k, key, k): _load_at(k, value.load, v)
-            for k, v in _mapping(doc or {}).items()
+            for k, v in _mapping({} if doc is None else doc).items()
         }
 
     def dump(mapping):
@@ -255,31 +254,30 @@ def _list(item: _Codec, make=list, rule=None) -> _Codec:
     return _Codec(load, dump, check if has_check else None)
 
 
-def _field(codec: _Codec, path: str | None = None, *, absent=MISSING, **default):
+def _field(codec: _Codec, path: str | None = None, **default):
     """A spec field with its document ``path`` and ``codec``.
 
     The path is the field name unless given; a path "group.key" puts the key
-    in the sub-mapping ``group``, and "" keeps a nested spec's keys in the
-    enclosing mapping. ``default`` or ``default_factory`` go to
-    ``dataclasses.field``. A key absent from a document reads as ``absent``
-    (a document value), else takes the dataclass default, else is an error.
+    in the sub-mapping ``group``. ``default`` or ``default_factory`` go to
+    ``dataclasses.field``: a key absent from a document takes the field's
+    default, and is an error for a field without one.
     """
-    return field(**default, metadata={"doc": (path, codec, absent)})
+    return field(**default, metadata={"doc": (path, codec)})
 
 
 def _declarations(cls, declared: dict | None = None) -> list[tuple]:
-    """``(attr, key, keys, codec, absent)`` per ``_field`` of ``cls``.
+    """``(attr, key, keys, codec, required)`` per ``_field`` of ``cls``, in order.
 
     ``declared`` maps field names to them for a class declared elsewhere.
-    A nested spec's flattened keys follow the spec's own.
     """
-    declared = declared or {f.name: f for f in fields(cls) if "doc" in f.metadata}
+    own = {f.name: f for f in fields(cls)}
+    declared = declared or {name: f for name, f in own.items() if "doc" in f.metadata}
     entries = []
     for attr, declaration in declared.items():
-        path, codec, absent = declaration.metadata["doc"]
-        key = attr if path is None else path
-        entries.append((attr, key, key.split(".") if key else [], codec, absent))
-    entries.sort(key=lambda entry: not entry[2])
+        path, codec = declaration.metadata["doc"]
+        key = path or attr
+        required = own[attr].default is MISSING and own[attr].default_factory is MISSING
+        entries.append((attr, key, key.split("."), codec, required))
     return entries
 
 
@@ -290,17 +288,12 @@ def _spec(cls, declared: dict | None = None) -> _Codec:
 
     def load(doc):
         doc, kwargs = _mapping(doc), {}
-        for attr, key, keys, codec, absent in entries:
+        for attr, key, keys, codec, required in entries:
             node = doc
             for part in keys[:-1]:
                 node = _load_at(part, _mapping, node.get(part, {}))
-            value = node.get(keys[-1], _ABSENT) if keys else node
-            if value is _ABSENT:
-                if absent is MISSING:
-                    continue  # the dataclass default, or a missing-argument TypeError
-                value = absent
-            # "" keeps a nested spec's keys in this mapping, and adds no key
-            kwargs[attr] = _load_at(key, codec.load, value) if key else codec.load(value)
+            if required or keys[-1] in node:
+                kwargs[attr] = _load_at(key, codec.load, _entry(node, keys[-1]))
         return cls(**kwargs)
 
     def dump(obj) -> dict:
@@ -309,9 +302,7 @@ def _spec(cls, declared: dict | None = None) -> _Codec:
             value = getattr(obj, attr)
             if codec.dump is not None:
                 value = codec.dump(value)
-            if not keys:
-                out.update(value)
-            elif len(keys) == 1:
+            if len(keys) == 1:
                 out[keys[0]] = value
             else:
                 out.setdefault(keys[0], {})[keys[1]] = value
@@ -322,8 +313,7 @@ def _spec(cls, declared: dict | None = None) -> _Codec:
             try:
                 check(getattr(obj, attr))
             except _Misfit as exc:
-                if key:  # "" keeps a nested spec's keys in this mapping
-                    exc.path.append(key)
+                exc.path.append(key)
                 raise
 
     return _Codec(load, dump, check)
@@ -333,6 +323,12 @@ def _string(value) -> str:
     if isinstance(value, str):
         return value
     raise _Misfit("parse", f"not a string: {value!r}")
+
+
+def _boolean(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise _Misfit("parse", f"not a boolean: {value!r}")
 
 
 _NUM = _Codec(_number)
@@ -354,19 +350,12 @@ _SEED = _Codec(_integer, check=_rule(lambda x: x >= 0, "bad-seed", ">= 0"))
 class ReorderPolicy:
     """Reorder when stock is strictly below ``point``, ordering up to ``up_to``."""
 
-    point: float
-    up_to: float
+    point: float = _field(_NUM)
+    up_to: float = _field(_NUM)
 
 
-def _load_policy(doc) -> ReorderPolicy:
-    doc = _mapping(doc)
-    return ReorderPolicy(*(_load_at(k, _number, _entry(doc, k)) for k in ("point", "up_to")))
-
-
-_POLICY = _Codec(
-    _load_policy,
-    lambda p: {"point": p.point, "up_to": p.up_to},
-    _rule(lambda p: p.point < p.up_to, "reorder-point-not-below-up-to", "point < up_to"),
+_POLICY = _spec(ReorderPolicy)._replace(
+    check=_rule(lambda p: p.point < p.up_to, "reorder-point-not-below-up-to", "point < up_to")
 )
 
 
@@ -419,9 +408,9 @@ _LEAD_TIME = _Codec(
 @dataclass(frozen=True, slots=True)
 class SupplierSpec:
     name: str = _field(_STR)
-    raws: tuple[int, ...] = _field(_list(_INT, tuple), absent=())
-    stock_kg: dict[int, float] = _field(_RAW_STOCK, absent=None)
-    reorder: dict[int, ReorderPolicy] = _field(_map(RAW, _POLICY), absent=None)
+    raws: tuple[int, ...] = _field(_list(_INT, tuple), default=())
+    stock_kg: dict[int, float] = _field(_RAW_STOCK, default_factory=dict)
+    reorder: dict[int, ReorderPolicy] = _field(_map(RAW, _POLICY), default_factory=dict)
     deliver_every: float = _field(_FREQUENCY, "frequencies.deliver", default=4.0)
     source_every: float = _field(_FREQUENCY, "frequencies.source", default=4.0)
     lead_time: LeadTime = _field(_LEAD_TIME, default_factory=LeadTime)
@@ -456,7 +445,7 @@ class RetailerSpec:
 @dataclass(frozen=True, slots=True)
 class CustomerSpec:
     name: str = _field(_STR)
-    lot_size: float = _field(_num("bad-lot-size", "(0, inf]"), absent=1)
+    lot_size: float = _field(_num("bad-lot-size", "(0, inf]"), default=1.0)
     arrivals: str = _field(
         _one_of("bad-arrival-mode", ("deterministic", "memoryless")), default="deterministic"
     )
@@ -518,12 +507,6 @@ class DemandTable:
 
     rows: dict[tuple[str, int], tuple[float, ...]] = field(default_factory=dict)
 
-    def boxes_for(self, customer: str, product_id: int, month: int) -> float:
-        if not 1 <= month <= 12:
-            raise ScenarioError("bad-month", f"month out of range: {month}")
-        row = self.rows.get((customer, product_id))
-        return 0.0 if row is None else row[month - 1]
-
     def products_by_customer(self) -> dict[str, list[int]]:
         """Each customer's products with some demand, in id order; one pass over the rows."""
         index: dict[str, list[int]] = {}
@@ -546,18 +529,29 @@ class DemandTable:
 
 def _load_demand_row(row) -> tuple[tuple[str, int], tuple[float, ...]]:
     row = _mapping(row)
-    key = (str(_entry(row, "customer")), _load_at("product", _integer, _entry(row, "product")))
+    customer = _load_at("customer", _string, _entry(row, "customer"))
+    key = (customer, _load_at("product", _integer, _entry(row, "product")))
     return key, _load_at("monthly", _MONTHS.load, _entry(row, "monthly"))
 
 
+def _by_customer_and_product(rows: list) -> dict:
+    """Demand rows keyed by (customer, product), which only one row may give."""
+    table = {}
+    for i, (key, monthly) in enumerate(rows):
+        if key in table:
+            raise _Misfit("bad-demand-row", f"a second row for {key[0]}/P{key[1]}", str(i))
+        table[key] = monthly
+    return table
+
+
 _MONTHS = _list(_NUM, tuple)
-_DEMAND_ROWS = _list(_Codec(_load_demand_row))
+_DEMAND_ROWS = _list(_Codec(_load_demand_row), _by_customer_and_product)
 
 
 def _load_demand(d: dict) -> DemandTable:
     if "file" in _mapping(d):
-        return load_demand_table(d["file"])
-    return DemandTable(rows=dict(_load_at("rows", _DEMAND_ROWS.load, d.get("rows", ()))))
+        return load_demand_table(_load_at("file", _string, d["file"]))
+    return DemandTable(rows=_load_at("rows", _DEMAND_ROWS.load, d.get("rows", ())))
 
 
 def _dump_demand(table: DemandTable) -> dict:
@@ -576,6 +570,7 @@ _DEMAND = _Codec(_load_demand, _dump_demand, DemandTable.validate)
 # SatisfactionParams is a dataclass of the satisfaction module, so the
 # document form of its fields is declared here
 _PARAMS = _spec(SatisfactionParams, {
+    "initial_vote": _field(_num("bad-initial-vote", "[0, 10]")),
     "forgetting_factor": _field(_num("forgetting-factor-out-of-range", "(0, 1)")),
     "support_weight": _field(_NUM),
     "price_weight": _field(_num("price-weight-not-positive", "(0, inf]")),
@@ -585,18 +580,12 @@ _PARAMS = _spec(SatisfactionParams, {
 })
 
 
-@dataclass(frozen=True, slots=True)
-class SatisfactionConfig:
-    params: SatisfactionParams = _field(_PARAMS, "", default_factory=SatisfactionParams)
-    initial_vote: float = _field(_num("bad-initial-vote", "[0, 10]"), default=8.0)
-
-
 _PRICE = _Codec(_number_as_written, check=_rule(lambda x: x >= 0, "negative-price", ">= 0"))
 _HOLDING_COST = _Codec(
     _number_as_written, check=_rule(lambda x: x >= 0, "negative-holding-cost", ">= 0")
 )
 _PROCESSES = _Codec(
-    lambda d: None if d is None else {p: bool(on) for p, on in _mapping(d).items()},  # None: mode
+    _map(None, _Codec(_boolean), optional=True).load,  # None: the toggles follow the mode
     lambda d: {p: bool(d.get(p, False)) for p in VCOR_PROCESSES},
     _rule(lambda d: set(d) <= set(VCOR_PROCESSES), "unknown-process", "a map of known processes"),
 )
@@ -613,40 +602,43 @@ class Scenario:
     instances may share them.
     """
 
-    name: str = _field(_STR, absent="unnamed")
-    seed: int = _field(_SEED, absent=0)
-    horizon_hours: float = _field(_num("bad-horizon", "[0, inf)"), absent=48.0)
-    mode: str = _field(_one_of("bad-mode", MODES), absent="scor")
-    processes: dict[str, bool] = _field(_PROCESSES, absent=None)
-    products: tuple[int, ...] = _field(_CATALOG, "catalog.products", absent=())
-    raws: tuple[int, ...] = _field(_CATALOG, "catalog.raws", absent=())
+    name: str = _field(_STR, default="unnamed")
+    seed: int = _field(_SEED, default=0)
+    horizon_hours: float = _field(_num("bad-horizon", "[0, inf)"), default=48.0)
+    mode: str = _field(_one_of("bad-mode", MODES), default="scor")
+    processes: dict[str, bool] = _field(_PROCESSES, default=None)
+    products: tuple[int, ...] = _field(_CATALOG, "catalog.products", default=())
+    raws: tuple[int, ...] = _field(_CATALOG, "catalog.raws", default=())
     bom: dict[int, dict[int, float]] = _field(  # product -> raw -> kg per box
-        _map(PRODUCT, _RECIPE), "catalog.bom", absent=None
+        _map(PRODUCT, _RECIPE), "catalog.bom", default_factory=dict
     )
-    suppliers: list[SupplierSpec] = _field(_list(_spec(SupplierSpec)), absent=())
+    suppliers: list[SupplierSpec] = _field(_list(_spec(SupplierSpec)), default_factory=list)
     # designated supplier per raw
-    raw_sources: dict[int, str] = _field(_map(RAW, _STR), absent=None)
-    firm: FirmSpec = _field(_spec(FirmSpec), absent={})
-    retailer: RetailerSpec = _field(_spec(RetailerSpec), absent={})
+    raw_sources: dict[int, str] = _field(_map(RAW, _STR), default_factory=dict)
+    firm: FirmSpec = _field(_spec(FirmSpec), default_factory=FirmSpec)
+    retailer: RetailerSpec = _field(_spec(RetailerSpec), default_factory=RetailerSpec)
     customers: list[CustomerSpec] = _field(
-        _list(_spec(CustomerSpec), list, _rule(len, "no-customers", "a non-empty list")), absent=()
+        _list(_spec(CustomerSpec), list, _rule(len, "no-customers", "a non-empty list")),
+        default_factory=list,
     )
-    upstream: UpstreamSpec = _field(_spec(UpstreamSpec), absent={})
-    demand: DemandTable = _field(_DEMAND, absent={})
+    upstream: UpstreamSpec = _field(_spec(UpstreamSpec), default_factory=UpstreamSpec)
+    demand: DemandTable = _field(_DEMAND, default_factory=DemandTable)
     # actor -> item code -> unit price, and per unit-hour held
-    prices: dict[str, dict[str, float]] = _field(_map(None, _map(_ANY_ITEM, _PRICE)), absent=None)
+    prices: dict[str, dict[str, float]] = _field(
+        _map(None, _map(_ANY_ITEM, _PRICE)), default_factory=dict
+    )
     holding_costs: dict[str, dict[str, float]] = _field(
         _map(None, _map(_ANY_ITEM, _HOLDING_COST)),
         "costs.holding_per_unit_hour",
-        absent=None,
+        default_factory=dict,
     )
-    production_cost_per_box: float = _field(_NUM, "costs.production_per_box", absent=0.0)
-    support_cost_per_ticket: float = _field(_NUM, "costs.support_per_ticket", absent=0.0)
-    satisfaction: SatisfactionConfig = _field(_spec(SatisfactionConfig), absent={})
-    support: SupportConfig = _field(_spec(SupportConfig), absent={})
-    market: MarketConfig = _field(_spec(MarketConfig), absent={})
-    innovation: InnovationConfig = _field(_spec(InnovationConfig), absent={})
-    sell: SellConfig = _field(_spec(SellConfig), absent={})
+    production_cost_per_box: float = _field(_NUM, "costs.production_per_box", default=0.0)
+    support_cost_per_ticket: float = _field(_NUM, "costs.support_per_ticket", default=0.0)
+    satisfaction: SatisfactionParams = _field(_PARAMS, default_factory=SatisfactionParams)
+    support: SupportConfig = _field(_spec(SupportConfig), default_factory=SupportConfig)
+    market: MarketConfig = _field(_spec(MarketConfig), default_factory=MarketConfig)
+    innovation: InnovationConfig = _field(_spec(InnovationConfig), default_factory=InnovationConfig)
+    sell: SellConfig = _field(_spec(SellConfig), default_factory=SellConfig)
 
     def __post_init__(self) -> None:
         if self.processes is None:
@@ -919,9 +911,10 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         schema = data.get("schema")
         _require(schema == SCHEMA_VERSION, "schema-version", "unsupported schema {!r}", schema)
         demand = data.get("demand")
-        if base_dir is not None and isinstance(demand, dict) and "file" in demand:
+        file = demand.get("file") if isinstance(demand, dict) else None
+        if base_dir is not None and isinstance(file, str):
             # a relative demand file is relative to the scenario file
-            data = {**data, "demand": {**demand, "file": base_dir / demand["file"]}}
+            data = {**data, "demand": {**demand, "file": str(base_dir / file)}}
         return _SCENARIO.load(data)
     except _Misfit as exc:
         raise _located(exc) from None
@@ -1004,10 +997,13 @@ def load_demand_table(path: str | Path) -> DemandTable:
                 "parse", f"{path}:{lineno}: expected 14 columns, got {len(row)}"
             )
         try:
+            customer, pid = row[0].strip(), int(row[1])
             monthly = [0.0 if c.strip() in ("-", "") else _text_number(c) for c in row[2:]]
-            rows[(row[0].strip(), int(row[1]))] = tuple(monthly)
         except (ValueError, ScenarioError) as exc:
             raise ScenarioError("parse", f"{path}:{lineno}: {exc}") from None
+        _require((customer, pid) not in rows, "bad-demand-row",
+                 "{}:{}: a second row for {}/P{}", path, lineno, customer, pid)
+        rows[customer, pid] = tuple(monthly)
     table = DemandTable(rows=rows)
     table.validate()
     return table
@@ -1133,7 +1129,7 @@ def _case_study(mode: str) -> Scenario:
         },
         production_cost_per_box=0.5,
         support_cost_per_ticket=5.0,
-        satisfaction=SatisfactionConfig(),
+        satisfaction=SatisfactionParams(),
         support=SupportConfig(defect_probability={1: 0.05, 2: 0.05, 3: 0.05}),
         market=MarketConfig(),
         innovation=InnovationConfig(),

@@ -7,6 +7,7 @@ states only the parameters it is actually about.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable
 
 import pytest
@@ -25,7 +26,6 @@ from vcsim.scenario import (
     ProspectSpec,
     ReorderPolicy,
     RetailerSpec,
-    SatisfactionConfig,
     Scenario,
     SellConfig,
     SupplierSpec,
@@ -127,9 +127,7 @@ def build_scenario(
         holding_costs={},
         production_cost_per_box=0.5,
         support_cost_per_ticket=5.0,
-        satisfaction=SatisfactionConfig(
-            params=params or SatisfactionParams(), initial_vote=initial_vote
-        ),
+        satisfaction=replace(params or SatisfactionParams(), initial_vote=initial_vote),
         support=SupportConfig(
             defect_probability=defect_probability or {},
             education_decay=education_decay,

@@ -32,7 +32,6 @@ from vcsim.scenario import (
     ProspectSpec,
     ReorderPolicy,
     RetailerSpec,
-    SatisfactionConfig,
     Scenario,
     SellConfig,
     SupplierSpec,
@@ -282,9 +281,8 @@ def _random_scenario(index: int) -> Scenario:
         holding_costs={},
         production_cost_per_box=0.5,
         support_cost_per_ticket=5.0,
-        satisfaction=SatisfactionConfig(
-            params=SatisfactionParams(forgetting_factor=rng.uniform(0.1, 0.9)),
-            initial_vote=rng.uniform(4.0, 10.0),
+        satisfaction=SatisfactionParams(
+            forgetting_factor=rng.uniform(0.1, 0.9), initial_vote=rng.uniform(4.0, 10.0)
         ),
         support=SupportConfig(
             defect_probability={
@@ -483,7 +481,7 @@ def test_no_upstream_orders_in_case_study():
     products_of = scenario.demand.products_by_customer()
     for customer in scenario.customers:
         for pid in products_of.get(customer.name, []):
-            monthly = scenario.demand.boxes_for(customer.name, pid, 1)
+            monthly = scenario.demand.rows[(customer.name, pid)][0]
             demand_bound[pid] += monthly * horizon / HOURS_PER_MONTH + customer.lot_size
 
     for supplier in scenario.suppliers:

@@ -32,6 +32,7 @@ Hand trace summary (t in hours):
 import pytest
 
 from vcsim.ledger import OrderStatus
+from vcsim.satisfaction import SatisfactionParams
 from vcsim.scenario import (
     CustomerSpec,
     DemandTable,
@@ -41,7 +42,6 @@ from vcsim.scenario import (
     InnovationConfig,
     ReorderPolicy,
     RetailerSpec,
-    SatisfactionConfig,
     Scenario,
     SellConfig,
     SupplierSpec,
@@ -107,7 +107,7 @@ def micro_scenario() -> Scenario:
         holding_costs={},
         production_cost_per_box=0.5,
         support_cost_per_ticket=5.0,
-        satisfaction=SatisfactionConfig(),
+        satisfaction=SatisfactionParams(),
         support=SupportConfig(defect_probability={}),
         market=MarketConfig(),
         innovation=InnovationConfig(),

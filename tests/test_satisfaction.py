@@ -192,7 +192,7 @@ class TestInnovationStep:
 def validate_with(p: SatisfactionParams) -> None:
     """Scenario validation, which checks the parameters, of the case study using ``p``."""
     scenario = case_study_scenario()
-    replace(scenario, satisfaction=replace(scenario.satisfaction, params=p))
+    replace(scenario, satisfaction=p)
 
 
 class TestParams:

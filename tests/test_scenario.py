@@ -66,10 +66,9 @@ class TestCaseStudyProfile:
 
     def test_demand_table_values(self):
         sc = case_study_scenario()
-        assert sc.demand.boxes_for("customer1", 2, 6) == 850.0
-        assert sc.demand.boxes_for("customer1", 1, 1) == 250.0
-        for month in range(1, 13):
-            assert sc.demand.boxes_for("customer2", 2, month) == 0.0
+        assert sc.demand.rows[("customer1", 2)][5] == 850.0
+        assert sc.demand.rows[("customer1", 1)][0] == 250.0
+        assert sc.demand.rows[("customer2", 2)] == (0.0,) * 12
         assert sc.demand.products_by_customer() == {"customer1": [1, 2], "customer2": [1, 3]}
 
     def test_scor_mode_disables_every_process(self):
@@ -191,7 +190,7 @@ class TestFiles:
         header = "customer,product," + ",".join(f"m{i}" for i in range(1, 13))
         path.write_text(header + "\nc1,1," + ",".join(["-"] * 12) + "\n")
         table = load_demand_table(path)
-        assert table.boxes_for("c1", 1, 6) == 0.0
+        assert table.rows[("c1", 1)] == (0.0,) * 12
 
     def test_demand_csv_missing_column_is_a_parse_error(self, tmp_path):
         path = tmp_path / "demand.csv"
@@ -214,6 +213,16 @@ class TestFiles:
             load_demand_table(path)
         assert err.value.code == "parse"
         assert str(err.value) == f"{path}:2: {message}"
+
+    def test_demand_csv_second_row_for_a_pair_is_bad_demand_row(self, tmp_path):
+        path = tmp_path / "demand.csv"
+        path.write_text(
+            demand_table_csv(case_study_scenario().demand) + "customer1,1," + ",".join(["1"] * 12)
+        )
+        with pytest.raises(ScenarioError) as err:
+            load_demand_table(path)
+        assert err.value.code == "bad-demand-row"
+        assert str(err.value) == f"{path}:8: a second row for customer1/P1"
 
     def test_demand_file_reference_resolves_relative_to_scenario(self, tmp_path):
         sc = case_study_scenario()
@@ -433,12 +442,6 @@ def test_each_defect_gives_its_error_code(path, value, code):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(mutated(PIN_DOC, path, value))
     assert err.value.code == code
-
-
-def test_month_outside_the_year_is_bad_month():
-    with pytest.raises(ScenarioError) as err:
-        case_study_scenario().demand.boxes_for("customer1", 1, 13)
-    assert err.value.code == "bad-month"
 
 
 README_CODES = re.search(
@@ -680,10 +683,10 @@ def test_case_study_scenario_builds_no_invalid_scenario(args, code):
         (lambda sc: sc, "processes"),
         (lambda sc: sc.firm, "name"),
         (lambda sc: sc.customers[0], "lot_size"),
-        (lambda sc: sc.satisfaction, "params"),
+        (lambda sc: sc.satisfaction, "initial_vote"),
         (lambda sc: sc.demand, "rows"),
     ],
-    ids=["seed", "processes", "firm.name", "customers.0.lot_size", "satisfaction.params",
+    ids=["seed", "processes", "firm.name", "customers.0.lot_size", "satisfaction.initial_vote",
          "demand.rows"],
 )
 def test_a_scenario_and_its_specs_are_frozen(target, attr):
@@ -897,6 +900,9 @@ LOAD_MESSAGES = [
     ("firm.raw_reorder.R1.up_to", None, "firm.raw_reorder.R1: missing key 'up_to'"),
     ("retailer.reorder.P1.point", "x", "retailer.reorder.P1.point: not a number: 'x'"),
     ("demand.rows.0.monthly", None, "demand.rows.0: missing key 'monthly'"),
+    ("demand.rows.0.customer", [1], "demand.rows.0.customer: not a string: [1]"),
+    ("firm.fgi", [], "firm.fgi: not a mapping: []"),
+    ("innovation.bom_override", 0, "innovation.bom_override: not a mapping: 0"),
 ]
 
 
@@ -905,6 +911,72 @@ def test_a_value_that_fails_to_load_names_its_document_path(path, value, message
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(mutated(PIN_DOC, path, value))
     assert str(err.value) == message
+
+
+# every key a document must give, each missing one named with its mapping's path
+REQUIRED_KEYS = {
+    "suppliers.0.name",
+    "suppliers.0.reorder.R1.point",
+    "suppliers.0.reorder.R1.up_to",
+    "firm.raw_reorder.R1.point",
+    "firm.raw_reorder.R1.up_to",
+    "retailer.reorder.P1.point",
+    "retailer.reorder.P1.up_to",
+    "customers.0.name",
+    "demand.rows.0.customer",
+    "demand.rows.0.product",
+    "demand.rows.0.monthly",
+    "sell.prospects.0.name",
+    "sell.prospects.0.priority",
+    "sell.prospects.0.product",
+    "sell.prospects.0.boxes_per_day",
+}
+
+
+def test_a_missing_key_reads_as_its_default_or_is_a_parse_error_at_its_mapping():
+    # each key of the document, in the first entry of each list and item map
+    paths = [
+        ".".join(map(str, p))
+        for p in DOC_PATHS
+        if isinstance(p[-1], str)
+        and all(k == 0 for k in p if isinstance(k, int))
+        and all(k in ("P1", "R1") for k in p if re.fullmatch(r"[PR]\d+", str(k)))
+    ]
+    missing = {}
+    for path in paths:
+        try:
+            scenario_from_dict(mutated(PIN_DOC, path, None))
+        except ScenarioError as err:
+            if err.code == "parse":
+                missing[path] = str(err)
+    assert missing == {
+        path: "{}: missing key {!r}".format(*path.rsplit(".", 1)) for path in REQUIRED_KEYS
+    }
+
+
+@pytest.mark.parametrize("value", ["false", [1], 1], ids=repr)
+def test_a_process_toggle_that_is_no_boolean_is_a_parse_error(value):
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(mutated(PIN_DOC, "processes.market", value))
+    assert err.value.code == "parse"
+    assert str(err.value) == f"processes.market: not a boolean: {value!r}"
+
+
+@pytest.mark.parametrize("base_dir", [None, Path(".")], ids=["no-base-dir", "base-dir"])
+def test_a_demand_file_that_is_no_string_is_a_parse_error(base_dir):
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict({**PIN_DOC, "demand": {"file": 5}}, base_dir=base_dir)
+    assert err.value.code == "parse"
+    assert str(err.value) == "demand.file: not a string: 5"
+
+
+def test_a_second_inline_demand_row_for_a_pair_is_bad_demand_row():
+    doc = copy.deepcopy(PIN_DOC)
+    doc["demand"]["rows"].append({"customer": "customer1", "product": 1, "monthly": [1.0] * 12})
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.code == "bad-demand-row"
+    assert str(err.value) == "demand.rows.6: a second row for customer1/P1"
 
 
 # -- reading files: encoding and the YAML loader ------------------------------
