@@ -167,6 +167,8 @@ class Chain:
             self.policies[s.name] = {
                 raw(rid): pol for rid, pol in sorted(s.reorder.items())
             }
+        # (item, policy, stock record) per actor, built on its first check
+        self._reorder_rows: dict[str, list[tuple[Item, ReorderPolicy, InventoryRecord]]] = {}
 
         self.inventories: dict[tuple[str, str], InventoryRecord] = {}
         for s in scenario.suppliers:
@@ -258,12 +260,20 @@ class Chain:
         eng.register_periodic(self.retailer_name, "activate-deliver", sc.retailer.deliver_every)
         eng.register_periodic(self.retailer_name, "activate-source", sc.retailer.source_every)
 
-    def finalize(self) -> None:
-        """Book holding costs from the integrated stock-level step functions."""
+    def finalize(self) -> list[tuple[InventoryRecord, float]]:
+        """Book holding costs from the integrated stock-level step functions.
+
+        Returns each stock record with its level integral over the horizon,
+        for the report's mean stock values: each record is integrated once.
+        """
+        stocks = []
         for record in self.inventories.values():
+            integral = record.level_integral(self.horizon)
             if record.unit_holding_cost > 0:
-                amount = record.unit_holding_cost * record.level_integral(self.horizon)
+                amount = record.unit_holding_cost * integral
                 self.costs.add(self.horizon, record.owner, "holding", amount)
+            stocks.append((record, integral))
+        return stocks
 
     # ------------------------------------------------------------------
     # inventory helpers
@@ -419,9 +429,16 @@ class Chain:
 
     def check_reorders(self, actor: str, now: float) -> list[Order]:
         """(s, S) check over the actor's policied items; one outstanding order max."""
+        rows = self._reorder_rows.get(actor)
+        if rows is None:
+            # through record_of, in policy order: a missing stock record is
+            # created when the actor's first check reaches its item
+            rows = self._reorder_rows[actor] = [
+                (item, policy, self.record_of(actor, item))
+                for item, policy in self.policies.get(actor, {}).items()
+            ]
         placed = []
-        for item, policy in self.policies.get(actor, {}).items():
-            record = self.record_of(actor, item)
+        for item, policy, record in rows:
             if record.on_hand >= policy.point:
                 continue  # strictly-under trigger
             if self.ledger.outstanding_replenishment(actor, item):
@@ -530,14 +547,16 @@ class Chain:
         return shippable
 
     def _on_deliver(self, engine: Engine, event: Event) -> None:
-        self.ship_orders(event.target, event.fire_time)
+        if self.ledger.holds_fgi(event.target):  # most activations find nothing
+            self.ship_orders(event.target, event.fire_time)
 
     def _on_arrival(self, engine: Engine, event: Event) -> None:
         now = event.fire_time
         order = self.ledger.orders[event.payload["order_id"]]
         self.ledger.transition(order.order_id, _DELIVERED, now)
 
-        amount = order.quantity * self.scenario.price_of(order.provider, order.item)
+        unit_price = self.scenario.price_of(order.provider, order.item)
+        amount = order.quantity * unit_price
         self.costs.add(now, order.client, "purchase", amount)
         self.costs.add(now, order.provider, "sales-revenue", amount)
 
@@ -554,7 +573,7 @@ class Chain:
                 self._resolve_ticket(order, now)
             voter = self.voters.get((order.client, order.item.id))
             if voter is not None:
-                self._update_vote(voter, order, now)
+                self._update_vote(voter, order, now, unit_price)
 
     # ------------------------------------------------------------------
     # support loop
@@ -619,14 +638,13 @@ class Chain:
         others = [v.vote.x for v in self._voters_of[pid] if v is not voter]
         return _left_sum(others) / len(others) if others else 0.0
 
-    def _update_vote(self, voter: Voter, order: Order, now: float) -> None:
+    def _update_vote(self, voter: Voter, order: Order, now: float, unit_price: float) -> None:
         customer = order.client
         state = voter.vote
         params = self.scenario.satisfaction
 
         delivery_time = now - order.created_at
         conform = (order.quantity - order.defective_qty) / order.quantity
-        unit_price = self.scenario.price_of(order.provider, order.item)
 
         if voter.deliveries:
             mean_time = voter.time_total / voter.deliveries

@@ -120,7 +120,9 @@ class Engine:
             )
         seq = self._next_seq
         self._next_seq = seq + 1
-        heappush(self._queue, Event(at, seq, target, kind, payload, periodic))
+        # built in C from all six fields: Event(...) would go through the
+        # Python-level __new__ of a NamedTuple with defaults, at twice the cost
+        heappush(self._queue, tuple.__new__(Event, (at, seq, target, kind, payload, periodic)))
 
     def register_periodic(self, target: str, kind: str, interval: float) -> None:
         """Activate (target, kind) at interval, 2*interval, ... until run end.
@@ -162,10 +164,14 @@ class Engine:
                 handler(self, event)
             if spec is not None:
                 # occurrence times are k*interval, not accumulated sums,
-                # so the count over a horizon is exact
+                # so the count over a horizon is exact; the next one is not
+                # before now and not after the finite t_end, so it needs none
+                # of schedule()'s checks and takes its sequence number here
                 nxt = (spec.k + 1) * spec.interval
                 if nxt <= t_end:
-                    self.schedule(nxt, target, kind, None, spec)
+                    seq = self._next_seq
+                    self._next_seq = seq + 1
+                    heappush(queue, tuple.__new__(Event, (nxt, seq, target, kind, None, spec)))
                     spec.k += 1
         self._handlers = {}
         return self.trace

@@ -239,14 +239,16 @@ class Ledger:
             raise OrderValidationError(
                 f"new orders must be Open, got {order.status.value}"
             )
-        if order.quantity <= 0:
+        if not 0 < order.quantity < _INF:  # also true for NaN
             raise OrderValidationError(
-                f"order quantity must be positive, got {order.quantity}"
+                f"order quantity must be positive and finite, got {order.quantity}"
             )
-        if self._known_actors is not None:
-            for party in (order.client, order.provider):
-                if party not in self._known_actors:
-                    raise OrderValidationError(f"unknown party: {party!r}")
+        known = self._known_actors
+        if known is not None:
+            if order.client not in known:
+                raise OrderValidationError(f"unknown party: {order.client!r}")
+            if order.provider not in known:
+                raise OrderValidationError(f"unknown party: {order.provider!r}")
         if self._known_items is not None and order.item not in self._known_items:
             raise OrderValidationError(f"unknown item: {order.item.code}")
         self.orders[order.order_id] = order
@@ -259,7 +261,8 @@ class Ledger:
         bucket[order.order_id] = order
         key = (order.client, order.item)
         self._outstanding[key] = self._outstanding.get(key, 0) + 1
-        self._next_order_id = max(self._next_order_id, order.order_id + 1)
+        if order.order_id >= self._next_order_id:
+            self._next_order_id = order.order_id + 1
         return order.order_id
 
     def transition(self, order_id: int, new_status: OrderStatus, at: float) -> None:
@@ -346,6 +349,10 @@ class Ledger:
         found = list(bucket.values())
         found.sort(key=_OLDEST_FIRST)
         return found
+
+    def holds_fgi(self, provider: str) -> bool:
+        """True while the provider has any FGI order."""
+        return bool(self._fgi.get(provider))
 
     def outstanding_replenishment(self, client: str, item: Item) -> bool:
         """True while the client has any not-yet-delivered order for the item."""
@@ -560,8 +567,3 @@ class InventoryRecord:
         if last_t < t_end:
             total += last_level * (t_end - last_t)
         return total
-
-    def time_weighted_mean(self, t_end: float) -> float:
-        if t_end <= 0:
-            return self.samples[0][1]
-        return self.level_integral(t_end) / t_end

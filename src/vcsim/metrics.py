@@ -32,6 +32,8 @@ COST_CATEGORIES = (
     "sales-revenue",
 )
 
+_CATEGORY_SET = frozenset(COST_CATEGORIES)
+
 FINISHED_GOODS = "finished-goods"
 RAW_MATERIALS = "raw-materials"
 
@@ -50,13 +52,14 @@ class CostLedger:
         self.entries: list[CostEntry] = []
 
     def add(self, time: float, actor: str, category: str, amount: float) -> None:
-        if category not in COST_CATEGORIES:
+        if category not in _CATEGORY_SET:
             raise ValueError(f"unknown cost category: {category}")
         if category == "sales-revenue" and amount < 0:
             raise ValueError("sales revenue entries must be non-negative")
         if amount == 0:
             return  # zero-amount events leave no entry
-        self.entries.append(CostEntry(time, actor, category, amount))
+        # built in C: CostEntry(...) would go through a Python-level __new__
+        self.entries.append(tuple.__new__(CostEntry, (time, actor, category, amount)))
 
 
 def _left_sum(values: Iterable[float]) -> float:
@@ -191,7 +194,7 @@ class KpiReport(_DictForm):
 def build_report(
     scenario: Scenario,
     ledger: Ledger,
-    inventories: Iterable[InventoryRecord],
+    stocks: Iterable[tuple[InventoryRecord, float]],
     costs: CostLedger,
     produced_boxes: dict[str, float],
 ) -> tuple[KpiReport, dict[str, list[tuple[int, float]]]]:
@@ -202,7 +205,9 @@ def build_report(
     actor's totals per category. Order ids rise in append order, so each
     series comes out in order-id order. The report keeps each series' count,
     mean and max; the series themselves, ``(order_id, hours)`` per actor,
-    are returned beside it for ``delivery_times.csv``.
+    are returned beside it for ``delivery_times.csv``. ``stocks`` pairs each
+    stock record with its level integral over the period, as
+    ``Chain.finalize`` computed it for the holding costs.
     """
     period_hours = scenario.horizon_hours
     customers = {c.name for c in scenario.customers}
@@ -230,10 +235,12 @@ def build_report(
 
     # mean stock value per actor and stock class, integrated over the period
     stock_values: dict[str, dict[str, float]] = {}
-    for record in inventories:
+    for record, integral in stocks:
         stock_class = FINISHED_GOODS if record.item.kind == PRODUCT else RAW_MATERIALS
         by_class = stock_values.setdefault(record.owner, {})
-        value = record.time_weighted_mean(period_hours) * record.unit_value
+        # over an empty period the mean level is the initial one
+        mean = integral / period_hours if period_hours > 0 else record.samples[0][1]
+        value = mean * record.unit_value
         by_class[stock_class] = by_class.get(stock_class, 0.0) + value
 
     actors: dict[str, ActorKpis] = {}

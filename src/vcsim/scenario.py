@@ -171,7 +171,7 @@ def _num(code: str, interval: str) -> _Codec:
 
 
 def _one_of(code: str, values: tuple[str, ...]) -> _Codec:
-    return _Codec(str, check=_rule(values.__contains__, code, f"one of {values}"))
+    return _Codec(_string, check=_rule(values.__contains__, code, f"one of {values}"))
 
 
 @lru_cache(maxsize=256, typed=True)

@@ -53,10 +53,58 @@ CASE_STUDY_VCOR_480_SHA256 = {
 }
 
 
-def test_case_study_artifacts_match_their_pinned_digests(tmp_path):
-    run_scenario(case_study_scenario(mode="vcor", seed=42, horizon_hours=480.0), out_dir=tmp_path)
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+# the same at seed 42 for SCOR at 480 h, and for both modes at 48 h, the
+# horizon of the benchmark's pairs
+CASE_STUDY_SCOR_480_SHA256 = {
+    "trace.jsonl": "6417ad9c3e5010308c6f28f76d2a65b25471a941cc5de8c47bb95248f2824a6d",
+    "ledger.jsonl": "59c1c96fc8da0c3f5b8a40684709f93a933ed43143fd71c48e0ca532432a055c",
+    "costs.jsonl": "332171969fb2211d48bf272a12c442716f30c839676cc5f11c1bc9216ead6e7d",
+    "satisfaction.jsonl": "67e8b4975d5084e881c17ed9d0ac7054bb7bb956d3c5179fa06f3dcae3aeda23",
+    "kpi.json": "a1e3f4158c37439ad3567661b6b7e49673bd5a3ab6966671707d86836a8efa15",
+    "delivery_times.csv": "fed02dbf891ea8045a172ea7756c0b1f89b6c1d6db1461e9ac93ca5e76f8b7ea",
+}
+CASE_STUDY_SCOR_48_SHA256 = {
+    "trace.jsonl": "94d1a4a2de84055f4dccefdf13a931c8289450cc339812bd592323b259127ded",
+    "ledger.jsonl": "7a771bde7e69f98018527efea63b7a3c5c321f88520f8da8f65f37dc5892ad8b",
+    "costs.jsonl": "6f853d4a20ae830661ec645387b487fdbebb356c7cc0fdeb3a653b5171bc905f",
+    "satisfaction.jsonl": "89aee2763f715a2c6f1a03003141cee3f8a1294509cd62479e427da1087eeb26",
+    "kpi.json": "715798001290934f5a0cabd1064f2d24174cd3fa797c6d17a4ed0d281722c85c",
+    "delivery_times.csv": "78cf75af84e4ddf6c90233040d612c49d4f3dccc7e4278966f23381830cd52d1",
+}
+CASE_STUDY_VCOR_48_SHA256 = {
+    "trace.jsonl": "410fd78c504576ead27a8ed198848492ca06714b56b7da85100b2c252aa24318",
+    "ledger.jsonl": "1f081298c3b495f83e6adca87cc58c64af454902bfde40f5fcbccfb41e16019c",
+    "costs.jsonl": "b2ec33adc74a1175d120023316757d2b4e45fbc4c57f4f5316fed9f8e7b8d021",
+    "satisfaction.jsonl": "36c1997c053df7d96ef436b0f38a03526c0ca9b4556db5974bf37968cf92a0e2",
+    "kpi.json": "1bc7e6e9024c8c4511310ca1af62bac6b92bdf0b35801a7283147e76ec242784",
+    "delivery_times.csv": "7b9db9629a8e12ec7343967dd7a66fc7c3604500c7bc85a320bf885d71ccdcf6",
+}
+
+
+def _case_study_digests(out_dir, mode, horizon_hours):
+    run_scenario(
+        case_study_scenario(mode=mode, seed=42, horizon_hours=horizon_hours), out_dir=out_dir
+    )
+    return {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         for name in ARTIFACT_FILES
     }
-    assert digests == CASE_STUDY_VCOR_480_SHA256
+
+
+def test_case_study_artifacts_match_their_pinned_digests(tmp_path):
+    assert _case_study_digests(tmp_path, "vcor", 480.0) == CASE_STUDY_VCOR_480_SHA256
+
+
+@pytest.mark.parametrize(
+    "mode, horizon_hours, pinned",
+    [
+        ("scor", 480.0, CASE_STUDY_SCOR_480_SHA256),
+        ("scor", 48.0, CASE_STUDY_SCOR_48_SHA256),
+        ("vcor", 48.0, CASE_STUDY_VCOR_48_SHA256),
+    ],
+    ids=["scor-480", "scor-48", "vcor-48"],
+)
+def test_more_case_study_artifacts_match_their_pinned_digests(
+    tmp_path, mode, horizon_hours, pinned
+):
+    assert _case_study_digests(tmp_path, mode, horizon_hours) == pinned

@@ -51,6 +51,14 @@ class TestAppendOrder:
         with pytest.raises(OrderValidationError):
             make_ledger().place("retailer", "firm", product(1), 0.0, at=0.0)
 
+    @pytest.mark.parametrize("quantity", [math.nan, math.inf], ids=repr)
+    def test_a_quantity_that_is_not_finite_is_rejected(self, quantity):
+        # NaN compares false with 0: a `<= 0` check lets it through
+        ledger = make_ledger()
+        with pytest.raises(OrderValidationError):
+            ledger.place("retailer", "firm", product(1), quantity, at=0.0)
+        assert not ledger.orders and not ledger.transitions
+
     def test_ids_strictly_increase(self):
         ledger = make_ledger()
         first = ledger.place("retailer", "firm", product(1), 1.0, at=0.0)
@@ -328,6 +336,16 @@ class TestExportImport:
         with pytest.raises(TransitionError):
             Ledger.from_lines(ledger.export_lines() + [bad])
 
+    @pytest.mark.parametrize("quantity", [math.nan, math.inf], ids=repr)
+    def test_replay_rejects_a_quantity_that_is_not_finite(self, quantity):
+        ledger = make_ledger()
+        ledger.place("retailer", "firm", product(1), 5.0, at=0.0)
+        order_line, open_line = ledger.export_lines()
+        bad = json.dumps({**json.loads(order_line), "quantity": quantity})
+        assert '"quantity": NaN' in bad or '"quantity": Infinity' in bad
+        with pytest.raises(OrderValidationError):
+            Ledger.from_lines([bad, open_line])
+
     @pytest.mark.parametrize("created_at", [-5.0, math.nan, math.inf], ids=repr)
     def test_replay_rejects_an_order_created_at_a_bad_time(self, created_at):
         ledger = make_ledger()
@@ -451,11 +469,11 @@ class TestInventory:
         with pytest.raises(ReservationError):
             rec.adjust(-150.0, at=1.0)
 
-    def test_time_weighted_mean_of_step_function(self):
-        # 500 for 24 h then 300 for 24 h -> 400 over 48 h
+    def test_level_integral_of_step_function(self):
+        # 500 for 24 h then 300 for 24 h -> a mean of 400 over 48 h
         rec = InventoryRecord(owner="firm", item=product(1), on_hand=500.0)
         rec.adjust(-200.0, at=24.0)
-        assert rec.time_weighted_mean(48.0) == pytest.approx(400.0)
+        assert rec.level_integral(48.0) == pytest.approx(400.0 * 48.0)
 
     @given(
         st.lists(

@@ -295,6 +295,9 @@ NO_SUCH_DEMAND_FILE = str(Path(__file__).parent / "no-such-demand.csv")
 CODE_CASES = [
     ("schema", 2, "schema-version"),
     ("customers.0.lot_size", "x", "parse"),
+    ("mode", ["vcor"], "parse"),
+    ("customers.0.arrivals", 5, "parse"),
+    ("firm.production_mode.P1", True, "parse"),
     ("firm.capacity_boxes_per_day", "x", "parse"),
     ("demand", {"file": NO_SUCH_DEMAND_FILE}, "io"),
     ("firm.fgi.X1", 5.0, "bad-item-code"),
@@ -903,6 +906,9 @@ LOAD_MESSAGES = [
     ("demand.rows.0.customer", [1], "demand.rows.0.customer: not a string: [1]"),
     ("firm.fgi", [], "firm.fgi: not a mapping: []"),
     ("innovation.bom_override", 0, "innovation.bom_override: not a mapping: 0"),
+    ("mode", ["vcor"], "mode: not a string: ['vcor']"),
+    ("customers.0.arrivals", 5, "customers.0.arrivals: not a string: 5"),
+    ("firm.production_mode.P1", True, "firm.production_mode.P1: not a string: True"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -260,6 +261,58 @@ def test_a_finished_run_leaves_no_cyclic_garbage(tmp_path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("fails", [False, True], ids=["finishes", "raises"])
+def test_a_run_hands_the_collector_back_as_the_caller_had_it(monkeypatch, collecting, fails):
+    seen = []
+    handler = Chain._on_customer_order
+
+    def order(chain, engine, event):
+        seen.append(gc.isenabled())
+        if fails:
+            raise RuntimeError("handler failed")
+        handler(chain, engine, event)
+
+    monkeypatch.setattr(Chain, "_on_customer_order", order)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if fails:
+            with pytest.raises(RuntimeError):
+                run_scenario(case_study_scenario(mode="vcor", seed=42))
+        else:
+            run_scenario(case_study_scenario(mode="vcor", seed=42))
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)  # paused while the run's handlers ran
+
+
+def test_a_run_makes_the_collection_it_held_back_before_it_returns():
+    """So a timer or profiler around the run, not the caller's next
+    allocation, sees its time."""
+    inside = []
+
+    def record(phase, info):
+        if phase == "start":
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            inside.append("run_scenario" in names)
+
+    scenario = case_study_scenario(mode="vcor", seed=42, horizon_hours=480.0)
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        kept = run_scenario(scenario)  # kept: freeing the run lowers the young count
+        [[] for _ in range(gc.get_threshold()[0] // 2)]  # the caller allocates on
+    finally:
+        gc.callbacks.remove(record)
+    assert inside == [True]
+    assert kept.ledger.orders
 
 
 class TestLedgerInvariantsInRuns:
