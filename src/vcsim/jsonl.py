@@ -4,15 +4,19 @@ the two indented reports.
 Every line is the compact, key-sorted, ASCII-escaped JSON that
 ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` gives, with
 floats as Python ``repr``. Records with fixed keys are formatted directly,
-keys already in sorted order; dicts whose keys are not fixed (event payloads,
-the header, scenario parts) go through one shared encoder. ``kpi.json`` and
-``comparison.json`` are ``json.dumps(report, sort_keys=True, indent=2)``.
+keys already in sorted order; the ledger's are built at import from
+``LEDGER_RECORDS``, the declaration ``Ledger.from_lines`` also reads lines
+against. Dicts whose keys are not fixed (event payloads, the header, scenario
+parts) go through one shared encoder. ``kpi.json`` and ``comparison.json`` are
+``json.dumps(report, sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
 
 from json import JSONEncoder
 from json.encoder import _make_iterencode, c_make_encoder, encode_basestring_ascii as _escape
+from types import UnionType
+from typing import get_args, get_origin
 
 if c_make_encoder is None:  # no C accelerator: the pure-Python encoder
     _ENCODE = JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -60,32 +64,59 @@ def _trace_line(e) -> str:
     )
 
 
-def _order_line(o) -> str:
-    return (
-        f'{{"client":{_escape(o.client)},"created_at":{_num(o.created_at)},'
-        f'"defective_qty":{_num(o.defective_qty)},"item":{_escape(o.item.code)},'
-        f'"order_id":{_num(o.order_id)},"provider":{_escape(o.provider)},'
-        f'"quantity":{_num(o.quantity)},"record":"order",'
-        f'"replacement_for":{_num(o.replacement_for)},'
-        f'"shippable_after":{_num(o.shippable_after)}}}'
+#: The type of a field that holds an ``Item``: its line holds the item's code.
+ITEM_CODE = "item code"
+
+#: The records of ``ledger.jsonl``: each key, named after the field it holds,
+#: with the type of its value. A transition has no record object: its keys, in
+#: this order, are its formatter's parameters.
+LEDGER_RECORDS = {
+    "order": {
+        "order_id": int, "client": str, "provider": str, "item": ITEM_CODE, "quantity": float,
+        "created_at": float, "replacement_for": int | None, "shippable_after": float,
+        "defective_qty": float,
+    },
+    "transition": {"order_id": int, "status": str, "at": float},
+    "ticket": {
+        "ticket_id": int, "order_id": int, "customer": str, "item": ITEM_CODE,
+        "defective_qty": float, "opened_at": float, "replacement_order_id": int | None,
+        "resolved_at": float | None,
+    },
+}
+
+
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has the declared type ``hint``; an int passes as a float."""
+    if type(value) is hint or (hint is float and type(value) is int):
+        return True
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return any(_conforms(value, arg) for arg in args)
+    return origin is dict and type(value) is dict and all(
+        type(k) is str and _conforms(v, args[1]) for k, v in value.items()
     )
 
 
-def _transition_line(order_id, status: str, at) -> str:
-    return (
-        f'{{"at":{_num(at)},"order_id":{_num(order_id)},'
-        f'"record":"transition","status":{_escape(status)}}}'
-    )
+def _ledger_formatter(kind: str, record: str | None = None):
+    """The line formatter of a ledger record kind: one f-string built from its
+    declaration, as ``dataclasses`` builds ``__init__``. It takes ``record``,
+    whose attributes hold the keys, or else the keys themselves."""
+    declared = LEDGER_RECORDS[kind]
+    values = {"record": f'"{kind}"'}
+    for key, hint in declared.items():
+        ref = key if record is None else f"{record}.{key}"
+        if hint is ITEM_CODE:
+            ref += ".code"
+        values[key] = f"{{_escape({ref})}}" if hint in (str, ITEM_CODE) else f"{{_num({ref})}}"
+    body = ",".join(f'"{key}":{values[key]}' for key in sorted(values))
+    name, params, namespace = f"_{kind}_line", record or ", ".join(declared), {}
+    exec(f"def {name}({params}):\n    return f'{{{{{body}}}}}'", globals(), namespace)
+    return namespace[name]
 
 
-def _ticket_line(t) -> str:
-    return (
-        f'{{"customer":{_escape(t.customer)},"defective_qty":{_num(t.defective_qty)},'
-        f'"item":{_escape(t.item.code)},"opened_at":{_num(t.opened_at)},'
-        f'"order_id":{_num(t.order_id)},"record":"ticket",'
-        f'"replacement_order_id":{_num(t.replacement_order_id)},'
-        f'"resolved_at":{_num(t.resolved_at)},"ticket_id":{_num(t.ticket_id)}}}'
-    )
+_order_line = _ledger_formatter("order", "o")
+_transition_line = _ledger_formatter("transition")
+_ticket_line = _ledger_formatter("ticket", "t")
 
 
 def _cost_line(e) -> str:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Iterable
 
-from .jsonl import _order_line, _ticket_line, _transition_line
+from .jsonl import ITEM_CODE, LEDGER_RECORDS, _conforms, _order_line, _ticket_line, _transition_line
 
 
 class LedgerError(Exception):
@@ -127,9 +127,8 @@ OUTSTANDING = frozenset(
 class Order:
     """One order: the unit of information flow between a client and a provider.
 
-    quantity is boxes for finished goods and kg for raws. ``reserved``,
-    ``shippable_after`` and the defect fields are runtime bookkeeping used
-    by the actor processes; they are persisted for auditability.
+    quantity is boxes for finished goods and kg for raws. ``reserved`` is the
+    actors' runtime bookkeeping and is not exported: a replayed order holds 0.
     """
 
     order_id: int
@@ -396,18 +395,15 @@ class Ledger:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "Ledger":
-        """Rebuild a ledger by replaying exported records.
+        """Rebuild a ledger by replaying exported records, each holding exactly
+        the keys of its kind in ``LEDGER_RECORDS``, of their declared types.
 
-        Replay goes through the live writers. An order record waits until
-        its Open transition record, which is the entry ``append_order`` logs,
-        so the rebuilt transition log keeps the exported interleaving; every
-        later record goes through ``transition``, and every ticket through
-        ``open_ticket``, in id order. Illegal moves, time reversals and
-        transitions of unknown orders raise ``TransitionError``; a record
-        that is not one the export writes, an id that is not an int
-        included, raises ``CorruptionError`` naming its line. A ticket and
-        its replacement order must name each other; a link that only one
-        side states raises ``CorruptionError`` too.
+        Replay goes through the live writers. An order record waits until its
+        Open transition record, the entry ``append_order`` logs, so the rebuilt
+        log keeps the exported interleaving. A ticket and its replacement order
+        must name each other. An error in a line names the line and keeps its
+        class: ``TransitionError`` for an illegal move, ``CorruptionError``
+        for a record that the export does not write.
         """
         ledger = cls()
         pending: dict[int, Order] = {}
@@ -417,100 +413,88 @@ class Ledger:
                 continue
             try:
                 ledger._replay(json.loads(line), pending)
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise CorruptionError(
-                    f"line {number}: malformed ledger record: {exc!r}"
-                ) from None
+            except LedgerError as exc:
+                raise type(exc)(f"line {number}: {exc}") from None
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise CorruptionError(f"line {number}: malformed ledger record: {exc!r}") from None
         if pending:
             raise CorruptionError(f"order {min(pending)} has no Open transition record")
-        for order in ledger.orders.values():
-            if order.replacement_for is not None:
-                ticket = ledger.tickets.get(order.replacement_for)
-                if ticket is None or ticket.replacement_order_id != order.order_id:
-                    raise CorruptionError(
-                        f"order {order.order_id} replaces ticket {order.replacement_for}, "
-                        "which names no such replacement"
-                    )
+        by_orders = {(o.order_id, o.replacement_for) for o in ledger.orders.values()}
+        by_tickets = {(t.replacement_order_id, t.ticket_id) for t in ledger.tickets.values()}
+        unmatched = [(o, t) for o, t in by_orders ^ by_tickets if o is not None and t is not None]
+        if unmatched:
+            raise CorruptionError("order %d, ticket %d: only one names the other" % min(unmatched))
         return ledger
 
     def _replay(self, rec: dict, pending: dict[int, Order]) -> None:
         kind = rec.get("record")
         if kind == "header":
             return  # provenance line of exported artifact files
+        fields = _fields(kind, rec)
         if kind == "order":
-            order = Order(
-                order_id=_id_of(rec, "order_id"),
-                client=rec["client"],
-                provider=rec["provider"],
-                item=Item.parse(rec["item"]),
-                quantity=rec["quantity"],
-                created_at=rec["created_at"],
-                replacement_for=_id_of(rec, "replacement_for", optional=True),
-                shippable_after=rec.get("shippable_after", rec["created_at"]),
-                defective_qty=rec.get("defective_qty", 0.0),
-            )
+            order = Order(**fields)
             if order.order_id in pending:
                 raise CorruptionError(f"duplicate order id {order.order_id}")
             pending[order.order_id] = order
         elif kind == "transition":
-            order_id, at = _id_of(rec, "order_id"), rec["at"]
-            try:
-                status = OrderStatus(rec["status"])
-            except ValueError:
-                raise CorruptionError(f"unknown order status: {rec['status']!r}") from None
+            order_id, status, at = fields.values()
             order = pending.pop(order_id, None)
             if order is None:
-                self.transition(order_id, status, at)
-            elif status is OrderStatus.OPEN and at == order.created_at:
+                self.transition(order_id, OrderStatus(status), at)
+            elif status == _OPEN and at == order.created_at:
                 self.append_order(order)
             else:
                 raise CorruptionError(
                     f"order {order_id} must first be logged Open at "
-                    f"t={order.created_at}, got {status.value} at t={at}"
+                    f"t={order.created_at}, got {status} at t={at}"
                 )
-        elif kind == "ticket":
-            ticket_id, order_id = _id_of(rec, "ticket_id"), _id_of(rec, "order_id")
+        else:
+            ticket = SupportTicket(**fields)
+            ticket_id, order = ticket.ticket_id, self.orders.get(ticket.order_id)
             if ticket_id != self._next_ticket_id:
                 raise CorruptionError(
                     f"ticket {ticket_id} out of sequence, expected {self._next_ticket_id}"
                 )
-            order = self.orders.get(order_id)
             if order is None:
-                raise CorruptionError(f"ticket {ticket_id} for unknown order {order_id}")
-            if Item.parse(rec["item"]) != order.item:
+                raise CorruptionError(f"ticket {ticket_id} for unknown order {ticket.order_id}")
+            if ticket.item != order.item:
                 raise CorruptionError(f"ticket {ticket_id} names another item than its order")
-            ticket = self.open_ticket(
-                order, rec["defective_qty"], rec["customer"], rec["opened_at"]
-            )
-            replacement_id = _id_of(rec, "replacement_order_id", optional=True)
-            if replacement_id is not None:
-                replacement = self.orders.get(replacement_id)
-                if replacement is None or replacement.replacement_for != ticket_id:
-                    raise CorruptionError(
-                        f"ticket {ticket_id} names order {replacement_id} as its "
-                        "replacement, which does not replace it"
-                    )
-            ticket.replacement_order_id = replacement_id
-            resolved_at = rec.get("resolved_at")
-            if resolved_at is not None and not ticket.opened_at <= resolved_at < _INF:
-                raise CorruptionError(
-                    f"ticket {ticket_id} resolved at t={resolved_at}, before it was "
-                    f"opened at t={ticket.opened_at} or not finite"
-                )
-            ticket.resolved_at = resolved_at
+            if ticket.resolved_at is not None and not ticket.opened_at <= ticket.resolved_at < _INF:
+                raise CorruptionError(f"ticket {ticket_id} resolved before it opened or not finite")
+            self.open_ticket(order, ticket.defective_qty, ticket.customer, ticket.opened_at)
+            self.tickets[ticket_id] = ticket  # with its replacement and its resolution
+
+
+_TYPE_NAMES = {
+    int: "an integer", int | None: "an integer or null", float: "a number",
+    float | None: "a number or null", str: "a string", ITEM_CODE: "an item code",
+}
+
+
+def _fields(kind, rec: dict) -> dict:
+    """The fields of a ledger record: exactly the keys that ``LEDGER_RECORDS``
+    declares for its kind, each of its declared type."""
+    declared = LEDGER_RECORDS.get(kind)
+    if declared is None:
+        raise CorruptionError(f"unknown ledger record kind: {kind!r}")
+    keys = rec.keys() - {"record"}
+    if keys != declared.keys():
+        key = min(keys ^ declared.keys())
+        raise CorruptionError(
+            f"{kind} record {'lacks' if key in declared else 'has an unknown'} key {key!r}"
+        )
+    fields = {}
+    for key, hint in declared.items():
+        value = rec[key]
+        if hint is ITEM_CODE:  # an item code formats back to itself: not " P1" or "P01"
+            value = Item.parse(value) if type(value) is str else None
+            ok = value is not None and value.code == rec[key]
         else:
-            raise CorruptionError(f"unknown ledger record kind: {kind!r}")
-
-
-def _id_of(rec: dict, key: str, optional: bool = False) -> int | None:
-    """The id under ``key``: an int, not a float or a bool, or None if ``optional``.
-
-    A float id would equal and hash as the int, then export as a float.
-    """
-    value = rec.get(key) if optional else rec[key]
-    if type(value) is int or (optional and value is None):
-        return value
-    raise TypeError(f"{key} is not an integer: {value!r}")
+            ok = _conforms(value, hint)
+        if not ok:
+            raise CorruptionError(f"{kind} {key} is not {_TYPE_NAMES[hint]}: {rec[key]!r}")
+        fields[key] = value
+    return fields
 
 
 def replay_final_statuses(transitions: Iterable[tuple[int, str, float]]) -> dict[int, str]:

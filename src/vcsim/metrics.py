@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from operator import add
-from types import UnionType
-from typing import Iterable, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Iterable, NamedTuple, get_type_hints
 
-from .jsonl import _ENCODE_INDENTED
+from .jsonl import _ENCODE_INDENTED, _conforms
 from .ledger import InventoryRecord, Ledger, PRODUCT
 from .scenario import Scenario
 
@@ -103,20 +102,6 @@ def _converted(load, dump):
     """A report field with its own dict form: ``dump`` writes it, ``load``
     reads it back."""
     return field(metadata={"load": load, "dump": dump})
-
-
-def _conforms(value, hint) -> bool:
-    """Whether ``value`` has the declared type ``hint``; an int passes as a float."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:
-        return any(_conforms(value, arg) for arg in args)
-    if origin is dict:
-        return type(value) is dict and all(
-            type(k) is str and _conforms(v, args[1]) for k, v in value.items()
-        )
-    if hint is float:
-        return type(value) in (int, float)
-    return type(value) is hint
 
 
 class _DictForm:

@@ -6,10 +6,12 @@ event schedule, or the provenance headers shows up here as a byte diff.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
+from vcsim.ledger import Ledger
 from vcsim.scenario import case_study_scenario
 from vcsim.simulation import run_scenario
 
@@ -38,6 +40,14 @@ def test_artifact_file_matches_committed_golden(fresh_run, name):
     produced = (fresh_run / name).read_bytes()
     expected = (GOLDEN_DIR / name).read_bytes()
     assert produced == expected, f"{name} drifted from the committed golden"
+
+
+def test_committed_ledger_replays_and_exports_byte_for_byte():
+    text = (GOLDEN_DIR / "ledger.jsonl").read_text(encoding="utf-8")
+    header, _, body = text.partition("\n")
+    assert json.loads(header)["record"] == "header"
+    exported = Ledger.from_lines(text.splitlines()).export_lines()
+    assert "".join(line + "\n" for line in exported) == body
 
 
 # sha256 of the case study's VCOR artifacts at 480 h, seed 42; float sums in

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,11 +18,14 @@ from vcsim.ledger import (
     OrderStatus,
     OrderValidationError,
     ReservationError,
+    SupportTicket,
     TransitionError,
+    _fields,
     product,
     raw,
     replay_final_statuses,
 )
+from vcsim.jsonl import _order_line, _ticket_line, _transition_line
 from vcsim.scenario import case_study_scenario
 from vcsim.simulation import run_scenario
 
@@ -456,6 +460,144 @@ class TestExportImport:
         lines = make_ledger().export_lines() + ["", bad]
         with pytest.raises(CorruptionError, match="^line 2: "):
             Ledger.from_lines(lines)
+
+
+    def test_int_quantities_replay_and_export_as_written(self):
+        # round() gives an int defective quantity, which the replacement order
+        # takes as its quantity: at lot size 10 it can reach 2
+        scenario = case_study_scenario("vcor", 42, 480.0)
+        scenario = replace(
+            scenario, customers=tuple(replace(c, lot_size=10.0) for c in scenario.customers)
+        )
+        lines = run_scenario(scenario).ledger.export_lines()
+        ticket = next(
+            json.loads(line)
+            for line in lines
+            if '"record":"ticket"' in line and '"defective_qty":2,' in line
+        )
+        replacement = f'"order_id":{ticket["replacement_order_id"]},'
+        assert any(replacement in line and '"quantity":2,' in line for line in lines)
+        assert Ledger.from_lines(lines).export_lines() == lines
+
+
+# The file format of ledger.jsonl, written out here rather than read from the
+# declaration, so that a change to the declaration shows as a test failure:
+# each record kind's keys besides "record", and which of them hold strings
+LEDGER_KEYS = {
+    "order": (
+        "client", "created_at", "defective_qty", "item", "order_id", "provider",
+        "quantity", "replacement_for", "shippable_after",
+    ),
+    "transition": ("at", "order_id", "status"),
+    "ticket": (
+        "customer", "defective_qty", "item", "opened_at", "order_id",
+        "replacement_order_id", "resolved_at", "ticket_id",
+    ),
+}
+STRING_KEYS = {"client", "customer", "item", "provider", "status"}
+
+finite = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+record_ids = st.integers(min_value=0)
+record_items = st.builds(lambda make, n: make(n), st.sampled_from([product, raw]), record_ids)
+
+
+def every_record_kind() -> list[str]:
+    """The lines of a ledger with an order, its transitions, a ticket and the
+    ticket's delivered replacement."""
+    ledger = make_ledger()
+    order = ledger.place("customer1", "retailer", product(1), 10.0, at=0.0)
+    deliver(ledger, order, at=1.0)
+    ticket = ledger.open_ticket(order, 2.0, "customer1", at=1.0)
+    replacement = ledger.place(
+        "customer1", "retailer", product(1), 2.0, at=1.0, replacement_for=ticket.ticket_id
+    )
+    ticket.replacement_order_id = replacement.order_id
+    deliver(ledger, replacement, at=3.0)
+    ticket.resolved_at = 3.0
+    return ledger.export_lines()
+
+
+class TestLedgerRecords:
+    def test_each_kind_writes_its_keys_and_replays_as_written(self):
+        lines = every_record_kind()
+        assert Ledger.from_lines(lines).export_lines() == lines
+        for kind, keys in LEDGER_KEYS.items():
+            written = [json.loads(line) for line in lines if f'"record":"{kind}"' in line]
+            assert written
+            assert all(sorted(rec) == sorted([*keys, "record"]) for rec in written)
+
+    @pytest.mark.parametrize(
+        "kind,key,edit",
+        [
+            *(
+                (kind, key, edit)
+                for kind, keys in LEDGER_KEYS.items()
+                for key in keys
+                for edit in ("bool", "wrong-type", "removed")
+            ),
+            *((kind, "bogus", "added") for kind in LEDGER_KEYS),
+        ],
+        ids=lambda v: v,
+    )
+    def test_a_key_that_breaks_the_format_is_corruption_naming_line_and_key(
+        self, kind, key, edit
+    ):
+        lines = every_record_kind()
+        i = next(i for i, line in enumerate(lines) if f'"record":"{kind}"' in line)
+        rec = json.loads(lines[i])
+        if edit == "removed":
+            del rec[key]
+        elif edit == "added":
+            rec[key] = 1
+        elif edit == "bool":
+            rec[key] = True
+        else:
+            rec[key] = 7 if key in STRING_KEYS else "6"
+        lines[i] = json.dumps(rec)
+        with pytest.raises(CorruptionError, match=f"^line {i + 1}: .*{key}"):
+            Ledger.from_lines(lines)
+
+    @pytest.mark.parametrize("code", [" P1", "P01", "p1"], ids=repr)
+    def test_an_item_code_must_format_back_to_itself(self, code):
+        lines = every_record_kind()
+        lines[0] = lines[0].replace('"item":"P1"', f'"item":"{code}"')
+        with pytest.raises(LedgerError, match="^line 1: .*item"):
+            Ledger.from_lines(lines)
+
+    @given(
+        st.builds(
+            Order, order_id=record_ids, client=st.text(), provider=st.text(), item=record_items,
+            quantity=finite, created_at=finite, shippable_after=finite, defective_qty=finite,
+            replacement_for=st.none() | record_ids,
+        ),
+        st.tuples(record_ids, st.text(), finite),
+        st.builds(
+            SupportTicket, ticket_id=record_ids, order_id=record_ids, customer=st.text(),
+            item=record_items, defective_qty=finite, opened_at=finite,
+            replacement_order_id=st.none() | record_ids, resolved_at=st.none() | finite,
+        ),
+    )
+    def test_reading_back_a_formatted_line_gives_the_records_fields(
+        self, order, transition, ticket
+    ):
+        def typed(fields):  # int and float, 0.0 and -0.0 apart
+            return {key: (type(value), repr(value)) for key, value in fields.items()}
+
+        order_id, status, at = transition
+        for kind, line, fields in [
+            ("order", _order_line(order), {k: getattr(order, k) for k in LEDGER_KEYS["order"]}),
+            (
+                "transition",
+                _transition_line(order_id, status, at),
+                {"order_id": order_id, "status": status, "at": at},
+            ),
+            (
+                "ticket",
+                _ticket_line(ticket),
+                {k: getattr(ticket, k) for k in LEDGER_KEYS["ticket"]},
+            ),
+        ]:
+            assert typed(_fields(kind, json.loads(line))) == typed(fields)
 
 
 class TestInventory:
