@@ -66,10 +66,21 @@ class Item(namedtuple("_ItemFields", "kind id code")):
 
     @classmethod
     def parse(cls, code: str) -> "Item":
-        code = code.strip()
-        if len(code) < 2 or code[0] not in "PR" or not code[1:].isdigit():
+        """The item whose code is ``code``, written as ``Item`` writes it: a
+        kind letter and ASCII digits without leading zeros, "P1" but not
+        "P01", " P1" or "P²"."""
+        kind, digits = _KINDS.get(code[:1]), code[1:]
+        ascii_digits = digits.isascii() and digits.isdigit()
+        try:
+            item = cls(kind, int(digits)) if kind and ascii_digits else None
+        except ValueError:  # more digits than ``int`` converts
+            item = None
+        if item is None or item.code != code:
             raise OrderValidationError(f"bad item code: {code!r}")
-        return cls(PRODUCT if code[0] == "P" else RAW, int(code[1:]))
+        return item
+
+
+_KINDS = {"P": PRODUCT, "R": RAW}
 
 
 # items are immutable, so each one is built once and shared; the caches hold
@@ -486,9 +497,12 @@ def _fields(kind, rec: dict) -> dict:
     fields = {}
     for key, hint in declared.items():
         value = rec[key]
-        if hint is ITEM_CODE:  # an item code formats back to itself: not " P1" or "P01"
-            value = Item.parse(value) if type(value) is str else None
-            ok = value is not None and value.code == rec[key]
+        if hint is ITEM_CODE:
+            try:
+                value = Item.parse(value) if type(value) is str else None
+            except OrderValidationError:
+                value = None
+            ok = value is not None
         else:
             ok = _conforms(value, hint)
         if not ok:

@@ -10,30 +10,17 @@ delivery's signals (innovation flag, support outcome, price change, delay,
 quality, peer votes). With zero input the vote decays geometrically; the
 innovation gain is chosen so that a launch pushes the vote to 9 from zero
 regardless of the forgetting factor.
+
+The starting vote and the weights, ``SatisfactionParams``, are a scenario
+spec: ``scenario`` declares them with their document keys and ranges, like
+every other spec, and this module takes them from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-
-@dataclass(frozen=True, slots=True)
-class SatisfactionParams:
-    """The starting vote and the weights of the vote-update input.
-
-    initial_vote lies in [0, 10], forgetting_factor strictly inside (0, 1),
-    and price_weight is strictly positive (set the price-change signal to
-    zero to disable it). ``Scenario.validate`` checks them per scenario build.
-    """
-
-    forgetting_factor: float = 0.3
-    support_weight: float = 0.5     # weight of a satisfied support request
-    price_weight: float = 0.05      # weight of the price-change percentage
-    delay_weight: float = -0.05     # weight of the delivery-delay percentage
-    quality_weight: float = 0.02    # weight of the conform-ratio percentage
-    peer_weight: float = 0.1        # coupling to the other customers' votes
-    initial_vote: float = 8.0       # every voter's vote before its first update
+from .scenario import SatisfactionParams
 
 
 class InputSignals(NamedTuple):

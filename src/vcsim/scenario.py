@@ -8,11 +8,12 @@ The built-in case-study profile carries the reference values for a
 three-supplier / one-firm / one-retailer / two-customer chain over a
 48-hour horizon.
 
-Each spec field is declared once, with its document path and codec (see
-``_field``). ``Scenario.to_dict``, the parser, the per-field checks of
-``Scenario.validate`` and the parts of ``Scenario.digests`` loop over these
-declarations; only the checks that relate fields to each other are written
-out by hand.
+Every spec, the satisfaction weights included, is a dataclass of this
+module that declares each of its fields in its class, with the field's
+document path and codec (see ``_field``). ``Scenario.to_dict``, the parser,
+the per-field checks of ``Scenario.validate`` and the parts of
+``Scenario.digests`` loop over these declarations; only the checks that
+relate fields to each other are written out by hand.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import yaml
 
 from .jsonl import _ENCODE, _escape
 from .ledger import PRODUCT, RAW, Item, OrderValidationError
-from .satisfaction import SatisfactionParams
 
 SCHEMA_VERSION = 1
 
@@ -130,10 +130,10 @@ def _entry(doc: dict, key: str):
         raise _Misfit("parse", f"missing key {key!r}") from None
 
 
-def _load_at(key, load, doc):
-    """``load(doc)``, adding ``key`` to the path of a value that fails to load."""
+def _at(key, fn, value):
+    """``fn(value)``, a load or a check, adding ``key`` to the path of a misfit."""
     try:
-        return load(doc)
+        return fn(value)
     except _Misfit as exc:
         exc.path.append(str(key))
         raise
@@ -207,7 +207,7 @@ def _map(kind: str | None, value: _Codec, optional: bool = False) -> _Codec:
         if optional and doc is None:
             return None
         return {
-            _load_at(k, key, k): _load_at(k, value.load, v)
+            _at(k, key, k): _at(k, value.load, v)
             for k, v in _mapping({} if doc is None else doc).items()
         }
 
@@ -221,11 +221,7 @@ def _map(kind: str | None, value: _Codec, optional: bool = False) -> _Codec:
 
     def check(mapping) -> None:
         for k, v in (mapping or {}).items():
-            try:
-                value.check(v)
-            except _Misfit as exc:
-                exc.path.append(f"{prefix or ''}{k}")
-                raise
+            _at(f"{prefix or ''}{k}", value.check, v)
 
     return _Codec(load, dump, None if value.check is None else check)
 
@@ -238,16 +234,12 @@ def _list(item: _Codec, make=list, rule=None) -> _Codec:
             rule(seq)
         if item.check is not None:
             for i, x in enumerate(seq):
-                try:
-                    item.check(x)
-                except _Misfit as exc:
-                    exc.path.append(str(i))
-                    raise
+                _at(i, item.check, x)
 
     def load(doc):
         if not isinstance(doc, (list, tuple)):
             raise _Misfit("parse", f"not a list: {doc!r}")
-        return make([_load_at(i, item.load, x) for i, x in enumerate(doc)])
+        return make([_at(i, item.load, x) for i, x in enumerate(doc)])
 
     dump = list if item.dump is None else lambda seq: [item.dump(x) for x in seq]
     has_check = rule is not None or item.check is not None
@@ -265,25 +257,23 @@ def _field(codec: _Codec, path: str | None = None, **default):
     return field(**default, metadata={"doc": (path, codec)})
 
 
-def _declarations(cls, declared: dict | None = None) -> list[tuple]:
-    """``(attr, key, keys, codec, required)`` per ``_field`` of ``cls``, in order.
+def _declarations(cls) -> list[tuple]:
+    """``(attr, key, keys, codec, required)`` per field of ``cls``, in order.
 
-    ``declared`` maps field names to them for a class declared elsewhere.
+    Every field of a spec is a ``_field``.
     """
-    own = {f.name: f for f in fields(cls)}
-    declared = declared or {name: f for name, f in own.items() if "doc" in f.metadata}
     entries = []
-    for attr, declaration in declared.items():
-        path, codec = declaration.metadata["doc"]
-        key = path or attr
-        required = own[attr].default is MISSING and own[attr].default_factory is MISSING
-        entries.append((attr, key, key.split("."), codec, required))
+    for f in fields(cls):
+        path, codec = f.metadata["doc"]
+        key = path or f.name
+        required = f.default is MISSING and f.default_factory is MISSING
+        entries.append((f.name, key, key.split("."), codec, required))
     return entries
 
 
-def _spec(cls, declared: dict | None = None) -> _Codec:
+def _spec(cls) -> _Codec:
     """The codec of a spec dataclass, from its ``_field`` declarations."""
-    entries = _declarations(cls, declared)
+    entries = _declarations(cls)
     checks = [(attr, key, codec.check) for attr, key, _, codec, _ in entries if codec.check]
 
     def load(doc):
@@ -291,9 +281,9 @@ def _spec(cls, declared: dict | None = None) -> _Codec:
         for attr, key, keys, codec, required in entries:
             node = doc
             for part in keys[:-1]:
-                node = _load_at(part, _mapping, node.get(part, {}))
+                node = _at(part, _mapping, node.get(part, {}))
             if required or keys[-1] in node:
-                kwargs[attr] = _load_at(key, codec.load, _entry(node, keys[-1]))
+                kwargs[attr] = _at(key, codec.load, _entry(node, keys[-1]))
         return cls(**kwargs)
 
     def dump(obj) -> dict:
@@ -310,11 +300,7 @@ def _spec(cls, declared: dict | None = None) -> _Codec:
 
     def check(obj) -> None:
         for attr, key, check in checks:
-            try:
-                check(getattr(obj, attr))
-            except _Misfit as exc:
-                exc.path.append(key)
-                raise
+            _at(key, check, getattr(obj, attr))
 
     return _Codec(load, dump, check)
 
@@ -380,7 +366,7 @@ def _load_lead_time(doc) -> LeadTime:
     doc = _mapping(doc)
 
     def number(key):
-        return _load_at(key, _number_as_written, doc.get(key, 0.0))
+        return _at(key, _number_as_written, doc.get(key, 0.0))
 
     kind = doc.get("kind", "fixed")
     if kind == "uniform":
@@ -529,9 +515,9 @@ class DemandTable:
 
 def _load_demand_row(row) -> tuple[tuple[str, int], tuple[float, ...]]:
     row = _mapping(row)
-    customer = _load_at("customer", _string, _entry(row, "customer"))
-    key = (customer, _load_at("product", _integer, _entry(row, "product")))
-    return key, _load_at("monthly", _MONTHS.load, _entry(row, "monthly"))
+    customer = _at("customer", _string, _entry(row, "customer"))
+    key = (customer, _at("product", _integer, _entry(row, "product")))
+    return key, _at("monthly", _MONTHS.load, _entry(row, "monthly"))
 
 
 def _by_customer_and_product(rows: list) -> dict:
@@ -550,8 +536,8 @@ _DEMAND_ROWS = _list(_Codec(_load_demand_row), _by_customer_and_product)
 
 def _load_demand(d: dict) -> DemandTable:
     if "file" in _mapping(d):
-        return load_demand_table(_load_at("file", _string, d["file"]))
-    return DemandTable(rows=_load_at("rows", _DEMAND_ROWS.load, d.get("rows", ())))
+        return load_demand_table(_at("file", _string, d["file"]))
+    return DemandTable(rows=_at("rows", _DEMAND_ROWS.load, d.get("rows", ())))
 
 
 def _dump_demand(table: DemandTable) -> dict:
@@ -567,17 +553,22 @@ def _dump_demand(table: DemandTable) -> dict:
 _DEMAND = _Codec(_load_demand, _dump_demand, DemandTable.validate)
 
 
-# SatisfactionParams is a dataclass of the satisfaction module, so the
-# document form of its fields is declared here
-_PARAMS = _spec(SatisfactionParams, {
-    "initial_vote": _field(_num("bad-initial-vote", "[0, 10]")),
-    "forgetting_factor": _field(_num("forgetting-factor-out-of-range", "(0, 1)")),
-    "support_weight": _field(_NUM),
-    "price_weight": _field(_num("price-weight-not-positive", "(0, inf]")),
-    "delay_weight": _field(_NUM),
-    "quality_weight": _field(_NUM),
-    "peer_weight": _field(_NUM),
-})
+@dataclass(frozen=True, slots=True)
+class SatisfactionParams:
+    """The starting vote and the weights of the vote-update input (see ``satisfaction``).
+
+    price_weight is strictly positive: set the price-change signal to zero
+    to disable it.
+    """
+
+    # every voter's vote before its first update
+    initial_vote: float = _field(_num("bad-initial-vote", "[0, 10]"), default=8.0)
+    forgetting_factor: float = _field(_num("forgetting-factor-out-of-range", "(0, 1)"), default=0.3)
+    support_weight: float = _field(_NUM, default=0.5)  # of a satisfied support request
+    price_weight: float = _field(_num("price-weight-not-positive", "(0, inf]"), default=0.05)
+    delay_weight: float = _field(_NUM, default=-0.05)  # of the delivery-delay percentage
+    quality_weight: float = _field(_NUM, default=0.02)  # of the conform-ratio percentage
+    peer_weight: float = _field(_NUM, default=0.1)  # coupling to the other customers' votes
 
 
 _PRICE = _Codec(_number_as_written, check=_rule(lambda x: x >= 0, "negative-price", ">= 0"))
@@ -634,7 +625,9 @@ class Scenario:
     )
     production_cost_per_box: float = _field(_NUM, "costs.production_per_box", default=0.0)
     support_cost_per_ticket: float = _field(_NUM, "costs.support_per_ticket", default=0.0)
-    satisfaction: SatisfactionParams = _field(_PARAMS, default_factory=SatisfactionParams)
+    satisfaction: SatisfactionParams = _field(
+        _spec(SatisfactionParams), default_factory=SatisfactionParams
+    )
     support: SupportConfig = _field(_spec(SupportConfig), default_factory=SupportConfig)
     market: MarketConfig = _field(_spec(MarketConfig), default_factory=MarketConfig)
     innovation: InnovationConfig = _field(_spec(InnovationConfig), default_factory=InnovationConfig)
@@ -682,9 +675,8 @@ class Scenario:
             value = getattr(self, attr)
             if (attr, id(value)) not in _memo:
                 try:
-                    check(value)
+                    _at(key, check, value)
                 except _Misfit as exc:
-                    exc.path.append(key)
                     raise _located(exc) from None
                 _remember((attr, id(value)), value, None)
         values = _REFERENCED(self)

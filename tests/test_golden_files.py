@@ -10,7 +10,9 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
+from vcsim.cli import main
 from vcsim.ledger import Ledger
 from vcsim.scenario import case_study_scenario
 from vcsim.simulation import run_scenario
@@ -118,3 +120,30 @@ def test_more_case_study_artifacts_match_their_pinned_digests(
     tmp_path, mode, horizon_hours, pinned
 ):
     assert _case_study_digests(tmp_path, mode, horizon_hours) == pinned
+
+
+# sha256 of the case study's scenario documents, ``to_dict()`` dumped as
+# ``save_scenario`` dumps it, and of the files ``vcsim demo`` writes at its
+# defaults; a spec declared in another field order would reorder the keys
+CASE_STUDY_DOCUMENT_SHA256 = {
+    "scor": "a2aa804c73d7ded8a741321d5a48ca60524dc8965d70838abbd9bd959ca93005",
+    "vcor": "d174aa6ea2ab894d079857251fafbaf24cfa06fd644788026ef3fad2366d3685",
+}
+DEMO_FILES_SHA256 = {
+    "demand.csv": "0fbce3d548f23f9ec55fb68b5515273dc14e923b72950d4a754e6094af5c8fee",
+    "scor.yaml": "7074e0386e18ce42c4c338f43abaf8c9a8035a8bf2961aca507a687b453e1b55",
+    "vcor.yaml": "f514a70b0d948580b1c7462757c1c809e1f085ee6b03ce935c6d176566c4d068",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CASE_STUDY_DOCUMENT_SHA256))
+def test_case_study_document_matches_its_pinned_digest(mode):
+    text = yaml.safe_dump(case_study_scenario(mode).to_dict(), sort_keys=False)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CASE_STUDY_DOCUMENT_SHA256[mode]
+
+
+def test_demo_files_match_their_pinned_digests(tmp_path):
+    assert main(["demo", "--out", str(tmp_path)]) == 0
+    assert {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
+    } == DEMO_FILES_SHA256

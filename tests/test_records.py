@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vcsim.engine import Engine, Event
-from vcsim.ledger import PRODUCT, RAW, Item, product, raw
+from vcsim.ledger import PRODUCT, RAW, Item, OrderValidationError, product, raw
 from vcsim.metrics import CostEntry
 from vcsim.satisfaction import VoteState
 
@@ -34,6 +34,15 @@ class TestItem:
     def test_code_round_trips_through_parse(self, item):
         assert Item.parse(item.code) == item
         assert item.code == str(item) == ("P" if item.kind == PRODUCT else "R") + str(item.id)
+
+    @pytest.mark.parametrize(
+        "code",
+        ["P01", "R00", " P1", "P1 ", "P²", "P١", "p1", "X1", "P", "", "P-1", "P" + "1" * 5000],
+        ids=lambda code: repr(code[:12]),
+    )
+    def test_parse_takes_only_a_code_as_items_write_it(self, code):
+        with pytest.raises(OrderValidationError, match="^bad item code: "):
+            Item.parse(code)
 
     @given(items)
     def test_copies_and_pickles_are_equal(self, item):

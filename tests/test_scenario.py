@@ -21,6 +21,7 @@ from vcsim.scenario import (
     MODES,
     DemandTable,
     LeadTime,
+    SatisfactionParams,
     Scenario,
     ScenarioError,
     _LOADER,
@@ -28,6 +29,7 @@ from vcsim.scenario import (
     _REFERENCED,
     _case_study,
     _check_references,
+    _declarations,
     _loader_for,
     _memo,
     case_study_scenario,
@@ -37,6 +39,7 @@ from vcsim.scenario import (
     save_scenario,
     scenario_from_dict,
 )
+from vcsim.satisfaction import SatisfactionParams as SatisfactionParamsOfTheModel
 from vcsim.simulation import run_scenario
 
 
@@ -365,6 +368,10 @@ CODE_CASES = [
     ("innovation.bom_override", {"R9": 1.0}, "unknown-raw"),
     ("prices.retailer.X1", 10.0, "bad-item-code"),
     ("costs.holding_per_unit_hour.firm.Q1", 0.1, "bad-item-code"),
+    # an item code is written as the program writes it, so no two keys name one item
+    ("prices.firm.P01", 99.0, "bad-item-code"),
+    ("retailer.reorder. P1", {"point": 1.0, "up_to": 2.0}, "bad-item-code"),
+    ("firm.fgi.P²", 5.0, "bad-item-code"),
     ("prices.retailer.P1", "x", "parse"),
     ("prices.firm.P2", -1.0, "negative-price"),
     ("costs.holding_per_unit_hour.retailer.P1", [1], "parse"),
@@ -457,6 +464,13 @@ README_CODES = re.search(
 def test_readme_lists_every_pinned_error_code():
     assert README_CODES is not None
     assert set(re.findall(r"`([a-z-]+)`", README_CODES.group(1))) == {c for _, _, c in CODE_CASES}
+
+
+def test_the_satisfaction_weights_are_declared_in_their_class_like_every_spec():
+    declared = [attr for attr, *_ in _declarations(SatisfactionParams)]
+    assert declared == [f.name for f in fields(SatisfactionParams)]
+    assert declared == list(PIN_DOC["satisfaction"])  # the document's key order
+    assert SatisfactionParamsOfTheModel is SatisfactionParams
 
 
 # the value an absent key reads as, at its path in the parsed document
@@ -897,6 +911,9 @@ LOAD_MESSAGES = [
     ("firm.frequencies", 5, "firm.frequencies: not a mapping: 5"),
     ("retailer.stock.R1", 5.0, "retailer.stock.R1: expected a product code, got R1"),
     ("prices.retailer.X1", 10.0, "prices.retailer.X1: bad item code: 'X1'"),
+    ("prices.firm.P01", 99.0, "prices.firm.P01: bad item code: 'P01'"),
+    ("retailer.stock. P1", 5.0, "retailer.stock. P1: bad item code: ' P1'"),
+    ("firm.fgi.P²", 5.0, "firm.fgi.P²: bad item code: 'P²'"),
     ("firm.lead_time", "x", "firm.lead_time: not a mapping: 'x'"),
     ("retailer.lead_time.hours", "x", "retailer.lead_time.hours: not a number: 'x'"),
     ("firm.raw_reorder.R1", 5, "firm.raw_reorder.R1: not a mapping: 5"),
