@@ -13,7 +13,9 @@ module that declares each of its fields in its class, with the field's
 document path and codec (see ``_field``). ``Scenario.to_dict``, the parser,
 the per-field checks of ``Scenario.validate`` and the parts of
 ``Scenario.digests`` loop over these declarations; only the checks that
-relate fields to each other are written out by hand.
+relate fields to each other are written out by hand. A scenario derived by
+``dataclasses.replace`` shares its template's record of checked values and
+digest parts, so it checks and encodes only the values it changed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache, lru_cache
-from operator import attrgetter
+from operator import attrgetter, is_
 from pathlib import Path
 
 import yaml
@@ -120,6 +122,18 @@ def _mapping(doc) -> dict:
     if isinstance(doc, dict):
         return doc
     raise _Misfit("parse", f"not a mapping: {doc!r}")
+
+
+def _only(doc, keys) -> dict:
+    """``doc``, a mapping whose every key is one of ``keys``, the keys its reader reads.
+
+    Any other key, such as a misspelled one, is a parse error, not a value
+    silently dropped.
+    """
+    for key in _mapping(doc):
+        if key not in keys:
+            raise _Misfit("parse", f"unknown key {key!r}")
+    return doc
 
 
 def _entry(doc: dict, key: str):
@@ -260,10 +274,12 @@ def _field(codec: _Codec, path: str | None = None, **default):
 def _declarations(cls) -> list[tuple]:
     """``(attr, key, keys, codec, required)`` per field of ``cls``, in order.
 
-    Every field of a spec is a ``_field``.
+    Every field of a spec is a ``_field``, but for ``Scenario._record``.
     """
     entries = []
     for f in fields(cls):
+        if f.name == "_record":
+            continue
         path, codec = f.metadata["doc"]
         key = path or f.name
         required = f.default is MISSING and f.default_factory is MISSING
@@ -275,13 +291,16 @@ def _spec(cls) -> _Codec:
     """The codec of a spec dataclass, from its ``_field`` declarations."""
     entries = _declarations(cls)
     checks = [(attr, key, codec.check) for attr, key, _, codec, _ in entries if codec.check]
+    known: dict[str, set] = {}  # each key of the spec's mapping -> the keys of its sub-mapping
+    for _, _, (top, *sub), _, _ in entries:
+        known.setdefault(top, set()).update(sub)
 
     def load(doc):
-        doc, kwargs = _mapping(doc), {}
+        doc, kwargs = _only(doc, known), {}
         for attr, key, keys, codec, required in entries:
             node = doc
             for part in keys[:-1]:
-                node = _at(part, _mapping, node.get(part, {}))
+                node = _at(part, lambda d: _only(d, known[part]), node.get(part, {}))
             if required or keys[-1] in node:
                 kwargs[attr] = _at(key, codec.load, _entry(node, keys[-1]))
         return cls(**kwargs)
@@ -363,15 +382,10 @@ class LeadTime:
 
 
 def _load_lead_time(doc) -> LeadTime:
-    doc = _mapping(doc)
-
-    def number(key):
-        return _at(key, _number_as_written, doc.get(key, 0.0))
-
-    kind = doc.get("kind", "fixed")
-    if kind == "uniform":
-        return LeadTime(kind, low=number("low"), high=number("high"))
-    return LeadTime(kind, hours=number("hours"))
+    kind = _at("kind", _string, _mapping(doc).get("kind", "fixed"))
+    keys = ("low", "high") if kind == "uniform" else ("hours",)  # the keys ``draw`` reads
+    _only(doc, ("kind", *keys))
+    return LeadTime(kind, **{key: _at(key, _number_as_written, doc.get(key, 0.0)) for key in keys})
 
 
 def _dump_lead_time(lt: LeadTime) -> dict:
@@ -514,7 +528,7 @@ class DemandTable:
 
 
 def _load_demand_row(row) -> tuple[tuple[str, int], tuple[float, ...]]:
-    row = _mapping(row)
+    row = _only(row, ("customer", "product", "monthly"))
     customer = _at("customer", _string, _entry(row, "customer"))
     key = (customer, _at("product", _integer, _entry(row, "product")))
     return key, _at("monthly", _MONTHS.load, _entry(row, "monthly"))
@@ -534,10 +548,11 @@ _MONTHS = _list(_NUM, tuple)
 _DEMAND_ROWS = _list(_Codec(_load_demand_row), _by_customer_and_product)
 
 
-def _load_demand(d: dict) -> DemandTable:
+def _load_demand(d) -> DemandTable:
+    """An inline table, or a CSV file named by ``file``, which then is the only key."""
     if "file" in _mapping(d):
-        return load_demand_table(_at("file", _string, d["file"]))
-    return DemandTable(rows=_at("rows", _DEMAND_ROWS.load, d.get("rows", ())))
+        return load_demand_table(_at("file", _string, _only(d, ("file",))["file"]))
+    return DemandTable(rows=_at("rows", _DEMAND_ROWS.load, _only(d, ("rows",)).get("rows", ())))
 
 
 def _dump_demand(table: DemandTable) -> dict:
@@ -632,6 +647,11 @@ class Scenario:
     market: MarketConfig = _field(_spec(MarketConfig), default_factory=MarketConfig)
     innovation: InnovationConfig = _field(_spec(InnovationConfig), default_factory=InnovationConfig)
     sell: SellConfig = _field(_spec(SellConfig), default_factory=SellConfig)
+    # field -> (the value that last passed its check, its digest part or
+    # None), and "<references>" -> the values that last passed
+    # ``_check_references``; ``replace`` hands it on, so a scenario shares
+    # its template's record
+    _record: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.processes is None:
@@ -666,24 +686,25 @@ class Scenario:
         """Check each field against its table entry, then the cross-references.
 
         Every scenario build runs this, so the loops over many entries test
-        and raise inline rather than call ``_require``. A field value that
-        passed its check before, in this or another scenario, is not checked
-        again, and the cross-references are checked once for each set of the
-        values they read (see ``_memo``).
+        and raise inline rather than call ``_require``. A field whose value is
+        the one its slot of ``_record`` holds passed its check before, in this
+        scenario or one it was derived from, and is not checked again; nor
+        are the cross-references while none of the values they read changed.
         """
+        record = self._record
         for attr, key, check in _CHECKS:
             value = getattr(self, attr)
-            if (attr, id(value)) not in _memo:
+            if record.get(attr, _VACANT)[0] is not value:
                 try:
                     _at(key, check, value)
                 except _Misfit as exc:
                     raise _located(exc) from None
-                _remember((attr, id(value)), value, None)
+                record[attr] = (value, None)
         values = _REFERENCED(self)
-        key = ("<references>", tuple(map(id, values)))
-        if key not in _memo:
+        passed = record.get("<references>")
+        if passed is None or not all(map(is_, passed, values)):
             _check_references(*values)
-            _remember(key, values, None)
+            record["<references>"] = values
 
     # -- serialization ----------------------------------------------------
 
@@ -697,19 +718,20 @@ class Scenario:
         ``to_dict()``, and for the topology the same without the keys a
         SCOR/VCOR pair may differ in, which a comparable pair must share.
         Both blobs are joined from one part per field, its key and the JSON
-        of its document value; a value's part is encoded once per process
-        and kept in ``_memo`` for the scenarios that share the value.
+        of its document value. A part is encoded once and kept in the field's
+        slot of ``_record`` while the field holds that value, in this
+        scenario and the ones derived from it.
         """
+        record = self._record
         full, shared = [], []
         for head, members, tail, in_topology in _DIGEST_LAYOUT:
             parts = []
             for attr, prefix, dump in members:
                 value = getattr(self, attr)
-                key = (attr, id(value))
-                part = _memo.get(key, _UNSEEN)[1]
-                if part is None:
+                seen, part = record.get(attr, _VACANT)
+                if seen is not value or part is None:
                     part = prefix + _ENCODE(value if dump is None else dump(value))
-                    _remember(key, value, part)
+                    record[attr] = (value, part)
                 parts.append(part)
             text = head + ",".join(parts) + tail
             full.append(text)
@@ -733,8 +755,8 @@ def _check_references(
 ) -> None:
     """The checks that relate a scenario's fields to each other.
 
-    It reads only its arguments, so ``Scenario.validate`` keys the memo of
-    its verdict by the identities of exactly these fields.
+    It reads only its arguments, so ``Scenario.validate`` runs it again only
+    when one of these fields holds another value.
     """
     enabled = [p for p, on in processes.items() if on]
     _require(
@@ -829,29 +851,7 @@ def _short_sha256(text: str) -> str:
 _SCENARIO = _spec(Scenario)
 
 
-# -- the shared-value memo ---------------------------------------------------
-#
-# A scenario derived by ``dataclasses.replace`` shares each unchanged field
-# value with its template by identity, and the values are read-only by
-# contract. So a value that passed its field's check is remembered under
-# (field, id(value)), and with it the digest part of the value once
-# ``digests`` has encoded it. Values that passed the cross-reference checks
-# together are remembered under ("<references>", their ids), in the order
-# of ``_check_references``' parameters. An entry holds its values, so no id
-# is reused while the entry lives; values that fail a check are never
-# remembered. Past ``_MEMO_SIZE`` entries the oldest goes first.
-
-_MEMO_SIZE = 256
-_memo: dict[tuple[str, object], tuple[object, str | None]] = {}
-_UNSEEN = (None, None)
-
-
-def _remember(key: tuple[str, object], value, part: str | None) -> None:
-    if key not in _memo and len(_memo) >= _MEMO_SIZE:
-        _memo.pop(next(iter(_memo)), None)  # None: another thread evicted it first
-    _memo[key] = (value, part)
-
-
+_VACANT = (object(), None)  # an empty slot of ``Scenario._record``: no value is its value
 _CHECKS = [
     (attr, key, codec.check)
     for attr, key, _, codec, _ in _declarations(Scenario)
@@ -900,13 +900,14 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
     """Build and validate a Scenario from parsed YAML data."""
     try:
         _require(isinstance(data, dict), "parse", "scenario document must be a mapping")
-        schema = data.get("schema")
+        data = dict(data)  # the declarations read every key but the schema
+        schema = data.pop("schema", None)
         _require(schema == SCHEMA_VERSION, "schema-version", "unsupported schema {!r}", schema)
         demand = data.get("demand")
         file = demand.get("file") if isinstance(demand, dict) else None
         if base_dir is not None and isinstance(file, str):
             # a relative demand file is relative to the scenario file
-            data = {**data, "demand": {**demand, "file": str(base_dir / file)}}
+            data["demand"] = {**demand, "file": str(base_dir / file)}
         return _SCENARIO.load(data)
     except _Misfit as exc:
         raise _located(exc) from None

@@ -25,13 +25,11 @@ from vcsim.scenario import (
     Scenario,
     ScenarioError,
     _LOADER,
-    _MEMO_SIZE,
     _REFERENCED,
     _case_study,
     _check_references,
     _declarations,
     _loader_for,
-    _memo,
     case_study_scenario,
     demand_table_csv,
     load_demand_table,
@@ -415,6 +413,7 @@ CODE_CASES = [
     ("firm.raw_reorder.R1.up_to", None, "parse"),
     ("suppliers.0.reorder.R1.point", None, "parse"),
     ("demand.rows.0.customer", None, "parse"),
+    ("firm.lead_time.kind", 5, "parse"),
 ]
 # a float field takes only a YAML int or float that is not a bool; these
 # paths have parse cases above, so their ids also name the value
@@ -760,15 +759,33 @@ def test_a_derived_case_study_equals_a_fresh_build(mode, seed, horizon, digests)
         assert rebuilt.digests() == digests
 
 
-def test_the_memo_keeps_its_bound_and_an_evicted_scenario_its_digests():
-    first = scenario_from_dict(case_study_scenario("scor", 0, 48.0).to_dict())
-    assert first.digests() == CASE_STUDY_DIGESTS[0][3]
-    doc = first.to_dict()
-    for _ in range(_MEMO_SIZE + 1):
-        scenario_from_dict(doc).digests()
-        assert len(_memo) <= _MEMO_SIZE
-    assert ("firm", id(first.firm)) not in _memo
-    assert first.digests() == CASE_STUDY_DIGESTS[0][3]
+def test_a_seed_sweep_checks_and_encodes_only_its_seeds(monkeypatch):
+    for mode in MODES:
+        case_study_scenario(mode).digests()
+    references, checked, encoded = [], set(), set()
+    at, encode = vcsim.scenario._at, vcsim.scenario._ENCODE
+    monkeypatch.setattr(vcsim.scenario, "_check_references", lambda *v: references.append(v))
+    monkeypatch.setattr(vcsim.scenario, "_at", lambda k, fn, v: checked.add(k) or at(k, fn, v))
+    monkeypatch.setattr(vcsim.scenario, "_ENCODE", lambda v: encoded.add(type(v)) or encode(v))
+    for seed in range(2000):
+        for mode in MODES:
+            case_study_scenario(mode, seed).digests()
+    # no shared value, such as the firm, is checked or encoded again
+    assert references == []
+    assert checked == {"seed"} and encoded == {int}
+
+
+def test_a_variant_and_a_later_derivation_from_its_template_give_fresh_digests():
+    template = case_study_scenario("vcor", 5)
+    template.digests()
+    variant = replace(template, firm=replace(template.firm, capacity_boxes_per_day=150.0))
+    assert variant.digests() == scenario_from_dict(variant.to_dict()).digests()
+    derived = replace(template, seed=6)
+    assert derived.digests() == scenario_from_dict(derived.to_dict()).digests()
+    assert derived.digests()[1] != variant.digests()[1]
+    # the record is no part of the document, the repr or equality
+    assert "_record" not in derived.to_dict() and "_record" not in repr(derived)
+    assert derived == scenario_from_dict(derived.to_dict())
 
 
 def test_a_value_that_fails_its_check_is_never_remembered():
@@ -830,8 +847,9 @@ def test_every_field_the_reference_checks_read_has_a_breaking_case():
 def test_a_derived_scenario_that_breaks_a_reference_is_rejected(attr):
     mode, new_value, code = REFERENCE_BREAKS[attr]
     template = case_study_scenario(mode, 3)
-    # the template's verdict is remembered, so only the key can tell the change
-    assert ("<references>", tuple(map(id, _REFERENCED(template)))) in _memo
+    # the template's verdict is recorded, so only the values can tell the change
+    passed = template._record["<references>"]
+    assert all(a is b for a, b in zip(passed, _REFERENCED(template), strict=True))
     with pytest.raises(ScenarioError) as err:
         replace(template, **{attr: new_value(template)})
     assert err.value.code == code
@@ -845,7 +863,8 @@ def test_the_reference_checks_run_once_per_template_and_on_every_failure(monkeyp
         _check_references(*values)
 
     monkeypatch.setattr(vcsim.scenario, "_check_references", counted)
-    monkeypatch.setattr(vcsim.scenario, "_memo", {})
+    for mode in MODES:
+        monkeypatch.delitem(_case_study(mode)._record, "<references>")
     for seed in range(1000, 1050):
         case_study_scenario(MODES[seed % 2], seed)
     assert len(calls) == len(MODES)
@@ -926,6 +945,23 @@ LOAD_MESSAGES = [
     ("mode", ["vcor"], "mode: not a string: ['vcor']"),
     ("customers.0.arrivals", 5, "customers.0.arrivals: not a string: 5"),
     ("firm.production_mode.P1", True, "firm.production_mode.P1: not a string: True"),
+    ("firm.lead_time.kind", 5, "firm.lead_time.kind: not a string: 5"),
+    # a key that no declaration reads is an error at its mapping, not a typo dropped
+    ("horizon_hour", 2880, "unknown key 'horizon_hour'"),
+    ("catalog.product", [1], "catalog: unknown key 'product'"),
+    ("firm.frequencies.mak", 3.0, "firm.frequencies: unknown key 'mak'"),
+    ("support.handling_hour", 2.3, "support: unknown key 'handling_hour'"),
+    ("firm.raw_reorder.R1.upto", 250.0, "firm.raw_reorder.R1: unknown key 'upto'"),
+    ("sell.prospects.0.prio", 1, "sell.prospects.0: unknown key 'prio'"),
+    ("demand.rows.0.monthy", [1.0] * 12, "demand.rows.0: unknown key 'monthy'"),
+    ("demand.file", "demand.csv", "demand: unknown key 'rows'"),
+    # a lead time reads only the keys of its kind
+    ("suppliers.0.lead_time.kind", "uniform", "suppliers.0.lead_time: unknown key 'hours'"),
+    (
+        "retailer.lead_time",
+        {"kind": "exponential", "low": 1, "high": 5},
+        "retailer.lead_time: unknown key 'low'",
+    ),
 ]
 
 
