@@ -1,0 +1,89 @@
+"""Byte-identity corpus: the artifact bytes of many small runs, pinned by hash.
+
+``tests/goldens/corpus.sha256`` holds one line per run: the draw's index,
+its mode, the horizon, then the sha256 of each artifact file in
+``ARTIFACT_FILES`` order. The runs are the 200 randomized scenarios of the
+conservation suite (``test_acceptance._random_scenario``) at their own
+24-48 h horizons, and the first ``LONG_RUNS`` of them again at 480 h, long
+enough that production carries a fraction of capacity across activations
+and backlogs clear and refill.
+
+The manifest changes only with a deliberate change of model behaviour, as
+the goldens do. To rewrite it after one::
+
+    PYTHONPATH=src python tests/test_corpus.py
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from vcsim.simulation import run_scenario
+
+from test_acceptance import _random_scenario
+from test_golden_files import ARTIFACT_FILES
+
+MANIFEST = Path(__file__).parent / "goldens" / "corpus.sha256"
+DRAWS = 200
+LONG_RUNS = 20
+LONG_HORIZON = 480.0
+
+
+def corpus_runs() -> list[tuple[int, float | None]]:
+    """(draw index, horizon override or None) of every run, in manifest order."""
+    return [(i, None) for i in range(DRAWS)] + [(i, LONG_HORIZON) for i in range(LONG_RUNS)]
+
+
+def manifest_line(index: int, horizon: float | None, out_dir: Path) -> str:
+    """Run one draw into ``out_dir`` and return its manifest line."""
+    scenario = _random_scenario(index)
+    if horizon is not None:
+        scenario = replace(scenario, horizon_hours=horizon)
+    run_scenario(scenario, out_dir=out_dir)
+    digests = [
+        hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ARTIFACT_FILES
+    ]
+    return " ".join([str(index), scenario.mode, repr(scenario.horizon_hours), *digests])
+
+
+@functools.cache
+def pinned() -> dict[tuple[int, float | None], str]:
+    """The manifest's line of every run."""
+    lines = [
+        line for line in MANIFEST.read_text(encoding="utf-8").splitlines()
+        if line and not line.startswith("#")
+    ]
+    return dict(zip(corpus_runs(), lines, strict=True))
+
+
+def _differing(runs: list[tuple[int, float | None]], out_dir: Path) -> list[str]:
+    """The runs whose line differs from the manifest's, each with the files that differ."""
+    differing = []
+    for run in runs:
+        line, expected = manifest_line(*run, out_dir).split(), pinned()[run].split()
+        if line != expected:
+            files = [
+                name for name, got, want in zip(ARTIFACT_FILES, line[3:], expected[3:])
+                if got != want
+            ]
+            differing.append(f"{' '.join(line[:3])}: {', '.join(files) or 'mode or horizon'}")
+    return differing
+
+
+def test_draws_at_their_own_horizons_match_manifest(tmp_path):
+    assert _differing(corpus_runs()[:DRAWS], tmp_path) == []
+
+
+def test_first_draws_at_480_h_match_manifest(tmp_path):
+    assert _differing(corpus_runs()[DRAWS:], tmp_path) == []
+
+
+if __name__ == "__main__":
+    header = "# index mode horizon_hours " + " ".join(f"sha256({name})" for name in ARTIFACT_FILES)
+    with tempfile.TemporaryDirectory() as tmp:
+        body = [manifest_line(i, h, Path(tmp)) for i, h in corpus_runs()]
+    MANIFEST.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
