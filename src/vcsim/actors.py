@@ -55,15 +55,6 @@ _RESOLVED = OrderStatus.RESOLVED
 
 
 @dataclass(slots=True)
-class ProductionJob:
-    """Backlogged demand waiting for the production line, FIFO."""
-
-    order_id: int
-    product_id: int
-    remaining: float
-
-
-@dataclass(slots=True)
 class InnovationProject:
     product_id: int
     apply_at: float
@@ -110,12 +101,11 @@ def admit_prospects(
 class Voter:
     """The satisfaction state of one (customer, product) pair: its vote, the
     new-product flag, the last unit price paid and the running sums behind
-    the delay and quality signals."""
+    the delay and quality signals, over the ``vote.k`` deliveries so far."""
 
     vote: VoteState
     new_product: bool = False
     last_price: float = 0.0  # 0: no delivery yet, so no price change
-    deliveries: int = 0
     time_total: float = 0.0
     conform_total: float = 0.0
 
@@ -187,7 +177,9 @@ class Chain:
         self.bom: dict[int, dict[int, float]] = {
             pid: dict(needs) for pid, needs in scenario.bom.items()
         }
-        self.production_queue: list[ProductionJob] = []
+        # the firm's backlogged orders, FIFO; an order still needs
+        # ``quantity - reserved`` boxes from the line
+        self.production_queue: list[Order] = []
         self.capacity_carry = 0.0
         self.last_capacity_accrual = 0.0
         self.produced_boxes: dict[int, float] = {}
@@ -394,9 +386,7 @@ class Chain:
         pid = order.item.id
         mode = self.scenario.firm.production_mode.get(pid, "make-to-stock")
         if mode == "make-to-order":
-            self.production_queue.append(
-                ProductionJob(order.order_id, pid, order.quantity)
-            )
+            self.production_queue.append(order)
             return
         record = self.record_of(self.firm_name, order.item)
         take = min(record.on_hand, order.quantity)
@@ -406,22 +396,15 @@ class Chain:
         if order.reserved >= order.quantity - _EPS:
             self.ledger.transition(order.order_id, _FGI, now)
         else:
-            self.production_queue.append(
-                ProductionJob(order.order_id, pid, order.quantity - order.reserved)
-            )
+            self.production_queue.append(order)
 
     def top_up_reservations(self, provider: str, item: Item, now: float) -> None:
         """Reserve available stock against the provider's open orders, oldest first."""
-        record = self.inventories.get((provider, item.code))
-        if record is None:
-            return
+        record = self.inventories[(provider, item.code)]
         for order in self.ledger.open_orders(provider, item):
             if record.on_hand <= _EPS:
                 break
-            need = order.quantity - order.reserved
-            if need <= _EPS:
-                continue
-            take = min(need, record.on_hand)
+            take = min(order.quantity - order.reserved, record.on_hand)
             record.adjust(-take, now)
             order.reserved += take
             if order.reserved >= order.quantity - _EPS:
@@ -485,35 +468,33 @@ class Chain:
         capacity = float(math.floor(budget + _EPS))
         produced_total = 0.0
 
-        for job in list(self.production_queue):
+        for order in list(self.production_queue):
             if capacity <= _EPS:
                 break
-            limit = self.raw_limited_boxes(job.product_id)
-            n = min(job.remaining, capacity, limit)
-            if n < job.remaining - _EPS:
+            pid = order.item.id
+            remaining = order.quantity - order.reserved
+            limit = self.raw_limited_boxes(pid)
+            n = min(remaining, capacity, limit)
+            if n < remaining - _EPS:
                 n = float(math.floor(n + _EPS))  # whole boxes unless finishing
             if n <= _EPS:
                 continue
-            for rid, kg_per_box in self.bom.get(job.product_id, {}).items():
+            for rid, kg_per_box in self.bom.get(pid, {}).items():
                 self.record_of(self.firm_name, raw(rid)).adjust(-n * kg_per_box, now)
                 self.consumed_raw_kg[rid] = self.consumed_raw_kg.get(rid, 0.0) + n * kg_per_box
-            order = self.ledger.orders[job.order_id]
             if order.status is _OPEN:
                 self.ledger.transition(order.order_id, _IN_PRODUCTION, now)
             order.reserved += n
-            job.remaining -= n
             capacity -= n
             produced_total += n
-            self.produced_boxes[job.product_id] = (
-                self.produced_boxes.get(job.product_id, 0.0) + n
-            )
+            self.produced_boxes[pid] = self.produced_boxes.get(pid, 0.0) + n
             if self.scenario.production_cost_per_box:
                 self.costs.add(
                     now, self.firm_name, "production",
                     n * self.scenario.production_cost_per_box,
                 )
-            if job.remaining <= _EPS:
-                self.production_queue.remove(job)
+            if order.quantity - order.reserved <= _EPS:
+                self.production_queue.remove(order)
                 self.ledger.transition(order.order_id, _FGI, now)
 
         leftover = budget - produced_total
@@ -646,10 +627,10 @@ class Chain:
         delivery_time = now - order.created_at
         conform = (order.quantity - order.defective_qty) / order.quantity
 
-        if voter.deliveries:
-            mean_time = voter.time_total / voter.deliveries
+        if state.k:
+            mean_time = voter.time_total / state.k
             delay_pct = 100.0 * (delivery_time - mean_time) / mean_time if mean_time > 0 else 0.0
-            mean_conform = voter.conform_total / voter.deliveries
+            mean_conform = voter.conform_total / state.k
             quality_pct = 100.0 * conform / mean_conform if mean_conform > 0 else 100.0 * conform
         else:
             delay_pct = 0.0
@@ -687,7 +668,6 @@ class Chain:
         voter.new_product = False
         self.support_latch[customer] = False
         voter.last_price = unit_price
-        voter.deliveries += 1
         voter.time_total += delivery_time
         voter.conform_total += conform
 

@@ -104,12 +104,21 @@ def _number(value) -> float:
 
 
 def _text_number(text: str) -> float:
-    """A number written as text, such as a demand table cell."""
+    """A number written as ASCII text with no ``_``, such as a demand table cell."""
+    if not text.isascii() or "_" in text:
+        raise _Misfit("parse", f"not a number: {text!r}")
     try:
         x = float(text)
     except ValueError:
         raise _Misfit("parse", f"not a number: {text!r}") from None
     return _number(x)
+
+
+def _text_integer(text: str) -> int:
+    """An integer written as ASCII digits, such as a demand table's product cell."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise _Misfit("parse", f"not an integer: {text!r}")
 
 
 def _integer(value) -> int:
@@ -966,7 +975,11 @@ def save_scenario(scenario: Scenario, path: str | Path, demand_file: str | None 
 
 
 def load_demand_table(path: str | Path) -> DemandTable:
-    """Parse a demand CSV: customer,product,m1..m12; '-' or blank means zero."""
+    """Parse a demand CSV: customer,product,m1..m12; '-' or blank means zero.
+
+    It reads what :func:`demand_table_csv` writes: a product cell is ASCII
+    digits, and a month cell an ASCII number with no ``_``.
+    """
     import csv
 
     path = Path(path)
@@ -989,10 +1002,11 @@ def load_demand_table(path: str | Path) -> DemandTable:
             raise ScenarioError(
                 "parse", f"{path}:{lineno}: expected 14 columns, got {len(row)}"
             )
+        cells = [cell.strip() for cell in row]
         try:
-            customer, pid = row[0].strip(), int(row[1])
-            monthly = [0.0 if c.strip() in ("-", "") else _text_number(c) for c in row[2:]]
-        except (ValueError, ScenarioError) as exc:
+            customer, pid = cells[0], _text_integer(cells[1])
+            monthly = [0.0 if c in ("-", "") else _text_number(c) for c in cells[2:]]
+        except ScenarioError as exc:
             raise ScenarioError("parse", f"{path}:{lineno}: {exc}") from None
         _require((customer, pid) not in rows, "bad-demand-row",
                  "{}:{}: a second row for {}/P{}", path, lineno, customer, pid)

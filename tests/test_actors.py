@@ -1,11 +1,19 @@
 """Chain process logic, one operation at a time."""
 
+from dataclasses import replace
+
 import pytest
 
 from vcsim.actors import admit_prospects, renewal_target
 from vcsim.ledger import OrderStatus, OrderValidationError, product, raw
 from vcsim.satisfaction import VoteState
-from vcsim.scenario import CustomerSpec, ProspectSpec, ReorderPolicy
+from vcsim.scenario import (
+    CustomerSpec,
+    DemandTable,
+    ProspectSpec,
+    ReorderPolicy,
+    case_study_scenario,
+)
 from vcsim.simulation import run_scenario
 
 from conftest import build_chain, build_scenario
@@ -66,7 +74,8 @@ class TestFirmReceiveOrder:
         assert order.status is OrderStatus.OPEN
         assert order.reserved == 300.0
         assert chain.record_of("firm", product(2)).on_hand == 0.0
-        assert [(j.product_id, j.remaining) for j in chain.production_queue] == [(2, 100.0)]
+        queued = [(o.item.id, o.quantity - o.reserved) for o in chain.production_queue]
+        assert queued == [(2, 100.0)]
 
     def test_make_to_order_bypasses_stock(self, chain_builder):
         chain = chain_builder(fgi={1: 500.0, 2: 500.0}, production_mode={1: "make-to-order"})
@@ -74,7 +83,8 @@ class TestFirmReceiveOrder:
         assert order.status is OrderStatus.OPEN
         assert order.reserved == 0.0
         assert chain.record_of("firm", product(1)).on_hand == 500.0
-        assert [(j.product_id, j.remaining) for j in chain.production_queue] == [(1, 50.0)]
+        queued = [(o.item.id, o.quantity - o.reserved) for o in chain.production_queue]
+        assert queued == [(1, 50.0)]
 
     def test_raw_order_to_firm_is_rejected(self, chain_builder):
         chain = chain_builder()
@@ -93,6 +103,38 @@ class TestBuildProduct:
         assert order.status is OrderStatus.IN_PRODUCTION
         assert order.reserved == 23.0
         assert chain.record_of("firm", raw(1)).on_hand == 1000.0 - 23.0
+
+    def test_fraction_carried_over_a_day_of_activations(self, chain_builder):
+        # each 3 h activation earns 185/8 = 23.125 boxes: the carry grows by
+        # 0.125 per activation and makes a 24th box in the eighth
+        chain = chain_builder(fgi={1: 0.0, 2: 0.0}, firm_raw_stock={1: 1000.0, 2: 1000.0})
+        order = chain.place_order("retailer", "firm", product(1), 500.0, now=0.0)
+        produced = [chain.run_production(now=3.0 * k) for k in range(1, 9)]
+        assert produced == [23.0] * 7 + [24.0]
+        assert chain.capacity_carry == 0.0
+        assert order.reserved == 185.0
+
+    def test_unused_capacity_is_not_carried(self, chain_builder):
+        # 10 boxes of 23.125: the 13 whole boxes left idle are lost and only
+        # the 0.125 is carried, so the next activation makes 23, not 36
+        chain = chain_builder(fgi={1: 0.0, 2: 0.0}, firm_raw_stock={1: 1000.0, 2: 1000.0})
+        chain.place_order("retailer", "firm", product(1), 10.0, now=0.0)
+        assert chain.run_production(now=3.0) == 10.0
+        assert chain.capacity_carry == 0.125
+        chain.place_order("retailer", "firm", product(1), 100.0, now=3.0)
+        assert chain.run_production(now=6.0) == 23.0
+
+    def test_fractional_finish_carries_what_the_line_left(self, chain_builder):
+        # a 10.25-box order finishes whole, the next takes 12 of the 12.75
+        # left: 0.875 of the 23.125 is carried, and 0.875 + 23.125 makes 24
+        chain = chain_builder(fgi={1: 0.0, 2: 0.0}, firm_raw_stock={1: 1000.0, 2: 1000.0})
+        first = chain.place_order("retailer", "firm", product(1), 10.25, now=0.0)
+        second = chain.place_order("retailer", "firm", product(2), 100.0, now=0.0)
+        assert chain.run_production(now=3.0) == 22.25
+        assert (first.reserved, second.reserved) == (10.25, 12.0)
+        assert chain.capacity_carry == 0.875
+        assert chain.run_production(now=6.0) == 24.0
+        assert second.reserved == 36.0
 
     def test_no_queue_produces_nothing_and_consumes_no_raws(self, chain_builder):
         chain = chain_builder(firm_raw_stock={1: 700.0, 2: 700.0})
@@ -531,6 +573,19 @@ class TestCustomerDemand:
         }
         assert "P2" not in items
 
+    def test_zero_month_waits_for_the_next_months_boundary(self):
+        # no demand in month 0: the first order comes one lot into month 1,
+        # 720 + 720 * 2 / 300 = 724.8 h
+        case = case_study_scenario("scor", horizon_hours=800.0)
+        scenario = _with_demand_row(case, ("customer1", 1), (0.0,) + (300.0,) * 11)
+        assert _order_times(scenario, "customer1", 1)[:2] == pytest.approx([724.8, 729.6])
+
+    def test_zero_months_up_to_the_horizon_schedule_no_order(self):
+        case = case_study_scenario("scor", horizon_hours=700.0)
+        scenario = _with_demand_row(case, ("customer1", 1), (0.0,) + (300.0,) * 11)
+        assert _order_times(scenario, "customer1", 1) == []
+        assert _order_times(scenario, "customer2", 1)  # other rows still order
+
     def test_memoryless_mode_is_seeded_and_plausible(self):
         def order_count(seed):
             scenario = build_scenario(
@@ -553,6 +608,19 @@ class TestCustomerDemand:
         assert order_count(1) == counts[0]  # reproducible
         # 72 expected arrivals over the month; allow wide stochastic slack
         assert all(40 <= c <= 110 for c in counts)
+
+
+def _with_demand_row(scenario, key, row):
+    return replace(scenario, demand=DemandTable(rows={**scenario.demand.rows, key: row}))
+
+
+def _order_times(scenario, customer, pid):
+    """Fire times of the customer's orders of one product over the run."""
+    return [
+        e.fire_time
+        for e in run_scenario(scenario).trace
+        if e.kind == "customer-order" and e.target == customer and e.payload["product"] == pid
+    ]
 
 
 class TestVoteDynamicsInRuns:

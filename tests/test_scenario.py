@@ -201,19 +201,45 @@ class TestFiles:
             load_demand_table(path)
         assert err.value.code == "parse"
 
+    def test_demand_csv_cells_are_read_with_their_whitespace_stripped(self, tmp_path):
+        path = tmp_path / "demand.csv"
+        header = "customer,product," + ",".join(f"m{i}" for i in range(1, 13))
+        path.write_text(header + "\n c1 , 1 ," + ",".join([" 2.5 "] * 11 + [" - "]) + "\n")
+        table = load_demand_table(path)
+        assert table.rows == {("c1", 1): (2.5,) * 11 + (0.0,)}
+
     @pytest.mark.parametrize(
-        "cell,message", [("x", "not a number: 'x'"), ("inf", "not a finite number: inf")]
+        "cell,message",
+        [
+            ("x", "not a number: 'x'"),
+            ("inf", "not a finite number: inf"),
+            # float() reads these, but demand_table_csv never writes them
+            ("2_50", "not a number: '2_50'"),
+            ("\u0662\u0665\u0660", "not a number: '\u0662\u0665\u0660'"),
+        ],
     )
     def test_demand_csv_cell_that_is_no_finite_number_is_a_parse_error(
         self, tmp_path, cell, message
     ):
         path = tmp_path / "demand.csv"
         header = "customer,product," + ",".join(f"m{i}" for i in range(1, 13))
-        path.write_text(header + "\nc1,1," + ",".join(["1.5"] * 11 + [cell]) + "\n")
+        path.write_text(
+            header + "\nc1,1," + ",".join(["1.5"] * 11 + [cell]) + "\n", encoding="utf-8"
+        )
         with pytest.raises(ScenarioError) as err:
             load_demand_table(path)
         assert err.value.code == "parse"
         assert str(err.value) == f"{path}:2: {message}"
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "+1", "1.0", "-", ""])
+    def test_demand_csv_product_that_is_not_ascii_digits_is_a_parse_error(self, tmp_path, cell):
+        path = tmp_path / "demand.csv"
+        header = "customer,product," + ",".join(f"m{i}" for i in range(1, 13))
+        path.write_text(header + f"\nc1,{cell}," + ",".join(["1"] * 12) + "\n", encoding="utf-8")
+        with pytest.raises(ScenarioError) as err:
+            load_demand_table(path)
+        assert err.value.code == "parse"
+        assert str(err.value) == f"{path}:2: not an integer: {cell!r}"
 
     def test_demand_csv_second_row_for_a_pair_is_bad_demand_row(self, tmp_path):
         path = tmp_path / "demand.csv"
