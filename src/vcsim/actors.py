@@ -35,6 +35,7 @@ from .ledger import (
 from .metrics import CostLedger, _left_sum
 from .satisfaction import (
     InputSignals,
+    VoteEntry,
     VoteState,
     customer_input,
     innovation_gain,
@@ -209,7 +210,7 @@ class Chain:
         for (_, pid), voter in self.voters.items():
             self._voters_of.setdefault(pid, []).append(voter)
         self.support_latch: dict[str, bool] = {c.name: False for c in scenario.customers}
-        self.satisfaction_series: list[dict] = []
+        self.satisfaction_series: list[VoteEntry] = []
 
         engine.on("activate-deliver", self._on_deliver)
         engine.on("activate-source", self._on_source)
@@ -654,14 +655,9 @@ class Chain:
         gain = innovation_gain(state.x, params.forgetting_factor) if flagged_new else 0.0
         new_state = update_vote(state, customer_input(gain, signals, params), params)
         voter.vote = new_state
+        # built in C: VoteEntry(...) would go through a Python-level __new__
         self.satisfaction_series.append(
-            {
-                "k": new_state.k,
-                "customer": customer,
-                "product": order.item.code,
-                "vote": new_state.x,
-                "time": now,
-            }
+            tuple.__new__(VoteEntry, (now, customer, order.item.code, new_state.k, new_state.x))
         )
 
         # consume the one-shot signals, then roll the running means forward

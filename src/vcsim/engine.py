@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, NamedTuple
 
-from .jsonl import _ENCODE, _trace_line
+from .jsonl import LINES
 
 _INF = math.inf
 
@@ -53,12 +53,6 @@ class Event(NamedTuple):
     kind: str
     payload: dict[str, Any] | None = None
     periodic: _Periodic | None = None
-
-    def payload_digest(self) -> str:
-        """Short stable digest of the payload, for trace export."""
-        if self.payload is None:
-            return "-"
-        return hashlib.sha256(_ENCODE(self.payload).encode("utf-8")).hexdigest()[:12]
 
 
 class RandomStreams:
@@ -179,4 +173,4 @@ class Engine:
 
 def trace_lines(trace: list[Event]) -> list[str]:
     """Serialize a fired-event trace, one JSON record per line."""
-    return [_trace_line(e) for e in trace]
+    return LINES["event"](trace)

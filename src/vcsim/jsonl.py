@@ -3,20 +3,22 @@ the two indented reports.
 
 Every line is the compact, key-sorted, ASCII-escaped JSON that
 ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` gives, with
-floats as Python ``repr``. Records with fixed keys are formatted directly,
-keys already in sorted order; the ledger's are built at import from
-``LEDGER_RECORDS``, the declaration ``Ledger.from_lines`` also reads lines
-against. Dicts whose keys are not fixed (event payloads, the header, scenario
-parts) go through one shared encoder. ``kpi.json`` and ``comparison.json`` are
+floats as Python ``repr``. Each record kind of the ``.jsonl`` files is
+declared once, in ``RECORDS``, from a table of value types; each kind's
+formatter in ``LINES`` is built from that declaration at import, and
+``Ledger.from_lines`` reads ledger lines against it. Dicts whose keys are not
+fixed (event payloads, the header, scenario parts) go through one shared
+encoder. ``kpi.json`` and ``comparison.json`` are
 ``json.dumps(report, sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
 
+import hashlib
+from collections import namedtuple
 from json import JSONEncoder
 from json.encoder import _make_iterencode, c_make_encoder, encode_basestring_ascii as _escape
-from types import UnionType
-from typing import get_args, get_origin
+from typing import Callable
 
 if c_make_encoder is None:  # no C accelerator: the pure-Python encoder
     _ENCODE = JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -56,78 +58,83 @@ def _ENCODE_INDENTED(value) -> str:
     return "".join(_iter_indented(value, 0))
 
 
-def _trace_line(e) -> str:
-    digest = "-" if e.payload is None else e.payload_digest()
-    return (
-        f'{{"digest":"{digest}","kind":{_escape(e.kind)},"seq":{_num(e.sequence_no)},'
-        f'"t":{_num(e.fire_time)},"target":{_escape(e.target)}}}'
-    )
+def _decimal(text: str) -> int | None:
+    """The integer in ``text`` if ``str`` writes it so, ASCII digits without
+    a leading zero ("0" and "10", not "01", "+1", "1_0" or "١"), else None."""
+    if text.isascii() and text.isdigit() and (text[0] != "0" or text == "0"):
+        try:
+            return int(text)
+        except ValueError:  # more digits than ``int`` converts
+            pass
+    return None
 
 
-#: The type of a field that holds an ``Item``: its line holds the item's code.
-ITEM_CODE = "item code"
+def _digest(payload) -> str:
+    """Short stable digest of an event payload; "-" for none."""
+    if payload is None:
+        return "-"
+    return hashlib.sha256(_ENCODE(payload).encode("utf-8")).hexdigest()[:12]
 
-#: The records of ``ledger.jsonl``: each key, named after the field it holds,
-#: with the type of its value. A transition has no record object: its keys, in
-#: this order, are its formatter's parameters.
-LEDGER_RECORDS = {
+
+#: A declared value type: the f-string field that writes the value held at ``%s``,
+#: the test that a value read back from a line passes, and its name in an error.
+_Type = namedtuple("_Type", "write test name")
+_NUM = "{_num(%s)}"
+
+INTEGER = _Type(_NUM, lambda v: type(v) is int, "an integer")
+INTEGER_OR_NULL = _Type(_NUM, lambda v: v is None or type(v) is int, "an integer or null")
+# an int passes as a number, as in kpi.json's reader: a JSON writer may drop the ".0"
+NUMBER = _Type(_NUM, lambda v: type(v) in (float, int), "a number")
+NUMBER_OR_NULL = _Type(_NUM, lambda v: v is None or type(v) in (float, int), "a number or null")
+STRING = _Type("{_escape(%s)}", lambda v: type(v) is str, "a string")
+#: an ``Item``, written as its code: a kind letter, then its id as ``_decimal`` reads it
+ITEM_CODE = _Type(
+    "{_escape(%s.code)}",
+    lambda v: type(v) is str and v[:1] in ("P", "R") and _decimal(v[1:]) is not None,
+    "an item code",
+)
+#: an event's payload, written as its ``_digest``
+DIGEST = _Type(
+    '"{_digest(%s)}"',
+    lambda v: type(v) is str and (v == "-" or len(v) == 12 and set(v) <= set("0123456789abcdef")),
+    "a payload digest",
+)
+
+#: Every record kind of the ``.jsonl`` files, each key with its type. An
+#: ``Order`` or ``SupportTicket`` has an attribute named after each key; an
+#: ``Event``, ``CostEntry``, ``VoteEntry`` or transition is a tuple holding its
+#: keys' values first, in this order. Only ledger lines hold ``"record": kind``.
+RECORDS = {
     "order": {
-        "order_id": int, "client": str, "provider": str, "item": ITEM_CODE, "quantity": float,
-        "created_at": float, "replacement_for": int | None, "shippable_after": float,
-        "defective_qty": float,
+        "order_id": INTEGER, "client": STRING, "provider": STRING, "item": ITEM_CODE,
+        "quantity": NUMBER, "created_at": NUMBER, "replacement_for": INTEGER_OR_NULL,
+        "shippable_after": NUMBER, "defective_qty": NUMBER,
     },
-    "transition": {"order_id": int, "status": str, "at": float},
+    "transition": {"order_id": INTEGER, "status": STRING, "at": NUMBER},
     "ticket": {
-        "ticket_id": int, "order_id": int, "customer": str, "item": ITEM_CODE,
-        "defective_qty": float, "opened_at": float, "replacement_order_id": int | None,
-        "resolved_at": float | None,
+        "ticket_id": INTEGER, "order_id": INTEGER, "customer": STRING, "item": ITEM_CODE,
+        "defective_qty": NUMBER, "opened_at": NUMBER, "replacement_order_id": INTEGER_OR_NULL,
+        "resolved_at": NUMBER_OR_NULL,
     },
+    "event": {"t": NUMBER, "seq": INTEGER, "target": STRING, "kind": STRING, "digest": DIGEST},
+    "cost": {"t": NUMBER, "actor": STRING, "category": STRING, "amount": NUMBER},
+    "vote": {"time": NUMBER, "customer": STRING, "product": STRING, "k": INTEGER, "vote": NUMBER},
 }
+LEDGER_KINDS = frozenset({"order", "transition", "ticket"})
+_BY_ATTRIBUTE = frozenset({"order", "ticket"})
 
 
-def _conforms(value, hint) -> bool:
-    """Whether ``value`` has the declared type ``hint``; an int passes as a float."""
-    if type(value) is hint or (hint is float and type(value) is int):
-        return True
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:
-        return any(_conforms(value, arg) for arg in args)
-    return origin is dict and type(value) is dict and all(
-        type(k) is str and _conforms(v, args[1]) for k, v in value.items()
-    )
-
-
-def _ledger_formatter(kind: str, record: str | None = None):
-    """The line formatter of a ledger record kind: one f-string built from its
-    declaration, as ``dataclasses`` builds ``__init__``. It takes ``record``,
-    whose attributes hold the keys, or else the keys themselves."""
-    declared = LEDGER_RECORDS[kind]
-    values = {"record": f'"{kind}"'}
-    for key, hint in declared.items():
-        ref = key if record is None else f"{record}.{key}"
-        if hint is ITEM_CODE:
-            ref += ".code"
-        values[key] = f"{{_escape({ref})}}" if hint in (str, ITEM_CODE) else f"{{_num({ref})}}"
+def _lines_formatter(kind: str) -> Callable[[list], list[str]]:
+    """A record kind's formatter, built from its declaration as ``dataclasses``
+    builds ``__init__``: one f-string in a list comprehension over records."""
+    values = {"record": f'"{kind}"'} if kind in LEDGER_KINDS else {}
+    for i, (key, type_) in enumerate(RECORDS[kind].items()):
+        values[key] = type_.write % (f"r.{key}" if kind in _BY_ATTRIBUTE else f"r[{i}]")
     body = ",".join(f'"{key}":{values[key]}' for key in sorted(values))
-    name, params, namespace = f"_{kind}_line", record or ", ".join(declared), {}
-    exec(f"def {name}({params}):\n    return f'{{{{{body}}}}}'", globals(), namespace)
+    name, namespace = f"_{kind}_lines", {}
+    exec(f"def {name}(run):\n    return [f'{{{{{body}}}}}' for r in run]", globals(), namespace)
     return namespace[name]
 
 
-_order_line = _ledger_formatter("order", "o")
-_transition_line = _ledger_formatter("transition")
-_ticket_line = _ledger_formatter("ticket", "t")
-
-
-def _cost_line(e) -> str:
-    return (
-        f'{{"actor":{_escape(e.actor)},"amount":{_num(e.amount)},'
-        f'"category":{_escape(e.category)},"t":{_num(e.time)}}}'
-    )
-
-
-def _satisfaction_line(e: dict) -> str:
-    return (
-        f'{{"customer":{_escape(e["customer"])},"k":{_num(e["k"])},'
-        f'"product":{_escape(e["product"])},"time":{_num(e["time"])},"vote":{_num(e["vote"])}}}'
-    )
+#: Each record kind's formatter: it takes a list of records and returns their lines.
+LINES = {kind: _lines_formatter(kind) for kind in RECORDS}

@@ -16,7 +16,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Iterable
 
-from .jsonl import ITEM_CODE, LEDGER_RECORDS, _conforms, _order_line, _ticket_line, _transition_line
+from .jsonl import ITEM_CODE, LEDGER_KINDS, LINES, RECORDS
 
 
 class LedgerError(Exception):
@@ -69,15 +69,9 @@ class Item(namedtuple("_ItemFields", "kind id code")):
         """The item whose code is ``code``, written as ``Item`` writes it: a
         kind letter and ASCII digits without leading zeros, "P1" but not
         "P01", " P1" or "P²"."""
-        kind, digits = _KINDS.get(code[:1]), code[1:]
-        ascii_digits = digits.isascii() and digits.isdigit()
-        try:
-            item = cls(kind, int(digits)) if kind and ascii_digits else None
-        except ValueError:  # more digits than ``int`` converts
-            item = None
-        if item is None or item.code != code:
+        if not ITEM_CODE.test(code):
             raise OrderValidationError(f"bad item code: {code!r}")
-        return item
+        return cls(_KINDS[code[0]], int(code[1:]))
 
 
 _KINDS = {"P": PRODUCT, "R": RAW}
@@ -386,18 +380,9 @@ class Ledger:
         """
         orders, tickets = self.orders, self.tickets
         return (
-            (
-                [orders[i] for i in sorted(orders)],
-                lambda run: [_order_line(o) for o in run],
-            ),
-            (
-                self.transitions,
-                lambda run: [_transition_line(i, status, at) for i, status, at in run],
-            ),
-            (
-                [tickets[i] for i in sorted(tickets)],
-                lambda run: [_ticket_line(t) for t in run],
-            ),
+            ([orders[i] for i in sorted(orders)], LINES["order"]),
+            (self.transitions, LINES["transition"]),
+            ([tickets[i] for i in sorted(tickets)], LINES["ticket"]),
         )
 
     def export_lines(self) -> list[str]:
@@ -407,7 +392,7 @@ class Ledger:
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "Ledger":
         """Rebuild a ledger by replaying exported records, each holding exactly
-        the keys of its kind in ``LEDGER_RECORDS``, of their declared types.
+        the keys of its kind in ``RECORDS``, of their declared types.
 
         Replay goes through the live writers. An order record waits until its
         Open transition record, the entry ``append_order`` logs, so the rebuilt
@@ -476,18 +461,13 @@ class Ledger:
             self.tickets[ticket_id] = ticket  # with its replacement and its resolution
 
 
-_TYPE_NAMES = {
-    int: "an integer", int | None: "an integer or null", float: "a number",
-    float | None: "a number or null", str: "a string", ITEM_CODE: "an item code",
-}
-
-
 def _fields(kind, rec: dict) -> dict:
-    """The fields of a ledger record: exactly the keys that ``LEDGER_RECORDS``
-    declares for its kind, each of its declared type."""
-    declared = LEDGER_RECORDS.get(kind)
-    if declared is None:
+    """The fields of a ledger record: exactly the keys that ``RECORDS``
+    declares for its kind, each passing its declared type's test; an item
+    code is read as its ``Item``."""
+    if kind not in LEDGER_KINDS:
         raise CorruptionError(f"unknown ledger record kind: {kind!r}")
+    declared = RECORDS[kind]
     keys = rec.keys() - {"record"}
     if keys != declared.keys():
         key = min(keys ^ declared.keys())
@@ -495,19 +475,11 @@ def _fields(kind, rec: dict) -> dict:
             f"{kind} record {'lacks' if key in declared else 'has an unknown'} key {key!r}"
         )
     fields = {}
-    for key, hint in declared.items():
+    for key, type_ in declared.items():
         value = rec[key]
-        if hint is ITEM_CODE:
-            try:
-                value = Item.parse(value) if type(value) is str else None
-            except OrderValidationError:
-                value = None
-            ok = value is not None
-        else:
-            ok = _conforms(value, hint)
-        if not ok:
-            raise CorruptionError(f"{kind} {key} is not {_TYPE_NAMES[hint]}: {rec[key]!r}")
-        fields[key] = value
+        if not type_.test(value):
+            raise CorruptionError(f"{kind} {key} is not {type_.name}: {value!r}")
+        fields[key] = Item.parse(value) if type_ is ITEM_CODE else value
     return fields
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from operator import add
-from typing import Iterable, NamedTuple, get_type_hints
+from types import UnionType
+from typing import Iterable, NamedTuple, get_args, get_origin, get_type_hints
 
-from .jsonl import _ENCODE_INDENTED, _conforms
+from .jsonl import _ENCODE_INDENTED
 from .ledger import InventoryRecord, Ledger, PRODUCT
 from .scenario import Scenario
 
@@ -102,6 +103,18 @@ def _converted(load, dump):
     """A report field with its own dict form: ``dump`` writes it, ``load``
     reads it back."""
     return field(metadata={"load": load, "dump": dump})
+
+
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has the declared type ``hint``; an int passes as a float."""
+    if type(value) is hint or (hint is float and type(value) is int):
+        return True
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return any(_conforms(value, arg) for arg in args)
+    return origin is dict and type(value) is dict and all(
+        type(k) is str and _conforms(v, args[1]) for k, v in value.items()
+    )
 
 
 class _DictForm:

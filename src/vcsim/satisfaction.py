@@ -18,8 +18,10 @@ every other spec, and this module takes them from there.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import NamedTuple
 
+from .jsonl import RECORDS
 from .scenario import SatisfactionParams
 
 
@@ -46,6 +48,12 @@ class VoteState(NamedTuple):
 
     x: float
     k: int = 0
+
+
+#: One vote update, a line of ``satisfaction.jsonl``: a tuple of the keys
+#: that ``jsonl.RECORDS`` declares for a vote (time, customer, product code,
+#: update count k and the new vote), in that order.
+VoteEntry = namedtuple("VoteEntry", RECORDS["vote"])
 
 
 VOTE_MIN = 0.0

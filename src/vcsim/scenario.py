@@ -31,7 +31,7 @@ from pathlib import Path
 
 import yaml
 
-from .jsonl import _ENCODE, _escape
+from .jsonl import _ENCODE, _decimal, _escape
 from .ledger import PRODUCT, RAW, Item, OrderValidationError
 
 SCHEMA_VERSION = 1
@@ -115,10 +115,12 @@ def _text_number(text: str) -> float:
 
 
 def _text_integer(text: str) -> int:
-    """An integer written as ASCII digits, such as a demand table's product cell."""
-    if text.isascii() and text.isdigit():
-        return int(text)
-    raise _Misfit("parse", f"not an integer: {text!r}")
+    """An integer written as ``str`` writes it, such as a demand table's
+    product cell: "1", not "01", the rule of an item code's digits."""
+    value = _decimal(text)
+    if value is None:
+        raise _Misfit("parse", f"not an integer: {text!r}")
+    return value
 
 
 def _integer(value) -> int:

@@ -16,9 +16,10 @@ from typing import Callable, Iterable
 
 from .actors import Chain
 from .engine import Engine, Event, trace_lines
-from .jsonl import _ENCODE, _cost_line, _satisfaction_line
+from .jsonl import _ENCODE, LINES
 from .ledger import InventoryRecord, Ledger, product, raw
 from .metrics import CostLedger, KpiReport, build_report
+from .satisfaction import VoteEntry
 from .scenario import Scenario
 
 
@@ -30,7 +31,7 @@ class RunArtifacts:
     costs: CostLedger
     inventories: dict[tuple[str, str], InventoryRecord]
     report: KpiReport
-    satisfaction: list[dict]  # one entry per vote update
+    satisfaction: list[VoteEntry]
     delivery_series: dict[str, list[tuple[int, float]]]  # actor: (order_id, hours)
     launches: list[tuple[float, int]]
     consumed_raw_kg: dict[str, float]
@@ -102,16 +103,8 @@ def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
     )
     _write_file(out_dir / "trace.jsonl", header, [(artifacts.trace, trace_lines)])
     _write_file(out_dir / "ledger.jsonl", header, artifacts.ledger.export_parts())
-    _write_file(
-        out_dir / "costs.jsonl",
-        header,
-        [(artifacts.costs.entries, lambda run: [_cost_line(e) for e in run])],
-    )
-    _write_file(
-        out_dir / "satisfaction.jsonl",
-        header,
-        [(artifacts.satisfaction, lambda run: [_satisfaction_line(e) for e in run])],
-    )
+    _write_file(out_dir / "costs.jsonl", header, [(artifacts.costs.entries, LINES["cost"])])
+    _write_file(out_dir / "satisfaction.jsonl", header, [(artifacts.satisfaction, LINES["vote"])])
     _write_file(out_dir / "kpi.json", report.to_json())
     _write_file(
         out_dir / "delivery_times.csv",

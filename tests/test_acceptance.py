@@ -435,14 +435,14 @@ def test_mode_structural_checks():
         series = [
             e
             for e in vcor.satisfaction
-            if e["customer"] == customer and e["product"] == code
+            if e.customer == customer and e.product == code
         ]
-        post = [e for e in series if e["time"] >= launch_time]
+        post = [e for e in series if e.time >= launch_time]
         if not post:
             continue
-        pre = [e["vote"] for e in series if e["time"] < post[0]["time"]]
+        pre = [e.vote for e in series if e.time < post[0].time]
         previous = pre[-1] if pre else vcor.scenario.satisfaction.initial_vote
-        if post[0]["vote"] > previous:
+        if post[0].vote > previous:
             jumped = True
     assert jumped
 

@@ -328,7 +328,7 @@ class TestMonitorExperience:
         # every vote recorded at a replacement delivery time saw s=1; the
         # update at that instant must exist in the series
         resolution_times = {t.resolved_at for t in resolved}
-        series_times = {entry["time"] for entry in artifacts.satisfaction}
+        series_times = {entry.time for entry in artifacts.satisfaction}
         assert resolution_times <= series_times
 
 
@@ -638,9 +638,9 @@ class TestVoteDynamicsInRuns:
         scenario = scenario_builder(horizon=48.0, initial_vote=8.0)
         artifacts = run_scenario(scenario)
         series = [
-            entry["vote"]
+            entry.vote
             for entry in artifacts.satisfaction
-            if entry["customer"] == "customer1" and entry["product"] == "P1"
+            if entry.customer == "customer1" and entry.product == "P1"
         ]
         assert len(series) >= 3
         assert series[0] < 8.0  # first update already decays

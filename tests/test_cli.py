@@ -218,7 +218,7 @@ class TestDemoAndCompare:
         for mode in ("scor", "vcor"):
             artifacts = run_scenario(case_study_scenario(mode=mode, seed=9, horizon_hours=24.0))
             old = artifacts.report.to_dict()
-            old["satisfaction"] = artifacts.satisfaction
+            old["satisfaction"] = [e._asdict() for e in artifacts.satisfaction]
             for name, series in artifacts.delivery_series.items():
                 old["actors"][name]["delivery_series"] = [list(row) for row in series]
             assert old["satisfaction"] and old["actors"]["retailer"]["delivery_series"]

@@ -6,7 +6,8 @@ its mode, the horizon, then the sha256 of each artifact file in
 conservation suite (``test_acceptance._random_scenario``) at their own
 24-48 h horizons, and the first ``LONG_RUNS`` of them again at 480 h, long
 enough that production carries a fraction of capacity across activations
-and backlogs clear and refill.
+and backlogs clear and refill. A slice of the runs is repeated in two
+subprocesses under other string hash seeds than this process's.
 
 The manifest changes only with a deliberate change of model behaviour, as
 the goldens do. To rewrite it after one::
@@ -18,10 +19,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import vcsim
 from vcsim.simulation import run_scenario
 
 from test_acceptance import _random_scenario
@@ -31,6 +36,8 @@ MANIFEST = Path(__file__).parent / "goldens" / "corpus.sha256"
 DRAWS = 200
 LONG_RUNS = 20
 LONG_HORIZON = 480.0
+# the first 10 draws, and the first 2 of them at 480 h
+HASH_SEED_RUNS = [(i, None) for i in range(10)] + [(i, LONG_HORIZON) for i in range(2)]
 
 
 def corpus_runs() -> list[tuple[int, float | None]]:
@@ -80,6 +87,33 @@ def test_draws_at_their_own_horizons_match_manifest(tmp_path):
 
 def test_first_draws_at_480_h_match_manifest(tmp_path):
     assert _differing(corpus_runs()[DRAWS:], tmp_path) == []
+
+
+def test_a_slice_matches_manifest_under_other_hash_seeds():
+    # str hashes are salted per process (CI's runs each get a random salt),
+    # so iterating a set or a dict keyed by hash must not reach the bytes
+    script = (
+        "import tempfile\n"
+        "from pathlib import Path\n"
+        "from test_corpus import HASH_SEED_RUNS, manifest_line\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    for run in HASH_SEED_RUNS:\n"
+        "        print(manifest_line(*run, Path(tmp)))\n"
+    )
+    path = os.pathsep.join([str(Path(vcsim.__file__).parents[1]), str(Path(__file__).parent)])
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("1", "2")
+    ]
+    # both read to the end before any assertion, so that neither outlives the test
+    results = [(p.communicate(timeout=120)[0].splitlines(), p.returncode) for p in procs]
+    expected = [pinned()[run] for run in HASH_SEED_RUNS]
+    assert results == [(expected, 0), (expected, 0)]
 
 
 if __name__ == "__main__":

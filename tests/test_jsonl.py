@@ -12,18 +12,10 @@ from hypothesis import given, strategies as st
 
 import vcsim
 from vcsim.engine import Event, trace_lines
-from vcsim.jsonl import (
-    _ENCODE,
-    _ENCODE_INDENTED,
-    _cost_line,
-    _num,
-    _order_line,
-    _satisfaction_line,
-    _ticket_line,
-    _transition_line,
-)
+from vcsim.jsonl import _ENCODE, _ENCODE_INDENTED, DIGEST, LEDGER_KINDS, LINES, RECORDS, _num
 from vcsim.ledger import Order, SupportTicket, product, raw
 from vcsim.metrics import CostEntry, CostLedger
+from vcsim.satisfaction import VoteEntry
 from vcsim.scenario import case_study_scenario
 from vcsim.simulation import run_scenario, write_artifacts
 
@@ -62,22 +54,52 @@ payloads = st.one_of(
     st.none(), st.dictionaries(names, st.one_of(scalars, names), max_size=4)
 )
 
+#: records of every declared kind
+RECORD_STRATEGIES = {
+    "event": st.builds(Event, numbers, st.integers(min_value=0), names, names, payloads),
+    "order": st.builds(
+        Order,
+        order_id=st.integers(min_value=0),
+        client=names,
+        provider=names,
+        item=items,
+        quantity=numbers,
+        created_at=numbers,
+        shippable_after=numbers,
+        defective_qty=numbers,
+        replacement_for=optional_ids,
+    ),
+    "transition": st.tuples(st.integers(min_value=0), names, numbers),
+    "ticket": st.builds(
+        SupportTicket,
+        ticket_id=st.integers(min_value=0),
+        order_id=st.integers(min_value=0),
+        customer=names,
+        item=items,
+        defective_qty=numbers,
+        opened_at=numbers,
+        replacement_order_id=optional_ids,
+        resolved_at=optional_times,
+    ),
+    "cost": st.builds(CostEntry, numbers, names, names, numbers),
+    "vote": st.builds(VoteEntry, numbers, names, names, st.integers(min_value=0), numbers),
+}
 
-@given(
-    st.lists(
-        st.builds(Event, numbers, st.integers(min_value=0), names, names, payloads),
-        max_size=8,
-    )
-)
-def test_trace_lines_match_json(events):
-    lines = trace_lines(events)
+
+def records_of(kind: str, max_size: int = 6):
+    return st.lists(RECORD_STRATEGIES[kind], max_size=max_size)
+
+
+@given(records_of("event", max_size=8))
+def test_event_lines_match_json(events):
+    lines = LINES["event"](events)
+    assert trace_lines(events) == lines
     for e, line in zip(events, lines, strict=True):
         digest = (
             "-"
             if e.payload is None
             else hashlib.sha256(dumps(e.payload).encode("utf-8")).hexdigest()[:12]
         )
-        assert e.payload_digest() == digest
         assert line == dumps(
             {
                 "t": e.fire_time,
@@ -89,24 +111,10 @@ def test_trace_lines_match_json(events):
         )
 
 
-orders = st.builds(
-    Order,
-    order_id=st.integers(min_value=0),
-    client=names,
-    provider=names,
-    item=items,
-    quantity=numbers,
-    created_at=numbers,
-    shippable_after=numbers,
-    defective_qty=numbers,
-    replacement_for=optional_ids,
-)
-
-
-@given(st.lists(orders, max_size=6))
-def test_order_line_matches_json(records):
-    for o in records:
-        assert _order_line(o) == dumps(
+@given(records_of("order"))
+def test_order_lines_match_json(records):
+    for o, line in zip(records, LINES["order"](records), strict=True):
+        assert line == dumps(
             {
                 "record": "order",
                 "order_id": o.order_id,
@@ -122,31 +130,18 @@ def test_order_line_matches_json(records):
         )
 
 
-@given(st.lists(st.tuples(st.integers(min_value=0), names, numbers), max_size=6))
-def test_transition_line_matches_json(records):
-    for order_id, status, at in records:
-        assert _transition_line(order_id, status, at) == dumps(
+@given(records_of("transition"))
+def test_transition_lines_match_json(records):
+    for (order_id, status, at), line in zip(records, LINES["transition"](records), strict=True):
+        assert line == dumps(
             {"record": "transition", "order_id": order_id, "status": status, "at": at}
         )
 
 
-tickets = st.builds(
-    SupportTicket,
-    ticket_id=st.integers(min_value=0),
-    order_id=st.integers(min_value=0),
-    customer=names,
-    item=items,
-    defective_qty=numbers,
-    opened_at=numbers,
-    replacement_order_id=optional_ids,
-    resolved_at=optional_times,
-)
-
-
-@given(st.lists(tickets, max_size=6))
-def test_ticket_line_matches_json(records):
-    for t in records:
-        assert _ticket_line(t) == dumps(
+@given(records_of("ticket"))
+def test_ticket_lines_match_json(records):
+    for t, line in zip(records, LINES["ticket"](records), strict=True):
+        assert line == dumps(
             {
                 "record": "ticket",
                 "ticket_id": t.ticket_id,
@@ -161,24 +156,45 @@ def test_ticket_line_matches_json(records):
         )
 
 
-@given(st.lists(st.builds(CostEntry, numbers, names, names, numbers), max_size=6))
-def test_cost_line_matches_json(entries):
-    for e in entries:
-        assert _cost_line(e) == dumps(
+@given(records_of("cost"))
+def test_cost_lines_match_json(entries):
+    for e, line in zip(entries, LINES["cost"](entries), strict=True):
+        assert line == dumps(
             {"t": e.time, "actor": e.actor, "category": e.category, "amount": e.amount}
         )
 
 
-satisfaction_entries = st.fixed_dictionaries(
-    {"customer": names, "k": st.integers(min_value=0), "product": names,
-     "time": numbers, "vote": numbers}
+@given(records_of("vote"))
+def test_vote_lines_match_json(entries):
+    for e, line in zip(entries, LINES["vote"](entries), strict=True):
+        assert line == dumps(
+            {"customer": e.customer, "k": e.k, "product": e.product, "time": e.time,
+             "vote": e.vote}
+        )
+
+
+def test_every_declared_kind_has_a_formatter_and_a_test_above():
+    assert LINES.keys() == RECORDS.keys() == RECORD_STRATEGIES.keys()
+    assert LEDGER_KINDS == {"order", "transition", "ticket"}
+
+
+@pytest.mark.parametrize("kind", list(RECORDS))
+@given(data=st.data())
+def test_each_written_value_passes_its_declared_test(kind, data):
+    [line] = LINES[kind]([data.draw(RECORD_STRATEGIES[kind])])
+    rec = json.loads(line)
+    assert (rec.pop("record", None) == kind) == (kind in LEDGER_KINDS)
+    assert rec.keys() == RECORDS[kind].keys()
+    for key, type_ in RECORDS[kind].items():
+        assert type_.test(rec[key]), (key, rec[key])
+
+
+@pytest.mark.parametrize(
+    "value", ["0123456789AB", "0123456789a", "0123456789abc", "", "--", None, 5, True],
+    ids=repr,
 )
-
-
-@given(st.lists(satisfaction_entries, max_size=6))
-def test_satisfaction_line_matches_json(entries):
-    for e in entries:
-        assert _satisfaction_line(e) == dumps(e)
+def test_a_digest_is_a_dash_or_twelve_lowercase_hex_digits(value):
+    assert not DIGEST.test(value)
 
 
 json_values = st.recursive(

@@ -25,7 +25,7 @@ from vcsim.ledger import (
     raw,
     replay_final_statuses,
 )
-from vcsim.jsonl import _order_line, _ticket_line, _transition_line
+from vcsim.jsonl import LINES
 from vcsim.scenario import case_study_scenario
 from vcsim.simulation import run_scenario
 
@@ -584,19 +584,12 @@ class TestLedgerRecords:
             return {key: (type(value), repr(value)) for key, value in fields.items()}
 
         order_id, status, at = transition
-        for kind, line, fields in [
-            ("order", _order_line(order), {k: getattr(order, k) for k in LEDGER_KEYS["order"]}),
-            (
-                "transition",
-                _transition_line(order_id, status, at),
-                {"order_id": order_id, "status": status, "at": at},
-            ),
-            (
-                "ticket",
-                _ticket_line(ticket),
-                {k: getattr(ticket, k) for k in LEDGER_KEYS["ticket"]},
-            ),
+        for kind, record, fields in [
+            ("order", order, {k: getattr(order, k) for k in LEDGER_KEYS["order"]}),
+            ("transition", transition, {"order_id": order_id, "status": status, "at": at}),
+            ("ticket", ticket, {k: getattr(ticket, k) for k in LEDGER_KEYS["ticket"]}),
         ]:
+            [line] = LINES[kind]([record])
             assert typed(_fields(kind, json.loads(line))) == typed(fields)
 
 

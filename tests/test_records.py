@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from vcsim.engine import Engine, Event
 from vcsim.ledger import PRODUCT, RAW, Item, OrderValidationError, product, raw
 from vcsim.metrics import CostEntry
-from vcsim.satisfaction import VoteState
+from vcsim.satisfaction import VoteEntry, VoteState
 
 items = st.builds(Item, st.sampled_from([PRODUCT, RAW]), st.integers(min_value=0, max_value=10**6))
 
@@ -63,6 +63,7 @@ class TestItem:
         (Event(1.0, 0, "a", "tick"), "payload"),
         (CostEntry(1.0, "firm", "holding", 2.0), "amount"),
         (VoteState(x=5.0), "x"),
+        (VoteEntry(1.0, "customer1", "P1", 1, 5.0), "vote"),
     ],
     ids=lambda v: v if isinstance(v, str) else type(v).__name__,
 )

@@ -231,7 +231,13 @@ class TestFiles:
         assert err.value.code == "parse"
         assert str(err.value) == f"{path}:2: {message}"
 
-    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "+1", "1.0", "-", ""])
+    # 01 and 00 are ASCII digits, but they do not format back to themselves:
+    # demand_table_csv writes 1 and 0, as Item.parse reads P1 and not P01;
+    # 5000 digits are more than int converts
+    @pytest.mark.parametrize(
+        "cell",
+        ["1_0", "\u0661", "+1", "1.0", "-", "", "01", "00", pytest.param("1" * 5000, id="1*5000")],
+    )
     def test_demand_csv_product_that_is_not_ascii_digits_is_a_parse_error(self, tmp_path, cell):
         path = tmp_path / "demand.csv"
         header = "customer,product," + ",".join(f"m{i}" for i in range(1, 13))
@@ -240,6 +246,13 @@ class TestFiles:
             load_demand_table(path)
         assert err.value.code == "parse"
         assert str(err.value) == f"{path}:2: not an integer: {cell!r}"
+
+    @pytest.mark.parametrize("cell,pid", [("0", 0), ("10", 10)])
+    def test_demand_csv_product_reads_as_demand_table_csv_writes_it(self, tmp_path, cell, pid):
+        path = tmp_path / "demand.csv"
+        header = "customer,product," + ",".join(f"m{i}" for i in range(1, 13))
+        path.write_text(header + f"\nc1,{cell}," + ",".join(["1"] * 12) + "\n", encoding="utf-8")
+        assert load_demand_table(path).rows == {("c1", pid): (1.0,) * 12}
 
     def test_demand_csv_second_row_for_a_pair_is_bad_demand_row(self, tmp_path):
         path = tmp_path / "demand.csv"

@@ -90,15 +90,15 @@ class TestModeStructure:
         initial = vcor_run.scenario.satisfaction.initial_vote
         by_customer: dict[str, list] = {}
         for entry in vcor_run.satisfaction:
-            if entry["product"] == code:
-                by_customer.setdefault(entry["customer"], []).append(entry)
+            if entry.product == code:
+                by_customer.setdefault(entry.customer, []).append(entry)
         for series in by_customer.values():
-            post = [e for e in series if e["time"] >= launch_time]
+            post = [e for e in series if e.time >= launch_time]
             if not post:
                 continue
-            pre = [e["vote"] for e in series if e["time"] < post[0]["time"]]
+            pre = [e.vote for e in series if e.time < post[0].time]
             previous = pre[-1] if pre else initial
-            if post[0]["vote"] > previous:
+            if post[0].vote > previous:
                 jumped = True
         assert jumped
 
