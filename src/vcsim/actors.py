@@ -146,32 +146,14 @@ class Chain:
             for pid in pids
         }
 
-        # reorder policies per actor, in deterministic item order
-        self.policies: dict[str, dict[Item, ReorderPolicy]] = {}
-        self.policies[self.retailer_name] = {
-            product(pid): pol for pid, pol in sorted(scenario.retailer.reorder.items())
-        }
-        self.policies[self.firm_name] = {
-            raw(rid): pol for rid, pol in sorted(scenario.firm.raw_reorder.items())
-        }
-        for s in scenario.suppliers:
-            self.policies[s.name] = {
-                raw(rid): pol for rid, pol in sorted(s.reorder.items())
-            }
-        # (item, policy, stock record) per actor, built on its first check
-        self._reorder_rows: dict[str, list[tuple[Item, ReorderPolicy, InventoryRecord]]] = {}
-
+        # each stocking actor's records and (item, policy, stock record) rows, in item order
         self.inventories: dict[tuple[str, str], InventoryRecord] = {}
-        for s in scenario.suppliers:
-            for rid in s.raws:
-                self._add_record(s.name, raw(rid), s.stock_kg.get(rid, 0.0))
-        for pid in scenario.products:
-            self._add_record(self.firm_name, product(pid), scenario.firm.fgi.get(pid, 0.0))
-        for rid in scenario.raws:
-            self._add_record(self.firm_name, raw(rid), scenario.firm.raw_stock_kg.get(rid, 0.0))
-        for pid in scenario.products:
-            self._add_record(
-                self.retailer_name, product(pid), scenario.retailer.stock.get(pid, 0.0)
+        self._reorder_rows: dict[str, list[tuple[Item, ReorderPolicy, InventoryRecord]]] = {}
+        for owner, kind, ids, stock, reorder, _ in scenario.stocking():
+            item = product if kind == PRODUCT else raw
+            records = {i: self._add_record(owner, item(i), stock.get(i, 0.0)) for i in ids}
+            self._reorder_rows.setdefault(owner, []).extend(
+                [(item(i), policy, records[i]) for i, policy in sorted(reorder.items())]
             )
 
         # firm production state; recipes may be swapped by a product renewal
@@ -293,6 +275,8 @@ class Chain:
         return 0.0
 
     def record_of(self, owner: str, item: Item) -> InventoryRecord:
+        """The owner's stock record of the item. Only a customer's or a prospect's
+        is created here, at its first delivery; the chain builds every other."""
         key = (owner, item.code)
         record = self.inventories.get(key)
         if record is None:
@@ -413,16 +397,8 @@ class Chain:
 
     def check_reorders(self, actor: str, now: float) -> list[Order]:
         """(s, S) check over the actor's policied items; one outstanding order max."""
-        rows = self._reorder_rows.get(actor)
-        if rows is None:
-            # through record_of, in policy order: a missing stock record is
-            # created when the actor's first check reaches its item
-            rows = self._reorder_rows[actor] = [
-                (item, policy, self.record_of(actor, item))
-                for item, policy in self.policies.get(actor, {}).items()
-            ]
         placed = []
-        for item, policy, record in rows:
+        for item, policy, record in self._reorder_rows[actor]:
             if record.on_hand >= policy.point:
                 continue  # strictly-under trigger
             if self.ledger.outstanding_replenishment(actor, item):

@@ -117,17 +117,6 @@ LEGAL_TRANSITIONS: dict[OrderStatus, frozenset[OrderStatus]] = {
     OrderStatus.RESOLVED: frozenset(),
 }
 
-#: statuses in which the ordered goods have not yet reached the client
-OUTSTANDING = frozenset(
-    {
-        OrderStatus.OPEN,
-        OrderStatus.IN_PRODUCTION,
-        OrderStatus.FGI,
-        OrderStatus.IN_TRANSIT,
-    }
-)
-
-
 @dataclass(slots=True)
 class Order:
     """One order: the unit of information flow between a client and a provider.
@@ -199,7 +188,7 @@ class Ledger:
         self._known_actors = set(known_actors) if known_actors is not None else None
         self._known_items = set(known_items) if known_items is not None else None
         # status buckets: Open orders per (provider, item), FGI orders per
-        # provider, and the count of OUTSTANDING orders per (client, item)
+        # provider, and the count of not yet delivered orders per (client, item)
         self._open: dict[tuple[str, Item], dict[int, Order]] = {}
         self._fgi: dict[str, dict[int, Order]] = {}
         self._outstanding: dict[tuple[str, Item], int] = {}

@@ -691,6 +691,10 @@ class Scenario:
     def holding_cost_of(self, actor: str, item: Item) -> float:
         return self.holding_costs.get(actor, {}).get(item.code, 0.0)
 
+    def stocking(self) -> list[tuple]:
+        """What each actor stocks before any delivery, in the order a run creates the records."""
+        return _stocking(self.products, self.raws, self.suppliers, self.firm, self.retailer)
+
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
@@ -760,9 +764,26 @@ def _actor_names(upstream, suppliers, firm, retailer, customers, sell) -> list[s
     return names
 
 
+def _stocking(products, raws, suppliers, firm, retailer) -> list[tuple]:
+    """``(owner, kind, ids, stock, reorder, paths)`` per stocking actor's ``kind`` items:
+    their ids, starting levels and (s, S) policies, and the document paths of those maps."""
+    rows = [
+        (s.name, RAW, s.raws, s.stock_kg, s.reorder,
+         (f"suppliers.{i}.stock_kg", f"suppliers.{i}.reorder"))
+        for i, s in enumerate(suppliers)
+    ]
+    return rows + [
+        (firm.name, PRODUCT, products, firm.fgi, {}, ("firm.fgi",)),
+        (firm.name, RAW, raws, firm.raw_stock_kg, firm.raw_reorder,
+         ("firm.raw_stock_kg", "firm.raw_reorder")),
+        (retailer.name, PRODUCT, products, retailer.stock, retailer.reorder,
+         ("retailer.stock", "retailer.reorder")),
+    ]
+
+
 def _check_references(
     mode, processes, products, raws, bom, suppliers, raw_sources, firm, retailer,
-    customers, upstream, demand, prices, holding_costs, innovation, sell,
+    customers, upstream, demand, prices, holding_costs, support, innovation, sell,
 ) -> None:
     """The checks that relate a scenario's fields to each other.
 
@@ -816,6 +837,11 @@ def _check_references(
             raise ScenarioError("unknown-product", f"demand for unknown product {pid}")
     for p in sell.prospects:
         _require(p.product in known_products, "unknown-product", "{} wants P{}", p.name, p.product)
+    for path, per_product in (("firm.production_mode", firm.production_mode),
+                              ("support.defect_probability", support.defect_probability)):
+        for pid in per_product:
+            _require(pid in known_products, "unknown-product",
+                     "{}.P{} is never read: the catalog has no P{}", path, pid, pid)
 
     # every actor that can ship goods needs a unit price for them
     sellers = [(retailer.name, "P", products), (firm.name, "P", products)]
@@ -849,6 +875,14 @@ def _check_references(
                         "item-kind-not-used-by-role",
                         f"{path}.{name}.{code} is never read: {name!r} trades no such item",
                     )
+
+    # an actor starts with, and reorders, only what it stocks
+    for owner, kind, ids, *maps, paths in _stocking(products, raws, suppliers, firm, retailer):
+        letter = "P" if kind == PRODUCT else "R"
+        for path, entries in zip(paths, maps):
+            for i in entries:
+                _require(i in ids, "item-not-stocked", "{}.{}{} is never read: {!r} stocks no {}{}",
+                         path, letter, i, owner, letter, i)
 
 
 # the top-level keys a SCOR/VCOR pair may differ in, left out of the topology digest

@@ -14,7 +14,7 @@ import pytest
 
 from vcsim.actors import Chain
 from vcsim.engine import Engine
-from vcsim.ledger import OUTSTANDING, Item, Ledger, OrderStatus
+from vcsim.ledger import Item, Ledger, OrderStatus
 from vcsim.satisfaction import SatisfactionParams
 from vcsim.scenario import (
     CustomerSpec,
@@ -165,6 +165,12 @@ def chain_builder():
         return build_chain(build_scenario(**kwargs))
 
     return _build
+
+
+#: statuses in which the ordered goods have not yet reached the client
+OUTSTANDING = frozenset(
+    {OrderStatus.OPEN, OrderStatus.IN_PRODUCTION, OrderStatus.FGI, OrderStatus.IN_TRANSIT}
+)
 
 
 def assert_views_match_scan(

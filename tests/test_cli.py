@@ -87,6 +87,18 @@ class TestRun:
         for name in ("trace.jsonl", "ledger.jsonl", "kpi.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_a_reorder_policy_for_an_item_not_stocked_exits_one(self, tmp_path, capsys):
+        import yaml
+
+        data = case_study_scenario().to_dict()
+        data["firm"]["raw_reorder"]["R9"] = {"point": 100.0, "up_to": 250.0}
+        path = tmp_path / "firm-raw-reorder-r9.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[item-not-stocked]: firm.raw_reorder.R9 is never read")
+        assert "Traceback" not in err
+
 
 def round_trip_overrides(scenario, seed, horizon, mode):
     """The overrides as a rebuild from the document, the way they were once applied."""

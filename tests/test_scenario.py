@@ -427,6 +427,17 @@ CODE_CASES = [
     ("prices.ghost", {"P1": 2.0}, "item-kind-not-used-by-role"),
     ("costs.holding_per_unit_hour.upstream", {"R1": 0.1}, "item-kind-not-used-by-role"),
     ("costs.holding_per_unit_hour.customer1", {"R1": 0.1}, "item-kind-not-used-by-role"),
+    # an actor starts with and reorders only what it stocks; a supplier its raws
+    ("suppliers.0.stock_kg.R3", 10.0, "item-not-stocked"),
+    ("suppliers.0.reorder.R2", {"point": 1.0, "up_to": 2.0}, "item-not-stocked"),
+    ("firm.fgi.P9", 5.0, "item-not-stocked"),
+    ("firm.raw_stock_kg.R9", 5.0, "item-not-stocked"),
+    ("firm.raw_reorder.R9", {"point": 1.0, "up_to": 2.0}, "item-not-stocked"),
+    ("retailer.stock.P9", 5.0, "item-not-stocked"),
+    ("retailer.reorder.P9", {"point": 1.0, "up_to": 2.0}, "item-not-stocked"),
+    # and a per-product map reads only catalog products
+    ("firm.production_mode.P9", "make-to-order", "unknown-product"),
+    ("support.defect_probability.P9", 0.1, "unknown-product"),
     # every actor name is unique across the roles
     ("suppliers.0.name", "supplier2", "duplicate-actor-name"),
     ("customers.1.name", "retailer", "duplicate-actor-name"),
@@ -581,7 +592,10 @@ def leaf(doc: dict, path: str):
 
 @pytest.mark.parametrize("path,expected", ABSENT_KEY_DEFAULTS.items(), ids=list(ABSENT_KEY_DEFAULTS))
 def test_an_absent_key_reads_as_its_default(path, expected):
-    parsed = scenario_from_dict(mutated(PIN_DOC, path, None)).to_dict()
+    doc = mutated(PIN_DOC, path, None)
+    if path == "suppliers.0.raws":  # a supplier without raws stocks and reorders none
+        doc = mutated(mutated(doc, "suppliers.0.stock_kg.R1", None), "suppliers.0.reorder.R1", None)
+    parsed = scenario_from_dict(doc).to_dict()
     assert leaf(parsed, path) == expected
     assert type(leaf(parsed, path)) is type(expected)
 
@@ -869,6 +883,11 @@ REFERENCE_BREAKS = {
         lambda t: {**t.holding_costs, "retailer": {"R1": 0.1}},
         "item-kind-not-used-by-role",
     ),
+    "support": (
+        "vcor",
+        lambda t: replace(t.support, defect_probability={**t.support.defect_probability, 9: 0.1}),
+        "unknown-product",
+    ),
     "innovation": ("vcor", lambda t: replace(t.innovation, bom_override={9: 1.0}), "unknown-raw"),
     "sell": (
         "vcor",
@@ -947,6 +966,39 @@ PATH_MESSAGES = [
         "satisfaction.forgetting_factor",
         1.5,
         "satisfaction.forgetting_factor: 1.5 is not within (0, 1)",
+    ),
+    (
+        "suppliers.0.stock_kg.R3",
+        10.0,
+        "suppliers.0.stock_kg.R3 is never read: 'supplier1' stocks no R3",
+    ),
+    (
+        "suppliers.0.reorder.R2",
+        {"point": 1.0, "up_to": 2.0},
+        "suppliers.0.reorder.R2 is never read: 'supplier1' stocks no R2",
+    ),
+    ("firm.fgi.P9", 5.0, "firm.fgi.P9 is never read: 'firm' stocks no P9"),
+    ("firm.raw_stock_kg.R9", 5.0, "firm.raw_stock_kg.R9 is never read: 'firm' stocks no R9"),
+    (
+        "firm.raw_reorder.R9",
+        {"point": 1.0, "up_to": 2.0},
+        "firm.raw_reorder.R9 is never read: 'firm' stocks no R9",
+    ),
+    ("retailer.stock.P9", 5.0, "retailer.stock.P9 is never read: 'retailer' stocks no P9"),
+    (
+        "retailer.reorder.P9",
+        {"point": 1.0, "up_to": 2.0},
+        "retailer.reorder.P9 is never read: 'retailer' stocks no P9",
+    ),
+    (
+        "firm.production_mode.P9",
+        "make-to-order",
+        "firm.production_mode.P9 is never read: the catalog has no P9",
+    ),
+    (
+        "support.defect_probability.P9",
+        0.1,
+        "support.defect_probability.P9 is never read: the catalog has no P9",
     ),
 ]
 
