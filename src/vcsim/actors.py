@@ -146,14 +146,15 @@ class Chain:
             for pid in pids
         }
 
-        # each stocking actor's records and (item, policy, stock record) rows, in item order
+        # each stocking actor's records and (item, policy, stock record, provider)
+        # rows, in item order
         self.inventories: dict[tuple[str, str], InventoryRecord] = {}
-        self._reorder_rows: dict[str, list[tuple[Item, ReorderPolicy, InventoryRecord]]] = {}
-        for owner, kind, ids, stock, reorder, _ in scenario.stocking():
+        self._reorder_rows: dict[str, list[tuple[Item, ReorderPolicy, InventoryRecord, str]]] = {}
+        for owner, kind, ids, stock, reorder, sources, _ in scenario.stocking():
             item = product if kind == PRODUCT else raw
             records = {i: self._add_record(owner, item(i), stock.get(i, 0.0)) for i in ids}
             self._reorder_rows.setdefault(owner, []).extend(
-                [(item(i), policy, records[i]) for i, policy in sorted(reorder.items())]
+                [(item(i), policy, records[i], sources[i]) for i, policy in sorted(reorder.items())]
             )
 
         # firm production state; recipes may be swapped by a product renewal
@@ -254,25 +255,9 @@ class Chain:
     # inventory helpers
 
     def _add_record(self, owner: str, item: Item, on_hand: float) -> InventoryRecord:
-        record = InventoryRecord(
-            owner=owner,
-            item=item,
-            on_hand=on_hand,
-            unit_holding_cost=self.scenario.holding_cost_of(owner, item),
-            unit_value=self._unit_value(owner, item),
-        )
+        record = InventoryRecord(owner, item, on_hand, *self.scenario.holdings[owner, item.code])
         self.inventories[(owner, item.code)] = record
         return record
-
-    def _unit_value(self, owner: str, item: Item) -> float:
-        own_price = self.scenario.prices.get(owner, {}).get(item.code)
-        if own_price is not None:
-            return own_price
-        if owner == self.firm_name and item.kind != PRODUCT:
-            source = self.scenario.raw_sources.get(item.id)
-            if source is not None:
-                return self.scenario.prices.get(source, {}).get(item.code, 0.0)
-        return 0.0
 
     def record_of(self, owner: str, item: Item) -> InventoryRecord:
         """The owner's stock record of the item. Only a customer's or a prospect's
@@ -398,22 +383,14 @@ class Chain:
     def check_reorders(self, actor: str, now: float) -> list[Order]:
         """(s, S) check over the actor's policied items; one outstanding order max."""
         placed = []
-        for item, policy, record in self._reorder_rows[actor]:
+        for item, policy, record, provider in self._reorder_rows[actor]:
             if record.on_hand >= policy.point:
                 continue  # strictly-under trigger
             if self.ledger.outstanding_replenishment(actor, item):
                 continue
             quantity = policy.up_to - record.on_hand
-            provider = self._provider_for(actor, item)
             placed.append(self.place_order(actor, provider, item, quantity, now))
         return placed
-
-    def _provider_for(self, actor: str, item: Item) -> str:
-        if actor == self.retailer_name:
-            return self.firm_name
-        if actor == self.firm_name:
-            return self.scenario.raw_sources[item.id]
-        return self.upstream_name  # suppliers restock from the tier-2 source
 
     def _on_source(self, engine: Engine, event: Event) -> None:
         self.check_reorders(event.target, event.fire_time)

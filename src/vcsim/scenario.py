@@ -285,11 +285,11 @@ def _field(codec: _Codec, path: str | None = None, **default):
 def _declarations(cls) -> list[tuple]:
     """``(attr, key, keys, codec, required)`` per field of ``cls``, in order.
 
-    Every field of a spec is a ``_field``, but for ``Scenario._record``.
+    Every field of a spec is a ``_field``, but for the ones a scenario derives.
     """
     entries = []
     for f in fields(cls):
-        if f.name == "_record":
+        if "doc" not in f.metadata:
             continue
         path, codec = f.metadata["doc"]
         key = path or f.name
@@ -659,10 +659,12 @@ class Scenario:
     innovation: InnovationConfig = _field(_spec(InnovationConfig), default_factory=InnovationConfig)
     sell: SellConfig = _field(_spec(SellConfig), default_factory=SellConfig)
     # field -> (the value that last passed its check, its digest part or
-    # None), and "<references>" -> the values that last passed
-    # ``_check_references``; ``replace`` hands it on, so a scenario shares
-    # its template's record
+    # None), "<references>" -> the values that last passed
+    # ``_check_references`` and "<holdings>" -> the table it returned;
+    # ``replace`` hands it on, so a scenario shares its template's record
     _record: dict = field(default_factory=dict, repr=False, compare=False)
+    # the terms of each stock record a run can create (``_holdings``), bound by ``validate``
+    holdings: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.processes is None:
@@ -688,12 +690,10 @@ class Scenario:
                 "missing-price", f"no price for {item.code} sold by {actor}"
             ) from None
 
-    def holding_cost_of(self, actor: str, item: Item) -> float:
-        return self.holding_costs.get(actor, {}).get(item.code, 0.0)
-
     def stocking(self) -> list[tuple]:
         """What each actor stocks before any delivery, in the order a run creates the records."""
-        return _stocking(self.products, self.raws, self.suppliers, self.firm, self.retailer)
+        return _stocking(self.products, self.raws, self.suppliers, self.firm, self.retailer,
+                         self.upstream, self.raw_sources)
 
     # -- validation -------------------------------------------------------
 
@@ -705,6 +705,7 @@ class Scenario:
         the one its slot of ``_record`` holds passed its check before, in this
         scenario or one it was derived from, and is not checked again; nor
         are the cross-references while none of the values they read changed.
+        Each build binds the table they last returned, this scenario's, as ``holdings``.
         """
         record = self._record
         for attr, key, check in _CHECKS:
@@ -718,8 +719,9 @@ class Scenario:
         values = _REFERENCED(self)
         passed = record.get("<references>")
         if passed is None or not all(map(is_, passed, values)):
-            _check_references(*values)
+            record["<holdings>"] = _check_references(*values)
             record["<references>"] = values
+        object.__setattr__(self, "holdings", record["<holdings>"])
 
     # -- serialization ----------------------------------------------------
 
@@ -764,28 +766,47 @@ def _actor_names(upstream, suppliers, firm, retailer, customers, sell) -> list[s
     return names
 
 
-def _stocking(products, raws, suppliers, firm, retailer) -> list[tuple]:
-    """``(owner, kind, ids, stock, reorder, paths)`` per stocking actor's ``kind`` items:
-    their ids, starting levels and (s, S) policies, and the document paths of those maps."""
+def _stocking(products, raws, suppliers, firm, retailer, upstream, raw_sources) -> list[tuple]:
+    """``(owner, kind, ids, stock, reorder, sources, paths)`` per stocking actor's ``kind``
+    items: their ids, starting levels, (s, S) policies and the actor each one is
+    restocked from, and the document paths of the level and policy maps."""
     rows = [
-        (s.name, RAW, s.raws, s.stock_kg, s.reorder,
+        (s.name, RAW, s.raws, s.stock_kg, s.reorder, dict.fromkeys(s.raws, upstream.name),
          (f"suppliers.{i}.stock_kg", f"suppliers.{i}.reorder"))
         for i, s in enumerate(suppliers)
     ]
     return rows + [
-        (firm.name, PRODUCT, products, firm.fgi, {}, ("firm.fgi",)),
-        (firm.name, RAW, raws, firm.raw_stock_kg, firm.raw_reorder,
+        (firm.name, PRODUCT, products, firm.fgi, {}, {}, ("firm.fgi",)),
+        (firm.name, RAW, raws, firm.raw_stock_kg, firm.raw_reorder, raw_sources,
          ("firm.raw_stock_kg", "firm.raw_reorder")),
         (retailer.name, PRODUCT, products, retailer.stock, retailer.reorder,
-         ("retailer.stock", "retailer.reorder")),
+         dict.fromkeys(products, firm.name), ("retailer.stock", "retailer.reorder")),
     ]
+
+
+def _holdings(stocking, demand, sell, prices, holding_costs) -> dict:
+    """``(owner, item code) -> (holding cost per unit-hour, unit value)`` of each stock
+    record a run can create: a ``stocking`` row's items, a customer's products with
+    some demand, a prospect's product. A record is valued, as written, at its owner's
+    price, else at that of its item's source (which only the firm's raws use), else 0."""
+    held = [(owner, Item(kind, i).code, sources.get(i))
+            for owner, kind, ids, _, _, sources, _ in stocking for i in ids]
+    held += [(name, f"P{pid}", None)
+             for name, pids in demand.products_by_customer().items() for pid in pids]
+    held += [(p.name, f"P{p.product}", None) for p in sell.prospects]
+    table = {}
+    for owner, code, source in held:
+        priced = prices.get(owner, {})
+        value = priced[code] if code in priced else prices.get(source, {}).get(code, 0.0)
+        table[owner, code] = (holding_costs.get(owner, {}).get(code, 0.0), value)
+    return table
 
 
 def _check_references(
     mode, processes, products, raws, bom, suppliers, raw_sources, firm, retailer,
     customers, upstream, demand, prices, holding_costs, support, innovation, sell,
-) -> None:
-    """The checks that relate a scenario's fields to each other.
+) -> dict:
+    """The checks that relate a scenario's fields to each other; returns ``_holdings``.
 
     It reads only its arguments, so ``Scenario.validate`` runs it again only
     when one of these fields holds another value.
@@ -854,35 +875,36 @@ def _check_references(
             if code not in priced:
                 raise ScenarioError("missing-price", f"{seller} has no price for {code}")
 
-    # an actor prices what it sells (``price_of``) or stocks (as its unit
-    # value), and holds what it stocks, received goods included; no run
-    # reads any other entry
-    buyers = {retailer.name, *customer_names}
-    buyers.update(p.name for p in sell.prospects)
-    supplier_names = {s.name for s in suppliers}
-    for path, table, raw_traders in (
-        ("prices", prices, supplier_names | {upstream.name}),
-        ("costs.holding_per_unit_hour", holding_costs, supplier_names),
-    ):
-        for name, entries in table.items():
-            if name == firm.name:
-                kinds = "PR"
-            else:
-                kinds = ("P" if name in buyers else "") + ("R" if name in raw_traders else "")
-            for code in entries:
-                if not code or code[0] not in kinds:
-                    raise ScenarioError(
-                        "item-kind-not-used-by-role",
-                        f"{path}.{name}.{code} is never read: {name!r} trades no such item",
-                    )
+    # an actor prices catalog items of the kinds it sells (``price_of``) or
+    # stocks (as its unit value); no run reads any other entry
+    product_traders = {firm.name, retailer.name, *customer_names}
+    product_traders.update(p.name for p in sell.prospects)
+    raw_traders = {firm.name, upstream.name, *producers}
+    for name, entries in prices.items():
+        traded = {f"P{i}" for i in products} if name in product_traders else set()
+        if name in raw_traders:
+            traded.update(f"R{i}" for i in raws)
+        for code in entries:
+            _require(code in traded, "item-kind-not-used-by-role",
+                     "prices.{}.{} is never read: {!r} trades no {}", name, code, name, code)
 
     # an actor starts with, and reorders, only what it stocks
-    for owner, kind, ids, *maps, paths in _stocking(products, raws, suppliers, firm, retailer):
+    stocking = _stocking(products, raws, suppliers, firm, retailer, upstream, raw_sources)
+    for owner, kind, ids, stock, reorder, _, paths in stocking:
         letter = "P" if kind == PRODUCT else "R"
-        for path, entries in zip(paths, maps):
+        for path, entries in zip(paths, (stock, reorder)):
             for i in entries:
                 _require(i in ids, "item-not-stocked", "{}.{}{} is never read: {!r} stocks no {}{}",
                          path, letter, i, owner, letter, i)
+
+    # and holds only what it stocks or receives as a customer or prospect
+    held = _holdings(stocking, demand, sell, prices, holding_costs)
+    for name, entries in holding_costs.items():
+        for code in entries:
+            _require((name, code) in held, "item-kind-not-used-by-role",
+                     "costs.holding_per_unit_hour.{}.{} is never read: {!r} holds no {}",
+                     name, code, name, code)
+    return held
 
 
 # the top-level keys a SCOR/VCOR pair may differ in, left out of the topology digest

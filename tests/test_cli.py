@@ -48,6 +48,20 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error[parse]") and "latin1.yaml" in err
 
+    def test_a_price_of_an_item_outside_the_catalog_exits_one(self, tmp_path, capsys):
+        import yaml
+
+        assert main(["demo", "--out", str(tmp_path)]) == 0
+        data = yaml.safe_load((tmp_path / "vcor.yaml").read_text(encoding="utf-8"))
+        data["prices"]["retailer"]["P9"] = 10.0
+        path = tmp_path / "retailer-price-p9.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[item-kind-not-used-by-role]: prices.retailer.P9 is never read")
+        assert "Traceback" not in err
+
 
 class TestRun:
     def test_run_writes_artifacts(self, scenario_file, tmp_path, capsys):

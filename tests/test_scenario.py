@@ -427,6 +427,13 @@ CODE_CASES = [
     ("prices.ghost", {"P1": 2.0}, "item-kind-not-used-by-role"),
     ("costs.holding_per_unit_hour.upstream", {"R1": 0.1}, "item-kind-not-used-by-role"),
     ("costs.holding_per_unit_hour.customer1", {"R1": 0.1}, "item-kind-not-used-by-role"),
+    # a price is of a catalog item, and a run holds only what it can stock:
+    # what an actor stocks, a customer's demanded products, a prospect's product
+    ("prices.retailer.P9", 10.0, "item-kind-not-used-by-role"),
+    ("costs.holding_per_unit_hour.firm.P9", 0.1, "item-kind-not-used-by-role"),
+    ("costs.holding_per_unit_hour.supplier1.R2", 0.1, "item-kind-not-used-by-role"),
+    ("costs.holding_per_unit_hour.customer1", {"P3": 0.1}, "item-kind-not-used-by-role"),
+    ("costs.holding_per_unit_hour.prospect1", {"P2": 0.1}, "item-kind-not-used-by-role"),
     # an actor starts with and reorders only what it stocks; a supplier its raws
     ("suppliers.0.stock_kg.R3", 10.0, "item-not-stocked"),
     ("suppliers.0.reorder.R2", {"point": 1.0, "up_to": 2.0}, "item-not-stocked"),
@@ -593,8 +600,9 @@ def leaf(doc: dict, path: str):
 @pytest.mark.parametrize("path,expected", ABSENT_KEY_DEFAULTS.items(), ids=list(ABSENT_KEY_DEFAULTS))
 def test_an_absent_key_reads_as_its_default(path, expected):
     doc = mutated(PIN_DOC, path, None)
-    if path == "suppliers.0.raws":  # a supplier without raws stocks and reorders none
+    if path == "suppliers.0.raws":  # a supplier without raws stocks, reorders and holds none
         doc = mutated(mutated(doc, "suppliers.0.stock_kg.R1", None), "suppliers.0.reorder.R1", None)
+        doc = mutated(doc, "costs.holding_per_unit_hour.supplier1", None)
     parsed = scenario_from_dict(doc).to_dict()
     assert leaf(parsed, path) == expected
     assert type(leaf(parsed, path)) is type(expected)
@@ -841,6 +849,53 @@ def test_a_variant_and_a_later_derivation_from_its_template_give_fresh_digests()
     assert derived == scenario_from_dict(derived.to_dict())
 
 
+def record_terms(scenario: Scenario) -> dict:
+    """(holding cost per unit-hour, unit value) of each stock record of a run."""
+    records = run_scenario(scenario).inventories
+    return {key: (r.unit_holding_cost, r.unit_value) for key, r in records.items()}
+
+
+def test_a_stock_record_takes_its_terms_from_the_scenario():
+    template = case_study_scenario("vcor")
+    terms = record_terms(template)
+    # the firm prices no raw: it values R1 at the price of its source, supplier2
+    assert terms["firm", "R1"] == (0.001, 2.0)
+    assert terms["retailer", "P1"] == (0.004, 10.0)
+    assert terms["customer1", "P1"] == (0.0, 0.0)  # made at the first delivery
+    prices = {**template.prices, "supplier2": {**template.prices["supplier2"], "R1": 3.0}}
+    variant = replace(template, prices=prices)
+    terms = record_terms(variant)
+    assert terms["firm", "R1"] == (0.001, 3.0) and terms["supplier1", "R1"] == (0.0008, 2.0)
+    # every record the run made has its terms from the scenario's table,
+    # which is derived: no parameter, document key, repr or assignment sets it
+    assert terms.items() <= variant.holdings.items()
+    assert "holdings" not in variant.to_dict() and "holdings" not in repr(variant)
+    with pytest.raises(FrozenInstanceError):
+        variant.holdings = {}
+    with pytest.raises(TypeError):
+        Scenario(holdings={})
+
+
+@pytest.mark.parametrize("variant_first", [True, False], ids=["variant-first", "template-first"])
+def test_each_run_holds_its_stock_at_its_own_costs(variant_first):
+    # a derived scenario shares its template's record of checked values, which
+    # holds the table of whichever of the two was validated last
+    template = case_study_scenario("vcor")
+    costs = {**template.holding_costs, "retailer": {"P1": 0.5, "P2": 0.5, "P3": 0.5}}
+    builds = [lambda: replace(template, holding_costs=costs),
+              lambda: case_study_scenario("vcor", 7)]
+    for scenario in [build() for build in (builds if variant_first else builds[::-1])]:
+        cost = scenario.holding_costs["retailer"]["P1"]
+        assert record_terms(scenario)["retailer", "P1"] == (cost, 10.0)
+
+
+def test_a_supplier_may_price_a_raw_it_does_not_produce():
+    # the built-in case study prices every raw at every supplier, so a price
+    # key is checked by its kind only: an exact rule would change its digests
+    scenario = scenario_from_dict(PIN_DOC)
+    assert 3 not in scenario.suppliers[0].raws and scenario.prices["supplier1"]["R3"] == 2.0
+
+
 def test_a_value_that_fails_its_check_is_never_remembered():
     template = case_study_scenario("vcor")
     prices = {**template.prices, "retailer": {**template.prices["retailer"], "P1": -1.0}}
@@ -918,7 +973,7 @@ def test_the_reference_checks_run_once_per_template_and_on_every_failure(monkeyp
 
     def counted(*values):
         calls.append(values)
-        _check_references(*values)
+        return _check_references(*values)
 
     monkeypatch.setattr(vcsim.scenario, "_check_references", counted)
     for mode in MODES:
@@ -999,6 +1054,12 @@ PATH_MESSAGES = [
         "support.defect_probability.P9",
         0.1,
         "support.defect_probability.P9 is never read: the catalog has no P9",
+    ),
+    ("prices.retailer.P9", 10.0, "prices.retailer.P9 is never read: 'retailer' trades no P9"),
+    (
+        "costs.holding_per_unit_hour.firm.P9",
+        0.1,
+        "costs.holding_per_unit_hour.firm.P9 is never read: 'firm' holds no P9",
     ),
 ]
 
