@@ -85,13 +85,14 @@ class Engine:
 
     Handlers are registered per event kind via :meth:`on`; events with no
     handler still fire (and appear in the trace), which keeps the engine
-    usable on its own in tests.
+    usable on its own in tests. Fired events go to the trace sink, any object
+    with ``append`` and ``len()``: a list unless one is given.
     """
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self, seed: int = 0, trace: Any = None) -> None:
         self.now = 0.0  # simulation time in hours; run_until() only moves it forward
         self.streams = RandomStreams(seed)
-        self.trace: list[Event] = []
+        self.trace = [] if trace is None else trace
         self._queue: list[Event] = []
         self._next_seq = 0
         self._handlers: dict[str, Handler] = {}
@@ -134,10 +135,11 @@ class Engine:
 
     # -- execution ----------------------------------------------------
 
-    def run_until(self, t_end: float) -> list[Event]:
-        """Process every event with fire_time <= t_end, in total order.
+    def run_until(self, t_end: float) -> Any:
+        """Process every event with fire_time <= t_end, in total order,
+        handing each to the trace sink as it fires.
 
-        Returns the ordered trace of fired events. Queue exhaustion before
+        Returns the trace sink. Queue exhaustion before
         t_end is normal termination. The run ends here: the handlers are
         dropped, since their owner (a ``Chain``) holds this engine, and that
         cycle would leave the whole run to the cyclic garbage collector.
@@ -145,14 +147,15 @@ class Engine:
         if not 0 <= t_end < _INF:  # also true for NaN
             # a periodic's next occurrence is always <= an infinite horizon
             raise SchedulingError(f"horizon must be a finite non-negative number, got {t_end}")
-        queue, trace, handlers = self._queue, self.trace, self._handlers
+        queue, handlers = self._queue, self._handlers
+        record = self.trace.append
         while queue and queue[0][0] <= t_end:
             event = heappop(queue)
             t, _, target, kind, _, spec = event
             if t < self.now:
                 raise SchedulingError(f"clock cannot move backwards: {t} < {self.now}")
             self.now = t
-            trace.append(event)
+            record(event)
             handler = handlers.get(kind)
             if handler is not None:
                 handler(self, event)

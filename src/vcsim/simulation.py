@@ -25,8 +25,16 @@ from .scenario import Scenario
 
 @dataclass(slots=True)
 class RunArtifacts:
+    """Everything a run leaves: its inputs, records and report.
+
+    ``trace`` is the list of fired events of a run held in memory. A run
+    written to a directory streamed its trace to ``trace.jsonl`` instead, and
+    ``trace`` is then the closed writer of that file: ``len()`` gives the
+    number of events, and it holds none of them.
+    """
+
     scenario: Scenario
-    trace: list[Event]
+    trace: list[Event] | _RecordFile
     ledger: Ledger
     costs: CostLedger
     inventories: dict[tuple[str, str], InventoryRecord]
@@ -44,17 +52,31 @@ class RunArtifacts:
 def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunArtifacts:
     """Execute one deterministic run; optionally persist all artifact files.
 
+    With ``out_dir``, each event is written to ``trace.jsonl`` as it fires,
+    so the run holds no event, and the other files are written after the
+    run. A run that raises removes that partial ``trace.jsonl``.
+
     The cyclic garbage collector is paused for the run, since a run makes no
     reference cycles, and handed back as the caller had it, on or off. Handed
     back on, it first makes the one young collection the run held back.
     """
+    if out_dir is None:
+        trace = []
+    else:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        trace = _RecordFile(
+            out_dir / "trace.jsonl",
+            _header(*scenario.digests(), scenario.seed, scenario.mode),
+            trace_lines,
+        )
     collecting = gc.isenabled()
     gc.disable()
     try:
-        engine = Engine(seed=scenario.seed)
+        engine = Engine(seed=scenario.seed, trace=trace)
         chain = Chain(scenario, engine)
         chain.register()
-        trace = engine.run_until(scenario.horizon_hours)
+        engine.run_until(scenario.horizon_hours)
         stocks = chain.finalize()
 
         report, delivery_series = build_report(
@@ -78,8 +100,14 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunAr
                 raw(rid).code: kg for rid, kg in sorted(chain.consumed_raw_kg.items())
             },
         )
+    except BaseException:
         if out_dir is not None:
-            write_artifacts(artifacts, Path(out_dir))
+            trace.discard()
+        raise
+    else:
+        if out_dir is not None:
+            trace.close()
+            write_artifacts(artifacts, out_dir)
     finally:
         if collecting:
             gc.enable()
@@ -90,18 +118,24 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunAr
 
 
 def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
+    """Write the run's artifact files into ``out_dir``.
+
+    A written run's ``trace.jsonl`` is already complete, and is left as it
+    is; its events are gone, so for any other directory this raises
+    ``ValueError`` and writes nothing.
+    """
+    trace, trace_file = artifacts.trace, out_dir / "trace.jsonl"
+    streamed = isinstance(trace, _RecordFile)
+    if streamed and not (trace_file.exists() and trace_file.samefile(trace.path)):
+        raise ValueError(
+            f"this run's trace was written to {trace.path} as the run went, and is "
+            f"not held; run the scenario again to write it to {out_dir}"
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
     report = artifacts.report
-    header = _ENCODE(
-        {
-            "record": "header",
-            "scenario_digest": report.scenario_digest,
-            "topology_digest": report.topology_digest,
-            "seed": report.seed,
-            "mode": report.mode,
-        }
-    )
-    _write_file(out_dir / "trace.jsonl", header, [(artifacts.trace, trace_lines)])
+    header = _header(report.scenario_digest, report.topology_digest, report.seed, report.mode)
+    if not streamed:
+        _write_file(trace_file, header, [(trace, trace_lines)])
     _write_file(out_dir / "ledger.jsonl", header, artifacts.ledger.export_parts())
     _write_file(out_dir / "costs.jsonl", header, [(artifacts.costs.entries, LINES["cost"])])
     _write_file(out_dir / "satisfaction.jsonl", header, [(artifacts.satisfaction, LINES["vote"])])
@@ -117,6 +151,19 @@ def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
     )
 
 
+def _header(scenario_digest: str, topology_digest: str, seed: int, mode: str) -> str:
+    """The provenance header line of each ``.jsonl`` file."""
+    return _ENCODE(
+        {
+            "record": "header",
+            "scenario_digest": scenario_digest,
+            "topology_digest": topology_digest,
+            "seed": seed,
+            "mode": mode,
+        }
+    )
+
+
 def _csv_rows(actor: str, rows: list[tuple[int, float]]) -> list[str]:
     return [f"{actor},{order_id},{hours!r}" for order_id, hours in rows]
 
@@ -125,19 +172,73 @@ def _csv_rows(actor: str, rows: list[tuple[int, float]]) -> list[str]:
 #: whole, so the writer's memory does not grow with the horizon
 _SLICE = 512
 
+_Lines = Callable[[list], list[str]]
 
-def _write_file(
-    path: Path, head: str, parts: Iterable[tuple[list, Callable[[list], list[str]]]] = ()
-) -> None:
+
+class _RecordFile:
+    """A record file written as its records come: ``head`` and a newline,
+    then one line per record, formatted and written ``_SLICE`` records at a
+    time. It holds only the records not yet written, and ``len()`` counts
+    every record given to it.
+
+    ``append`` takes one record of the kind ``lines`` formats; ``extend``
+    takes a list of records with their own formatter. ``close`` writes what
+    is pending; ``discard`` drops it and removes the file.
+    """
+
+    __slots__ = ("path", "_file", "_lines", "_pending", "_written")
+
+    def __init__(self, path: Path, head: str, lines: _Lines | None = None) -> None:
+        self.path = path
+        self._lines = lines
+        self._pending: list = []
+        self._written = 0
+        # unlink first: on ext4, truncating a large file that was just written is
+        # slow; rewriting a long run's files in place took ~9x a fresh write
+        path.unlink(missing_ok=True)
+        self._file = open(path, "w", encoding="utf-8")
+        self._file.write(head + "\n")
+
+    def __len__(self) -> int:
+        return self._written + len(self._pending)
+
+    def append(self, record) -> None:
+        pending = self._pending
+        pending.append(record)
+        if len(pending) >= _SLICE:
+            self._flush()
+
+    def extend(self, records: list, lines: _Lines) -> None:
+        self._flush()
+        for i in range(0, len(records), _SLICE):
+            self._write(records[i : i + _SLICE], lines)
+
+    def close(self) -> None:
+        self._flush()
+        self._file.close()
+
+    def discard(self) -> None:
+        self._pending.clear()
+        self._file.close()
+        self.path.unlink(missing_ok=True)
+
+    def _flush(self) -> None:
+        self._write(self._pending, self._lines)
+        self._pending.clear()
+
+    def _write(self, records: list, lines: _Lines) -> None:
+        if records:
+            self._file.write("\n".join(lines(records)) + "\n")
+            self._written += len(records)
+
+
+def _write_file(path: Path, head: str, parts: Iterable[tuple[list, _Lines]] = ()) -> None:
     """Write ``head`` and a newline, then every ``(records, lines)`` part in
-    order, ``_SLICE`` records at a time, one line per record; with no
-    records the file is the head line alone."""
-    # unlink first: on ext4, truncating a large file that was just written is
-    # slow; rewriting a long run's files in place took ~9x a fresh write
-    path.unlink(missing_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(head)
-        f.write("\n")
+    order, one line per record; with no records the file is the head line
+    alone."""
+    out = _RecordFile(path, head)
+    try:
         for records, lines in parts:
-            for i in range(0, len(records), _SLICE):
-                f.write("\n".join(lines(records[i : i + _SLICE])) + "\n")
+            out.extend(records, lines)
+    finally:
+        out.close()

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, flags, exit codes, output files."""
 
 import json
+import re
 
 import pytest
 
@@ -77,6 +78,15 @@ class TestRun:
         ):
             assert (out / name).exists(), name
         assert "artifacts written" in capsys.readouterr().out
+
+    def test_the_printed_event_count_is_the_record_count_of_the_trace(
+        self, scenario_file, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        assert main(["run", str(scenario_file), "--out", str(out)]) == 0
+        printed = re.search(r"\bevents=(\d+) ", capsys.readouterr().out)
+        records = len((out / "trace.jsonl").read_text().splitlines()) - 1  # the header
+        assert printed and int(printed.group(1)) == records > 0
 
     def test_flag_overrides_change_the_run(self, scenario_file, tmp_path):
         out = tmp_path / "out"

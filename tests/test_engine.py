@@ -229,3 +229,24 @@ def test_trace_lines_schema():
     assert len(lines) == 2
     assert '"t":1.0' in lines[0] and '"seq":0' in lines[0]
     assert '"digest":"-"' in lines[1]
+
+
+def test_fired_events_go_to_the_given_sink_which_run_until_returns():
+    class Sink:
+        def __init__(self):
+            self.events = []
+            self.append = self.events.append
+
+        def __len__(self):
+            return len(self.events)
+
+    sink = Sink()
+    eng = Engine(trace=sink)
+    assert eng.trace is sink
+    eng.schedule(1.0, "x", "ping")
+    eng.register_periodic("p", "tick", 2.0)
+    assert eng.run_until(5.0) is sink
+    assert [(e.fire_time, e.kind) for e in sink.events] == [
+        (1.0, "ping"), (2.0, "tick"), (4.0, "tick")
+    ]
+    assert len(sink) == 3

@@ -4,12 +4,16 @@ import gc
 import json
 import sys
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import pytest
 
 from conftest import assert_views_match_scan
+from test_golden import micro_scenario
+from vcsim import simulation
 from vcsim.actors import Chain
-from vcsim.engine import Engine
+from vcsim.engine import Engine, trace_lines
 from vcsim.ledger import Ledger
 from vcsim.scenario import case_study_scenario
 from vcsim.simulation import _SLICE, _write_file, run_scenario, write_artifacts
@@ -247,6 +251,118 @@ class TestStreamedWriter:
             tracemalloc.stop()
         largest = max(path.stat().st_size for path in tmp_path.iterdir())
         assert peak < largest / 4
+
+
+class TestStreamedTrace:
+    """A written run formats its events into ``trace.jsonl`` as they fire."""
+
+    @staticmethod
+    def header(scenario) -> str:
+        scenario_digest, topology_digest = scenario.digests()
+        return json.dumps(
+            {
+                "record": "header",
+                "scenario_digest": scenario_digest,
+                "topology_digest": topology_digest,
+                "seed": scenario.seed,
+                "mode": scenario.mode,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+
+    @pytest.mark.parametrize("mode", ["scor", "vcor"])
+    def test_a_run_without_events_writes_the_header_line_alone(self, tmp_path, mode):
+        scenario = case_study_scenario(mode=mode, horizon_hours=0.0)
+        artifacts = run_scenario(scenario, out_dir=tmp_path)
+        assert len(artifacts.trace) == 0
+        assert (tmp_path / "trace.jsonl").read_text() == self.header(scenario) + "\n"
+
+    @pytest.mark.parametrize("mode", ["scor", "vcor"])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_the_streamed_file_is_the_header_and_the_lines_of_the_held_trace(
+        self, tmp_path, monkeypatch, mode, size
+    ):
+        runs = []
+
+        def lines(run):
+            runs.append(len(run))
+            return trace_lines(run)
+
+        monkeypatch.setattr(simulation, "_SLICE", size)
+        monkeypatch.setattr(simulation, "trace_lines", lines)
+        remainders = set()
+        # 30, 31 and 32 h hold 60, 61 and 65 events in SCOR, 68, 69 and 73 in VCOR
+        for hours in (30.0, 31.0, 32.0):
+            scenario = replace(micro_scenario(), mode=mode, processes=None, horizon_hours=hours)
+            held = run_scenario(scenario).trace
+            runs.clear()
+            out = tmp_path / f"{hours}"
+            written = run_scenario(scenario, out_dir=out).trace
+            expected = "".join(line + "\n" for line in [self.header(scenario), *trace_lines(held)])
+            assert (out / "trace.jsonl").read_text() == expected
+            assert len(written) == len(held) == sum(runs)
+            # each slice is formatted from the pending records, which reach
+            # at most ``_SLICE`` before they are written
+            assert runs[:-1] == [size] * (len(runs) - 1) and 0 < runs[-1] <= size
+            assert written._pending == []
+            remainders.add(len(held) % size)
+        # one below, equal to and one above a multiple of the slice
+        assert remainders == {n % size for n in (-1, 0, 1)}
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    def test_a_run_that_raises_removes_its_partial_trace(self, tmp_path, monkeypatch, collecting):
+        sizes = []
+        handler = Chain._on_customer_order
+
+        def order(chain, engine, event):
+            if len(engine.trace) > _SLICE:
+                sizes.append((tmp_path / "trace.jsonl").stat().st_size)
+                raise RuntimeError("handler failed")
+            handler(chain, engine, event)
+
+        monkeypatch.setattr(Chain, "_on_customer_order", order)
+        scenario = case_study_scenario(mode="vcor", seed=42, horizon_hours=480.0)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(RuntimeError, match="handler failed"):
+                    run_scenario(scenario, out_dir=tmp_path)
+                gc.collect()  # frees whatever the raised run left
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        # records were on disk, after the header, when the run raised
+        assert sizes and sizes[0] > len(self.header(scenario)) + 1
+        assert not (tmp_path / "trace.jsonl").exists()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_writing_a_written_run_elsewhere_is_a_value_error(self, tmp_path):
+        scenario = case_study_scenario(mode="vcor", seed=7)
+        artifacts = run_scenario(scenario, out_dir=tmp_path / "run")
+        with pytest.raises(ValueError, match="trace.jsonl") as raised:
+            write_artifacts(artifacts, tmp_path / "other")
+        assert str(tmp_path / "run" / "trace.jsonl") in str(raised.value)
+        assert not (tmp_path / "other").exists()
+
+    def test_writing_a_written_run_again_keeps_its_trace(self, tmp_path):
+        scenario = case_study_scenario(mode="vcor", seed=7)
+        write_artifacts(run_scenario(scenario), tmp_path / "held")
+        artifacts = run_scenario(scenario, out_dir=tmp_path / "run")
+        trace_file = tmp_path / "run" / "trace.jsonl"
+        stat = trace_file.stat()
+        write_artifacts(artifacts, tmp_path / "run")
+        assert (trace_file.stat().st_ino, trace_file.stat().st_mtime_ns) == (
+            stat.st_ino, stat.st_mtime_ns
+        )
+        names = sorted(p.name for p in (tmp_path / "held").iterdir())
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "run" / name).read_bytes() == (
+                tmp_path / "held" / name
+            ).read_bytes(), name
 
 
 def test_a_finished_run_leaves_no_cyclic_garbage(tmp_path):
