@@ -56,13 +56,6 @@ _RESOLVED = OrderStatus.RESOLVED
 
 
 @dataclass(slots=True)
-class InnovationProject:
-    product_id: int
-    apply_at: float
-    cost: float
-
-
-@dataclass(slots=True)
 class Contract:
     prospect: ProspectSpec
     accumulated: float = 0.0  # fractional boxes carried between order emissions
@@ -130,20 +123,20 @@ class Chain:
             c.name: c for c in scenario.customers
         }
 
-        self.lead_times = {scenario.upstream.name: scenario.upstream.lead_time}
-        for s in scenario.suppliers:
-            self.lead_times[s.name] = s.lead_time
-        self.lead_times[self.firm_name] = scenario.firm.lead_time
-        self.lead_times[self.retailer_name] = scenario.retailer.lead_time
-        # random stream names, formatted once rather than per event
-        self._transport_stream = {name: f"{name}:transport" for name in self.lead_times}
+        # each shipper's lead time and transport stream name; the random
+        # stream names are formatted once rather than per event
+        self._shipping = {
+            spec.name: (spec.lead_time, f"{spec.name}:transport")
+            for spec in (scenario.upstream, *scenario.suppliers, scenario.firm, scenario.retailer)
+        }
         self._defect_stream = f"{self.retailer_name}:defects"
-        self._products_of = scenario.demand.products_by_customer()
         # the arrival stream name and monthly demand row per (customer, product)
+        # with demand, in customer order, then product order
+        products_of = scenario.demand.products_by_customer()
         self._arrivals: dict[tuple[str, int], tuple[str, tuple[float, ...]]] = {
-            (name, pid): (f"{name}:arrivals:P{pid}", scenario.demand.rows[(name, pid)])
-            for name, pids in self._products_of.items()
-            for pid in pids
+            (c.name, pid): (f"{c.name}:arrivals:P{pid}", scenario.demand.rows[(c.name, pid)])
+            for c in scenario.customers
+            for pid in products_of.get(c.name, ())
         }
 
         # each stocking actor's records and (item, policy, stock record, provider)
@@ -157,10 +150,8 @@ class Chain:
                 [(item(i), policy, records[i], sources[i]) for i, policy in sorted(reorder.items())]
             )
 
-        # firm production state; recipes may be swapped by a product renewal
-        self.bom: dict[int, dict[int, float]] = {
-            pid: dict(needs) for pid, needs in scenario.bom.items()
-        }
+        # firm production state; a renewal replaces a recipe, never edits one
+        self.bom: dict[int, dict[int, float]] = dict(scenario.bom)
         # the firm's backlogged orders, FIFO; an order still needs
         # ``quantity - reserved`` boxes from the line
         self.production_queue: list[Order] = []
@@ -171,22 +162,17 @@ class Chain:
         self.firm_sales_boxes: dict[int, float] = {pid: 0.0 for pid in scenario.products}
 
         # market / research / develop / sell state
-        self.active_project: InnovationProject | None = None
+        self.renewing: int | None = None  # the product whose technology is on order
         self.renewed_products: set[int] = set()
         self.launches: list[tuple[float, int]] = []
         self.contracts: dict[str, Contract] = {}
-        self.committed_rate = 0.0
 
         # support: education lowers these per-product defect rates
         self.defect_probability = dict(scenario.support.defect_probability)
 
         # satisfaction state, one voter per (customer, product) with demand
         initial = VoteState(x=scenario.satisfaction.initial_vote)
-        self.voters: dict[tuple[str, int], Voter] = {
-            (c.name, pid): Voter(initial)
-            for c in scenario.customers
-            for pid in self._products_of.get(c.name, [])
-        }
+        self.voters: dict[tuple[str, int], Voter] = {key: Voter(initial) for key in self._arrivals}
         # each product's voters in ``voters`` order, so a peer mean adds the
         # same floats in the same order as a scan of every voter
         self._voters_of: dict[int, list[Voter]] = {}
@@ -218,9 +204,8 @@ class Chain:
         """
         eng = self.engine
         sc = self.scenario
-        for c in sc.customers:
-            for pid in self._products_of.get(c.name, []):
-                self._schedule_next_arrival(c, pid, from_time=0.0)
+        for name, pid in self._arrivals:
+            self._schedule_next_arrival(self.customer_specs[name], pid, from_time=0.0)
 
         eng.register_periodic(sc.upstream.name, "activate-deliver", sc.upstream.deliver_every)
         for s in sc.suppliers:
@@ -471,8 +456,8 @@ class Chain:
         ]
         if not shippable:
             return shippable
-        rng = self.engine.streams.stream(self._transport_stream[provider])
-        lead_time = self.lead_times[provider]
+        lead_time, stream = self._shipping[provider]
+        rng = self.engine.streams.stream(stream)
         for order in shippable:
             self.ledger.transition(order.order_id, _IN_TRANSIT, now)
             lead = lead_time.draw(rng)
@@ -631,7 +616,7 @@ class Chain:
         seller and start acquiring production technology for it."""
         if not self.scenario.vcor_enabled("research"):
             return None
-        if self.active_project is not None or not self.voters:
+        if self.renewing is not None or not self.voters:
             return None
         mean_vote = _left_sum(v.vote.x for v in self.voters.values()) / len(self.voters)
         if mean_vote >= self.scenario.market.vote_threshold:
@@ -639,13 +624,9 @@ class Chain:
         target = renewal_target(self.firm_sales_boxes, self.renewed_products)
         if target is None:
             return None
-        self.active_project = InnovationProject(
-            product_id=target,
-            apply_at=now + self.scenario.innovation.delay_hours,
-            cost=self.scenario.innovation.technology_cost,
-        )
+        self.renewing = target
         self.engine.schedule(
-            self.active_project.apply_at,
+            now + self.scenario.innovation.delay_hours,
             self.firm_name,
             "innovation-complete",
             {"product": target},
@@ -661,10 +642,11 @@ class Chain:
         override = self.scenario.innovation.bom_override
         if override is not None:
             self.bom[pid] = dict(override)
-        if self.active_project is not None:
-            self.costs.add(now, self.firm_name, "technology", self.active_project.cost)
+        if self.renewing is not None:
+            cost = self.scenario.innovation.technology_cost
+            self.costs.add(now, self.firm_name, "technology", cost)
         self.renewed_products.add(pid)
-        self.active_project = None
+        self.renewing = None
         if self.scenario.vcor_enabled("develop"):
             self.launches.append((now, pid))
             for voter in self._voters_of.get(pid, ()):
@@ -686,12 +668,11 @@ class Chain:
         admitted = admit_prospects(
             self.scenario.sell.prospects,
             set(self.contracts),
-            self.committed_rate,
+            _left_sum(c.prospect.boxes_per_day for c in self.contracts.values()),
             cap,
         )
         for prospect in admitted:
             self.contracts[prospect.name] = Contract(prospect)
-            self.committed_rate += prospect.boxes_per_day
             first = now + self.scenario.sell.order_interval_hours
             if first <= self.horizon:
                 self.engine.schedule(

@@ -19,6 +19,7 @@ from .metrics import ComparisonError, KpiReport, compare_runs
 from .scenario import (
     Scenario,
     ScenarioError,
+    _read_text,
     case_study_scenario,
     load_scenario,
     save_scenario,
@@ -75,9 +76,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def _load_report(run_dir: Path) -> KpiReport:
     path = run_dir / "kpi.json"
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ScenarioError("io", f"cannot read KPI report {path}: {exc}") from exc
+        data = json.loads(_read_text(path, "KPI report"))
     except json.JSONDecodeError as exc:
         raise ScenarioError("parse", f"{path}: {exc}") from exc
     try:

@@ -193,7 +193,6 @@ class Ledger:
         self._fgi: dict[str, dict[int, Order]] = {}
         self._outstanding: dict[tuple[str, Item], int] = {}
         self._next_order_id = 1
-        self._next_ticket_id = 1
 
     # -- appends --------------------------------------------------------
 
@@ -235,6 +234,15 @@ class Ledger:
         if not 0 < order.quantity < _INF:  # also true for NaN
             raise OrderValidationError(
                 f"order quantity must be positive and finite, got {order.quantity}"
+            )
+        if not order.created_at <= order.shippable_after < _INF:  # also true for NaN
+            raise OrderValidationError(
+                f"order may ship from t={order.shippable_after}, before its creation "
+                f"at t={order.created_at}, or never"
+            )
+        if not 0 <= order.defective_qty <= order.quantity:  # also true for NaN
+            raise OrderValidationError(
+                f"defective quantity {order.defective_qty} outside [0, {order.quantity}]"
             )
         known = self._known_actors
         if known is not None:
@@ -312,14 +320,13 @@ class Ledger:
                 f"defective quantity {defective_qty} outside (0, {order.quantity}]"
             )
         ticket = SupportTicket(
-            ticket_id=self._next_ticket_id,
+            ticket_id=len(self.tickets) + 1,  # tickets are never removed
             order_id=order.order_id,
             customer=customer,
             item=order.item,
             defective_qty=defective_qty,
             opened_at=at,
         )
-        self._next_ticket_id += 1
         self.tickets[ticket.ticket_id] = ticket
         return ticket
 
@@ -436,10 +443,9 @@ class Ledger:
         else:
             ticket = SupportTicket(**fields)
             ticket_id, order = ticket.ticket_id, self.orders.get(ticket.order_id)
-            if ticket_id != self._next_ticket_id:
-                raise CorruptionError(
-                    f"ticket {ticket_id} out of sequence, expected {self._next_ticket_id}"
-                )
+            expected = len(self.tickets) + 1  # the id open_ticket gives
+            if ticket_id != expected:
+                raise CorruptionError(f"ticket {ticket_id} out of sequence, expected {expected}")
             if order is None:
                 raise CorruptionError(f"ticket {ticket_id} for unknown order {ticket.order_id}")
             if ticket.item != order.item:

@@ -1119,7 +1119,6 @@ def _case_study(mode: str) -> Scenario:
         seed=42,
         horizon_hours=48.0,
         mode=mode,
-        processes={p: mode == "vcor" for p in VCOR_PROCESSES},
         products=(1, 2, 3),
         raws=(1, 2, 3),
         bom={1: {1: 1.0}, 2: {2: 1.0}, 3: {3: 1.0}},

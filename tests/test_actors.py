@@ -345,8 +345,13 @@ class TestAnalyzeMarket:
         chain.firm_sales_boxes = {1: 296.0, 2: 150.0}
         target = chain.analyze_market(now=10.0)
         assert target == 2
-        assert chain.active_project.product_id == 2
-        assert chain.active_project.apply_at == 18.0  # 10 + 8 h acquisition
+        assert chain.renewing == 2
+        queued = [
+            (e.fire_time, e.payload)
+            for e in chain.engine._queue
+            if e.kind == "innovation-complete"
+        ]
+        assert queued == [(18.0, {"product": 2})]  # 10 + 8 h acquisition
 
     def test_vote_at_threshold_does_not_trigger(self, chain_builder):
         chain = chain_builder(mode="vcor", vote_threshold=6.0)

@@ -215,6 +215,20 @@ class TestDemoAndCompare:
         err = capsys.readouterr().err
         assert "error[parse]" in err and "kpi.json" in err
 
+    def test_a_kpi_file_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "kpi.json").write_bytes(b"\xff\xfe{}")
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert "error[parse]" in err and "kpi.json: not UTF-8 text" in err
+
+    def test_a_missing_kpi_file_exits_three(self, tmp_path, capsys):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 3
+        assert "error[io]: cannot read KPI report" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "path,value",
         [

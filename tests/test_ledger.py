@@ -366,6 +366,47 @@ class TestExportImport:
     @pytest.mark.parametrize(
         "change",
         [
+            {"shippable_after": -5.0},
+            {"shippable_after": math.inf},
+            {"shippable_after": math.nan},
+            {"defective_qty": -1.0},
+            {"defective_qty": 6.0},
+            {"defective_qty": math.nan},
+        ],
+        ids=[
+            "ships-before-creation",
+            "never-ships",
+            "nan-shippable-time",
+            "negative-defective-quantity",
+            "defective-above-quantity",
+            "nan-defective-quantity",
+        ],
+    )
+    def test_replay_rejects_order_fields_a_run_never_writes(self, change):
+        ledger = make_ledger()
+        ledger.place("retailer", "firm", product(1), 5.0, at=2.5)
+        order_line, open_line = ledger.export_lines()
+        bad = json.dumps({**json.loads(order_line), **change})
+        # the order is appended, and checked, at its Open record
+        with pytest.raises(OrderValidationError, match="^line 2: "):
+            Ledger.from_lines([bad, open_line])
+
+    def test_replay_accepts_the_bounds_a_run_may_write(self):
+        ledger = make_ledger()
+        order = ledger.place("customer1", "retailer", product(1), 5.0, at=2.5, shippable_after=2.5)
+        deliver(ledger, order, at=3.0)
+        order.defective_qty = 5.0
+        assert Ledger.from_lines(ledger.export_lines()).export_lines() == ledger.export_lines()
+
+    def test_an_order_may_not_ship_before_it_is_created(self):
+        ledger = make_ledger()
+        with pytest.raises(OrderValidationError):
+            ledger.place("retailer", "firm", product(1), 5.0, at=3.0, shippable_after=2.0)
+        assert not ledger.orders and not ledger.transitions
+
+    @pytest.mark.parametrize(
+        "change",
+        [
             {"order_id": 99},
             {"defective_qty": 6.0},
             {"ticket_id": 1},

@@ -5,6 +5,7 @@ import json
 import sys
 import tracemalloc
 import warnings
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
@@ -15,7 +16,7 @@ from vcsim import simulation
 from vcsim.actors import Chain
 from vcsim.engine import Engine, trace_lines
 from vcsim.ledger import Ledger
-from vcsim.scenario import case_study_scenario
+from vcsim.scenario import _case_study, case_study_scenario
 from vcsim.simulation import _SLICE, _write_file, run_scenario, write_artifacts
 
 VCOR_EVENT_KINDS = {
@@ -145,6 +146,22 @@ class TestDeterminism:
         for name in names:
             fresh = (tmp_path / "fresh" / name).read_bytes()
             assert (tmp_path / "used" / name).read_bytes() == fresh, name
+
+    def test_a_run_never_edits_its_scenario(self, tmp_path):
+        # a derived scenario shares its template's recipes, and a renewal
+        # swaps one of them in the run's own copy
+        template = _case_study("vcor")
+        base = case_study_scenario(mode="vcor", seed=7, horizon_hours=96.0)
+        scenario = replace(base, innovation=replace(base.innovation, bom_override={2: 2.0}))
+        before = deepcopy(template.bom)
+        assert scenario.bom == before
+        dirs = [tmp_path / name for name in ("a", "b")]
+        for out in dirs:
+            artifacts = run_scenario(scenario, out_dir=out)
+            assert artifacts.launches  # a renewal swapped a recipe
+            assert scenario.bom == before and template.bom == before
+        for path in dirs[0].iterdir():
+            assert (dirs[1] / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_different_seeds_differ(self, tmp_path):
         traces = []
