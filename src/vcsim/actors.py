@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 from .engine import Engine, Event
 from .ledger import (
@@ -105,16 +106,27 @@ class Voter:
 
 
 class Chain:
-    """All actor state and process logic of one run."""
+    """All actor state and process logic of one run.
 
-    def __init__(self, scenario: Scenario, engine: Engine) -> None:
+    Costs are booked into ``costs`` and each vote update goes to the
+    ``votes`` sink, any object with ``append`` and ``len()``: a fresh
+    ``CostLedger`` and a list unless given.
+    """
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        engine: Engine,
+        costs: CostLedger | None = None,
+        votes: Any = None,
+    ) -> None:
         self.scenario = scenario
         self.engine = engine
         self.horizon = scenario.horizon_hours
 
         items = {product(p) for p in scenario.products} | {raw(r) for r in scenario.raws}
         self.ledger = Ledger(known_actors=scenario.actor_names(), known_items=items)
-        self.costs = CostLedger()
+        self.costs = CostLedger() if costs is None else costs
 
         self.firm_name = scenario.firm.name
         self.retailer_name = scenario.retailer.name
@@ -179,7 +191,7 @@ class Chain:
         for (_, pid), voter in self.voters.items():
             self._voters_of.setdefault(pid, []).append(voter)
         self.support_latch: dict[str, bool] = {c.name: False for c in scenario.customers}
-        self.satisfaction_series: list[VoteEntry] = []
+        self.satisfaction_series = [] if votes is None else votes
 
         engine.on("activate-deliver", self._on_deliver)
         engine.on("activate-source", self._on_source)

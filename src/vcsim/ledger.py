@@ -22,6 +22,9 @@ from .jsonl import ITEM_CODE, LEDGER_KINDS, LINES, RECORDS
 class LedgerError(Exception):
     """Base class for ledger failures."""
 
+    #: in replay, the line at fault when it is not the line being read
+    line: int | None = None
+
 
 class OrderValidationError(LedgerError):
     """Order rejected before it entered the ledger."""
@@ -395,18 +398,20 @@ class Ledger:
         log keeps the exported interleaving. A ticket and its replacement order
         must name each other. An error in a line names the line and keeps its
         class: ``TransitionError`` for an illegal move, ``CorruptionError``
-        for a record that the export does not write.
+        for a record that the export does not write. An order that
+        ``append_order`` rejects names the order record's line, not that of
+        its Open record.
         """
         ledger = cls()
-        pending: dict[int, Order] = {}
+        pending: dict[int, tuple[Order, int]] = {}
         for number, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                ledger._replay(json.loads(line), pending)
+                ledger._replay(json.loads(line), number, pending)
             except LedgerError as exc:
-                raise type(exc)(f"line {number}: {exc}") from None
+                raise type(exc)(f"line {exc.line or number}: {exc}") from None
             except (AttributeError, TypeError, ValueError) as exc:
                 raise CorruptionError(f"line {number}: malformed ledger record: {exc!r}") from None
         if pending:
@@ -418,7 +423,7 @@ class Ledger:
             raise CorruptionError("order %d, ticket %d: only one names the other" % min(unmatched))
         return ledger
 
-    def _replay(self, rec: dict, pending: dict[int, Order]) -> None:
+    def _replay(self, rec: dict, number: int, pending: dict[int, tuple[Order, int]]) -> None:
         kind = rec.get("record")
         if kind == "header":
             return  # provenance line of exported artifact files
@@ -427,14 +432,18 @@ class Ledger:
             order = Order(**fields)
             if order.order_id in pending:
                 raise CorruptionError(f"duplicate order id {order.order_id}")
-            pending[order.order_id] = order
+            pending[order.order_id] = (order, number)
         elif kind == "transition":
             order_id, status, at = fields.values()
-            order = pending.pop(order_id, None)
+            order, order_line = pending.pop(order_id, (None, None))
             if order is None:
                 self.transition(order_id, OrderStatus(status), at)
             elif status == _OPEN and at == order.created_at:
-                self.append_order(order)
+                try:
+                    self.append_order(order)
+                except LedgerError as exc:
+                    exc.line = order_line  # the fault is in the order's own line
+                    raise
             else:
                 raise CorruptionError(
                     f"order {order_id} must first be logged Open at "

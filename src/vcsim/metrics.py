@@ -2,7 +2,7 @@
 stock-rotation / stock-mean-time / sales-profitability indicators.
 
 All computations fold immutable run artifacts (ledger, inventories, cost
-entries); undefined indicators are reported as absent (None), never as 0,
+totals); undefined indicators are reported as absent (None), never as 0,
 so a missing value can never masquerade as bad performance.
 """
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 from functools import reduce
 from operator import add
 from types import UnionType
-from typing import Iterable, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Any, Iterable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .jsonl import _ENCODE_INDENTED
 from .ledger import InventoryRecord, Ledger, PRODUCT
@@ -34,6 +34,10 @@ COST_CATEGORIES = (
 
 _CATEGORY_SET = frozenset(COST_CATEGORIES)
 
+# each party's totals before any entry: revenue starts at int 0, as a sum
+# does, so a party without any writes 0
+_NO_COSTS = {**dict.fromkeys(COST_CATEGORIES, 0.0), "sales-revenue": 0}
+
 FINISHED_GOODS = "finished-goods"
 RAW_MATERIALS = "raw-materials"
 
@@ -46,10 +50,20 @@ class CostEntry(NamedTuple):
 
 
 class CostLedger:
-    """Append-only cost/revenue entries, one per booked amount."""
+    """Cost and revenue entries, one per booked amount, and each party's
+    totals per category, folded as the entries are booked.
 
-    def __init__(self) -> None:
-        self.entries: list[CostEntry] = []
+    Entries go to a sink, any object with ``append`` and ``len()``: a list
+    unless one is given. ``totals`` maps each party that booked an entry to
+    its per-category sums, each added in booking order from 0.0, and revenue
+    from int 0, as a sum does, so a party without any reads 0.
+    """
+
+    __slots__ = ("entries", "totals")
+
+    def __init__(self, entries: Any = None) -> None:
+        self.entries = [] if entries is None else entries
+        self.totals: dict[str, dict[str, float]] = {}
 
     def add(self, time: float, actor: str, category: str, amount: float) -> None:
         if category not in _CATEGORY_SET:
@@ -60,6 +74,10 @@ class CostLedger:
             return  # zero-amount events leave no entry
         # built in C: CostEntry(...) would go through a Python-level __new__
         self.entries.append(tuple.__new__(CostEntry, (time, actor, category, amount)))
+        totals = self.totals.get(actor)
+        if totals is None:
+            totals = self.totals[actor] = dict(_NO_COSTS)
+        totals[category] += amount
 
 
 def _left_sum(values: Iterable[float]) -> float:
@@ -199,13 +217,14 @@ def build_report(
     """Fold the run artifacts of one finished run into a KPI report.
 
     One pass over the orders gives every actor's delivery series and the
-    quantities delivered to customers, one pass over the cost entries every
-    actor's totals per category. Order ids rise in append order, so each
-    series comes out in order-id order. The report keeps each series' count,
-    mean and max; the series themselves, ``(order_id, hours)`` per actor,
-    are returned beside it for ``delivery_times.csv``. ``stocks`` pairs each
-    stock record with its level integral over the period, as
-    ``Chain.finalize`` computed it for the holding costs.
+    quantities delivered to customers; every actor's totals per category are
+    the ones ``costs`` folded as its entries were booked. Order ids rise in
+    append order, so each series comes out in order-id order. The report
+    keeps each series' count, mean and max; the series themselves,
+    ``(order_id, hours)`` per actor, are returned beside it for
+    ``delivery_times.csv``. ``stocks`` pairs each stock record with its
+    level integral over the period, as ``Chain.finalize`` computed it for
+    the holding costs.
     """
     period_hours = scenario.horizon_hours
     customers = {c.name for c in scenario.customers}
@@ -223,13 +242,7 @@ def build_report(
             code = order.item.code
             delivered[code] = delivered.get(code, 0.0) + order.quantity
 
-    # revenue starts at int 0, as a sum does, so an actor without any writes 0
-    zero = {**dict.fromkeys(COST_CATEGORIES, 0.0), "sales-revenue": 0}
-    totals = {name: dict(zero) for name in series}
-    for entry in costs.entries:
-        actor_totals = totals.get(entry.actor)
-        if actor_totals is not None:
-            actor_totals[entry.category] += entry.amount
+    totals = {name: dict(costs.totals.get(name, _NO_COSTS)) for name in series}
 
     # mean stock value per actor and stock class, integrated over the period
     stock_values: dict[str, dict[str, float]] = {}

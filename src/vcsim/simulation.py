@@ -27,10 +27,13 @@ from .scenario import Scenario
 class RunArtifacts:
     """Everything a run leaves: its inputs, records and report.
 
-    ``trace`` is the list of fired events of a run held in memory. A run
-    written to a directory streamed its trace to ``trace.jsonl`` instead, and
-    ``trace`` is then the closed writer of that file: ``len()`` gives the
-    number of events, and it holds none of them.
+    ``trace`` is the list of fired events, ``costs.entries`` the list of
+    booked cost entries and ``satisfaction`` the list of vote updates of a
+    run held in memory. A run written to a directory streamed these three
+    histories to ``trace.jsonl``, ``costs.jsonl`` and ``satisfaction.jsonl``
+    instead, and each is then the closed writer of its file: ``len()`` gives
+    the number of records, and it holds none of them. ``costs.totals`` holds
+    the cost totals either way.
     """
 
     scenario: Scenario
@@ -39,7 +42,7 @@ class RunArtifacts:
     costs: CostLedger
     inventories: dict[tuple[str, str], InventoryRecord]
     report: KpiReport
-    satisfaction: list[VoteEntry]
+    satisfaction: list[VoteEntry] | _RecordFile
     delivery_series: dict[str, list[tuple[int, float]]]  # actor: (order_id, hours)
     launches: list[tuple[float, int]]
     consumed_raw_kg: dict[str, float]
@@ -52,29 +55,30 @@ class RunArtifacts:
 def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunArtifacts:
     """Execute one deterministic run; optionally persist all artifact files.
 
-    With ``out_dir``, each event is written to ``trace.jsonl`` as it fires,
-    so the run holds no event, and the other files are written after the
-    run. A run that raises removes that partial ``trace.jsonl``.
+    With ``out_dir``, each event, cost entry and vote update is written to
+    ``trace.jsonl``, ``costs.jsonl`` or ``satisfaction.jsonl`` as it comes,
+    so the run holds none of them, and the other files are written after the
+    run. A run that raises removes those three partial files.
 
     The cyclic garbage collector is paused for the run, since a run makes no
     reference cycles, and handed back as the caller had it, on or off. Handed
     back on, it first makes the one young collection the run held back.
     """
-    if out_dir is None:
-        trace = []
-    else:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trace = _RecordFile(
-            out_dir / "trace.jsonl",
-            _header(*scenario.digests(), scenario.seed, scenario.mode),
-            trace_lines,
-        )
+    streams: list[_RecordFile] = []
     collecting = gc.isenabled()
     gc.disable()
     try:
+        if out_dir is None:
+            trace, entries, votes = [], [], []
+        else:
+            out_dir = Path(out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            head = _header(*scenario.digests(), scenario.seed, scenario.mode)
+            for name, lines in _histories():
+                streams.append(_RecordFile(out_dir / name, head, lines))
+            trace, entries, votes = streams
         engine = Engine(seed=scenario.seed, trace=trace)
-        chain = Chain(scenario, engine)
+        chain = Chain(scenario, engine, CostLedger(entries), votes)
         chain.register()
         engine.run_until(scenario.horizon_hours)
         stocks = chain.finalize()
@@ -93,7 +97,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunAr
             costs=chain.costs,
             inventories=chain.inventories,
             report=report,
-            satisfaction=chain.satisfaction_series,
+            satisfaction=votes,
             delivery_series=delivery_series,
             launches=chain.launches,
             consumed_raw_kg={
@@ -101,12 +105,13 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunAr
             },
         )
     except BaseException:
-        if out_dir is not None:
-            trace.discard()
+        for stream in streams:
+            stream.discard()
         raise
     else:
         if out_dir is not None:
-            trace.close()
+            for stream in streams:
+                stream.close()
             write_artifacts(artifacts, out_dir)
     finally:
         if collecting:
@@ -120,25 +125,33 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunAr
 def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
     """Write the run's artifact files into ``out_dir``.
 
-    A written run's ``trace.jsonl`` is already complete, and is left as it
-    is; its events are gone, so for any other directory this raises
+    A written run's ``trace.jsonl``, ``costs.jsonl`` and
+    ``satisfaction.jsonl`` are already complete, and are left as they are;
+    their records are gone, so for any other directory this raises
     ``ValueError`` and writes nothing.
     """
-    trace, trace_file = artifacts.trace, out_dir / "trace.jsonl"
-    streamed = isinstance(trace, _RecordFile)
-    if streamed and not (trace_file.exists() and trace_file.samefile(trace.path)):
+    held = (artifacts.trace, artifacts.costs.entries, artifacts.satisfaction)
+    histories = [
+        (out_dir / name, records, lines) for (name, lines), records in zip(_histories(), held)
+    ]
+    elsewhere = [
+        str(records.path)
+        for path, records, _ in histories
+        if isinstance(records, _RecordFile)
+        and not (path.exists() and path.samefile(records.path))
+    ]
+    if elsewhere:
         raise ValueError(
-            f"this run's trace was written to {trace.path} as the run went, and is "
-            f"not held; run the scenario again to write it to {out_dir}"
+            f"this run's {', '.join(elsewhere)} were written as the run went, and "
+            f"are not held; run the scenario again to write them to {out_dir}"
         )
     out_dir.mkdir(parents=True, exist_ok=True)
     report = artifacts.report
     header = _header(report.scenario_digest, report.topology_digest, report.seed, report.mode)
-    if not streamed:
-        _write_file(trace_file, header, [(trace, trace_lines)])
+    for path, records, lines in histories:
+        if not isinstance(records, _RecordFile):
+            _write_file(path, header, [(records, lines)])
     _write_file(out_dir / "ledger.jsonl", header, artifacts.ledger.export_parts())
-    _write_file(out_dir / "costs.jsonl", header, [(artifacts.costs.entries, LINES["cost"])])
-    _write_file(out_dir / "satisfaction.jsonl", header, [(artifacts.satisfaction, LINES["vote"])])
     _write_file(out_dir / "kpi.json", report.to_json())
     _write_file(
         out_dir / "delivery_times.csv",
@@ -149,6 +162,16 @@ def write_artifacts(artifacts: RunArtifacts, out_dir: Path) -> None:
             for name, series in sorted(artifacts.delivery_series.items())
         ],
     )
+
+
+def _histories() -> list[tuple[str, _Lines]]:
+    """The file name and line formatter of each history a written run
+    streams: its events, cost entries and vote updates."""
+    return [
+        ("trace.jsonl", trace_lines),
+        ("costs.jsonl", LINES["cost"]),
+        ("satisfaction.jsonl", LINES["vote"]),
+    ]
 
 
 def _header(scenario_digest: str, topology_digest: str, seed: int, mode: str) -> str:

@@ -387,8 +387,9 @@ class TestExportImport:
         ledger.place("retailer", "firm", product(1), 5.0, at=2.5)
         order_line, open_line = ledger.export_lines()
         bad = json.dumps({**json.loads(order_line), **change})
-        # the order is appended, and checked, at its Open record
-        with pytest.raises(OrderValidationError, match="^line 2: "):
+        # the order is appended, and checked, at its Open record on line 2,
+        # and the error names the order's own line
+        with pytest.raises(OrderValidationError, match="^line 1: "):
             Ledger.from_lines([bad, open_line])
 
     def test_replay_accepts_the_bounds_a_run_may_write(self):
@@ -452,6 +453,28 @@ class TestExportImport:
     def case_study_lines(self):
         ledger = run_scenario(case_study_scenario("vcor", 42, 480.0)).ledger
         return ledger.export_lines()
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"quantity": -5.0}, "order quantity must be positive and finite"),
+            ({"shippable_after": -1.0}, "before its creation"),
+            ({"quantity": 2.0, "defective_qty": 3.0}, "defective quantity 3.0 outside"),
+        ],
+        ids=["negative-quantity", "ships-before-creation", "defective-above-quantity"],
+    )
+    def test_a_bad_order_names_its_own_line_not_its_open_record(
+        self, case_study_lines, change, message
+    ):
+        lines = list(case_study_lines)
+        order = json.loads(lines[0])
+        assert order["record"] == "order" and order["order_id"] == 1
+        opened = {"record": "transition", "order_id": 1, "status": "Open", "at": order["created_at"]}
+        # the Open record is far below the order line, as in every export
+        assert [json.loads(line) for line in lines].index(opened) > 1
+        lines[0] = json.dumps({**order, **change})
+        with pytest.raises(OrderValidationError, match=f"^line 1: .*{message}"):
+            Ledger.from_lines(lines)
 
     @pytest.mark.parametrize(
         "record,key,value",

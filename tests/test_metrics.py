@@ -363,3 +363,42 @@ def test_the_fold_matches_the_per_actor_scans(orders, entries):
         if o.delivered_at is not None and o.client in customers:
             delivered[o.item.code] = delivered.get(o.item.code, 0.0) + o.quantity
     assert report.delivered_to_customers == delivered
+
+
+BOOKINGS = st.lists(
+    st.tuples(
+        PARTIES,
+        st.sampled_from(COST_CATEGORIES),
+        st.one_of(
+            st.sampled_from([0, 0.0, -0.0]),  # zero amounts book nothing
+            st.floats(min_value=-1e3, max_value=1e3),
+        ),
+    ),
+    max_size=60,
+)
+
+
+@given(bookings=BOOKINGS)
+def test_the_totals_are_a_left_fold_of_the_entries(bookings):
+    costs = CostLedger()
+    for time, (actor, category, amount) in enumerate(bookings):
+        if category == "sales-revenue":
+            amount = abs(amount)  # revenue is never negative; abs keeps an int 0 an int
+        costs.add(float(time), actor, category, amount)
+
+    folded: dict[str, dict[str, float]] = {}
+    for entry in costs.entries:
+        totals = folded.setdefault(
+            entry.actor, {**dict.fromkeys(COST_CATEGORIES, 0.0), "sales-revenue": 0}
+        )
+        totals[entry.category] = totals[entry.category] + entry.amount
+
+    assert all(entry.amount != 0 for entry in costs.entries)
+    assert costs.totals == folded
+    # == takes 0 for 0.0 and -0.0 for 0.0; the written bits tell them apart
+    assert repr(costs.totals) == repr(folded)
+    report = _fold(Ledger(), costs)[0]
+    assert set(report.actors) == set(SCENARIO.actor_names())  # no outsider
+    for name, kpis in report.actors.items():
+        revenue = folded.get(name, {}).get("sales-revenue", 0)
+        assert repr(kpis.sales_profit) == repr(revenue)

@@ -15,6 +15,7 @@ from test_golden import micro_scenario
 from vcsim import simulation
 from vcsim.actors import Chain
 from vcsim.engine import Engine, trace_lines
+from vcsim.jsonl import LINES
 from vcsim.ledger import Ledger
 from vcsim.scenario import _case_study, case_study_scenario
 from vcsim.simulation import _SLICE, _write_file, run_scenario, write_artifacts
@@ -271,7 +272,10 @@ class TestStreamedWriter:
 
 
 class TestStreamedTrace:
-    """A written run formats its events into ``trace.jsonl`` as they fire."""
+    """A written run formats its events, cost entries and vote updates into
+    ``trace.jsonl``, ``costs.jsonl`` and ``satisfaction.jsonl`` as they come."""
+
+    STREAMED = ("trace.jsonl", "costs.jsonl", "satisfaction.jsonl")
 
     @staticmethod
     def header(scenario) -> str:
@@ -288,56 +292,89 @@ class TestStreamedTrace:
             separators=(",", ":"),
         )
 
+    @staticmethod
+    def histories(artifacts) -> dict:
+        return {
+            "trace.jsonl": artifacts.trace,
+            "costs.jsonl": artifacts.costs.entries,
+            "satisfaction.jsonl": artifacts.satisfaction,
+        }
+
     @pytest.mark.parametrize("mode", ["scor", "vcor"])
     def test_a_run_without_events_writes_the_header_line_alone(self, tmp_path, mode):
         scenario = case_study_scenario(mode=mode, horizon_hours=0.0)
         artifacts = run_scenario(scenario, out_dir=tmp_path)
-        assert len(artifacts.trace) == 0
-        assert (tmp_path / "trace.jsonl").read_text() == self.header(scenario) + "\n"
+        for name, written in self.histories(artifacts).items():
+            assert len(written) == 0
+            assert (tmp_path / name).read_text() == self.header(scenario) + "\n"
 
     @pytest.mark.parametrize("mode", ["scor", "vcor"])
     @pytest.mark.parametrize("size", [1, 2, 3])
-    def test_the_streamed_file_is_the_header_and_the_lines_of_the_held_trace(
+    def test_each_streamed_file_is_the_header_and_the_lines_of_the_held_records(
         self, tmp_path, monkeypatch, mode, size
     ):
-        runs = []
+        formatters = {
+            "trace.jsonl": trace_lines,
+            "costs.jsonl": LINES["cost"],
+            "satisfaction.jsonl": LINES["vote"],
+        }
+        runs = {name: [] for name in formatters}  # the records of each formatted slice
 
-        def lines(run):
-            runs.append(len(run))
-            return trace_lines(run)
+        def counting(name):
+            def lines(records):
+                runs[name].append(len(records))
+                return formatters[name](records)
+
+            return lines
 
         monkeypatch.setattr(simulation, "_SLICE", size)
-        monkeypatch.setattr(simulation, "trace_lines", lines)
-        remainders = set()
-        # 30, 31 and 32 h hold 60, 61 and 65 events in SCOR, 68, 69 and 73 in VCOR
-        for hours in (30.0, 31.0, 32.0):
+        monkeypatch.setattr(simulation, "trace_lines", counting("trace.jsonl"))
+        monkeypatch.setitem(LINES, "cost", counting("costs.jsonl"))
+        monkeypatch.setitem(LINES, "vote", counting("satisfaction.jsonl"))
+        remainders = {name: set() for name in formatters}
+        # events, cost entries and votes: 60, 11, 4 at 30 h in SCOR, then
+        # 61, 13, 5; 65, 13, 5; 81, 15, 6 and 99, 18, 7 (VCOR: 68, 12, 4;
+        # 69, 14, 5; 73, 14, 5; 91, 16, 6 and 112, 19, 7)
+        for hours in (30.0, 31.0, 32.0, 40.0, 48.0):
             scenario = replace(micro_scenario(), mode=mode, processes=None, horizon_hours=hours)
-            held = run_scenario(scenario).trace
-            runs.clear()
+            held = self.histories(run_scenario(scenario))
+            for slices in runs.values():
+                slices.clear()
             out = tmp_path / f"{hours}"
-            written = run_scenario(scenario, out_dir=out).trace
-            expected = "".join(line + "\n" for line in [self.header(scenario), *trace_lines(held)])
-            assert (out / "trace.jsonl").read_text() == expected
-            assert len(written) == len(held) == sum(runs)
-            # each slice is formatted from the pending records, which reach
-            # at most ``_SLICE`` before they are written
-            assert runs[:-1] == [size] * (len(runs) - 1) and 0 < runs[-1] <= size
-            assert written._pending == []
-            remainders.add(len(held) % size)
-        # one below, equal to and one above a multiple of the slice
-        assert remainders == {n % size for n in (-1, 0, 1)}
+            written = self.histories(run_scenario(scenario, out_dir=out))
+            for name, lines in formatters.items():
+                records = held[name]
+                assert type(records) is list and records, name
+                expected = "".join(
+                    line + "\n" for line in [self.header(scenario), *lines(records)]
+                )
+                assert (out / name).read_text() == expected, name
+                assert len(written[name]) == len(records) == sum(runs[name]), name
+                # each slice is formatted from the pending records, which
+                # reach at most ``_SLICE`` before they are written
+                slices = runs[name]
+                assert slices[:-1] == [size] * (len(slices) - 1) and 0 < slices[-1] <= size
+                assert written[name]._pending == []
+                remainders[name].add(len(records) % size)
+        # for each file, one below, equal to and one above a multiple of the slice
+        for name, seen in remainders.items():
+            assert seen == {n % size for n in (-1, 0, 1)}, name
 
     @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
-    def test_a_run_that_raises_removes_its_partial_trace(self, tmp_path, monkeypatch, collecting):
+    def test_a_run_that_raises_removes_its_partial_files(self, tmp_path, monkeypatch, collecting):
         sizes = []
         handler = Chain._on_customer_order
+        size = 64
 
         def order(chain, engine, event):
-            if len(engine.trace) > _SLICE:
-                sizes.append((tmp_path / "trace.jsonl").stat().st_size)
+            sinks = (engine.trace, chain.costs.entries, chain.satisfaction_series)
+            # past a few slices, so that each file's buffer has reached the disk
+            if min(len(sink) for sink in sinks) > 4 * size:
+                sizes.extend((tmp_path / name).stat().st_size for name in self.STREAMED)
                 raise RuntimeError("handler failed")
             handler(chain, engine, event)
 
+        monkeypatch.setattr(simulation, "_SLICE", size)
         monkeypatch.setattr(Chain, "_on_customer_order", order)
         scenario = case_study_scenario(mode="vcor", seed=42, horizon_hours=480.0)
         was = gc.isenabled()
@@ -351,9 +388,9 @@ class TestStreamedTrace:
             assert gc.isenabled() is collecting
         finally:
             (gc.enable if was else gc.disable)()
-        # records were on disk, after the header, when the run raised
-        assert sizes and sizes[0] > len(self.header(scenario)) + 1
-        assert not (tmp_path / "trace.jsonl").exists()
+        # records were on disk, after the header, in each file when the run raised
+        assert len(sizes) == 3 and min(sizes) > len(self.header(scenario)) + 1
+        assert list(tmp_path.iterdir()) == []
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_writing_a_written_run_elsewhere_is_a_value_error(self, tmp_path):
@@ -361,19 +398,18 @@ class TestStreamedTrace:
         artifacts = run_scenario(scenario, out_dir=tmp_path / "run")
         with pytest.raises(ValueError, match="trace.jsonl") as raised:
             write_artifacts(artifacts, tmp_path / "other")
-        assert str(tmp_path / "run" / "trace.jsonl") in str(raised.value)
+        for name in self.STREAMED:
+            assert str(tmp_path / "run" / name) in str(raised.value)
         assert not (tmp_path / "other").exists()
 
-    def test_writing_a_written_run_again_keeps_its_trace(self, tmp_path):
+    def test_writing_a_written_run_again_keeps_its_streamed_files(self, tmp_path):
         scenario = case_study_scenario(mode="vcor", seed=7)
         write_artifacts(run_scenario(scenario), tmp_path / "held")
         artifacts = run_scenario(scenario, out_dir=tmp_path / "run")
-        trace_file = tmp_path / "run" / "trace.jsonl"
-        stat = trace_file.stat()
+        files = [tmp_path / "run" / name for name in self.STREAMED]
+        stats = [(path.stat().st_ino, path.stat().st_mtime_ns) for path in files]
         write_artifacts(artifacts, tmp_path / "run")
-        assert (trace_file.stat().st_ino, trace_file.stat().st_mtime_ns) == (
-            stat.st_ino, stat.st_mtime_ns
-        )
+        assert [(path.stat().st_ino, path.stat().st_mtime_ns) for path in files] == stats
         names = sorted(p.name for p in (tmp_path / "held").iterdir())
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == names
         for name in names:
