@@ -531,9 +531,7 @@ class Chain:
         the support handling time before it may ship)."""
         now = event.fire_time
         order = self.ledger.orders[event.payload["order_id"]]
-        ticket = self.ledger.open_ticket(
-            order, order.defective_qty, order.client, at=now
-        )
+        ticket = self.ledger.open_ticket(order, at=now)
         replacement = self.place_order(
             client=order.client,
             provider=self.retailer_name,

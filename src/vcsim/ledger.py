@@ -174,7 +174,8 @@ class Ledger:
     """Append-only store of orders, status transitions, and support tickets.
 
     Single-writer within a run; the transition log replays to the current
-    state, which the test suite uses as an oracle. ``append_order`` and
+    state, which the test suite uses as an oracle. Order and ticket ids are
+    positions, 1, 2, ..., as neither is ever removed. ``append_order`` and
     ``transition`` are the only writers of ``Order.status``, and they keep
     three status buckets current, so each demand view costs O(matching
     orders) rather than a scan of every order ever placed.
@@ -195,7 +196,6 @@ class Ledger:
         self._open: dict[tuple[str, Item], dict[int, Order]] = {}
         self._fgi: dict[str, dict[int, Order]] = {}
         self._outstanding: dict[tuple[str, Item], int] = {}
-        self._next_order_id = 1
 
     # -- appends --------------------------------------------------------
 
@@ -209,9 +209,9 @@ class Ledger:
         replacement_for: int | None = None,
         shippable_after: float | None = None,
     ) -> Order:
-        """Allocate the next order id and append a new Open order."""
+        """Append a new Open order under the next id."""
         order = Order(
-            order_id=self._next_order_id,
+            order_id=len(self.orders) + 1,
             client=client,
             provider=provider,
             item=item,
@@ -224,8 +224,10 @@ class Ledger:
         return order
 
     def append_order(self, order: Order) -> int:
-        if order.order_id in self.orders:
-            raise CorruptionError(f"duplicate order id {order.order_id}")
+        """Append an Open order; its id must be its position, as ``place`` gives."""
+        expected = len(self.orders) + 1
+        if order.order_id != expected:
+            raise CorruptionError(f"order {order.order_id} out of sequence, expected {expected}")
         if not 0 <= order.created_at < _INF:  # also true for NaN
             raise OrderValidationError(
                 f"order creation time must be finite and >= 0, got {order.created_at}"
@@ -265,8 +267,6 @@ class Ledger:
         bucket[order.order_id] = order
         key = (order.client, order.item)
         self._outstanding[key] = self._outstanding.get(key, 0) + 1
-        if order.order_id >= self._next_order_id:
-            self._next_order_id = order.order_id + 1
         return order.order_id
 
     def transition(self, order_id: int, new_status: OrderStatus, at: float) -> None:
@@ -300,17 +300,12 @@ class Ledger:
         order.last_transition_at = at
         self.transitions.append((order_id, new_status._value_, at))
 
-    def open_ticket(
-        self, order: Order, defective_qty: float, customer: str, at: float
-    ) -> SupportTicket:
-        """Register a defective delivery: the order's client reports it, at a
-        finite time no earlier than the delivery."""
+    def open_ticket(self, order: Order, at: float) -> SupportTicket:
+        """Register a defective delivery, as the order's client reports it:
+        the order's defective quantity, at a finite time no earlier than the
+        delivery, under the next ticket id."""
         if order.order_id not in self.orders:
             raise OrderValidationError(f"ticket for unknown order {order.order_id}")
-        if customer != order.client:
-            raise OrderValidationError(
-                f"ticket by {customer!r} for order {order.order_id} of {order.client!r}"
-            )
         if order.delivered_at is None:
             raise OrderValidationError(f"ticket for undelivered order {order.order_id}")
         if not order.delivered_at <= at < _INF:  # also true for NaN
@@ -318,16 +313,16 @@ class Ledger:
                 f"ticket at t={at} for order {order.order_id} delivered at "
                 f"t={order.delivered_at}, or not finite"
             )
-        if not 0 < defective_qty <= order.quantity:  # also true for NaN
+        if not 0 < order.defective_qty <= order.quantity:  # also true for NaN
             raise OrderValidationError(
-                f"defective quantity {defective_qty} outside (0, {order.quantity}]"
+                f"defective quantity {order.defective_qty} outside (0, {order.quantity}]"
             )
         ticket = SupportTicket(
-            ticket_id=len(self.tickets) + 1,  # tickets are never removed
+            ticket_id=len(self.tickets) + 1,
             order_id=order.order_id,
-            customer=customer,
+            customer=order.client,
             item=order.item,
-            defective_qty=defective_qty,
+            defective_qty=order.defective_qty,
             opened_at=at,
         )
         self.tickets[ticket.ticket_id] = ticket
@@ -393,14 +388,17 @@ class Ledger:
         """Rebuild a ledger by replaying exported records, each holding exactly
         the keys of its kind in ``RECORDS``, of their declared types.
 
-        Replay goes through the live writers. An order record waits until its
-        Open transition record, the entry ``append_order`` logs, so the rebuilt
-        log keeps the exported interleaving. A ticket and its replacement order
-        must name each other. An error in a line names the line and keeps its
-        class: ``TransitionError`` for an illegal move, ``CorruptionError``
-        for a record that the export does not write. An order that
-        ``append_order`` rejects names the order record's line, not that of
-        its Open record.
+        Replay goes through the live writers. Order records come in id order,
+        as ids are positions; each waits until its Open transition record, the
+        entry ``append_order`` logs, so the Open records come in id order too
+        and the rebuilt log keeps the exported interleaving. A ticket record
+        is the ticket ``open_ticket`` opens for its order, replacement and
+        resolution aside, and a ticket and its replacement order must name
+        each other. An error in a line names the line and keeps its class:
+        ``TransitionError`` for an illegal move, ``CorruptionError`` for a
+        record that the export does not write. An order whose fields
+        ``append_order`` rejects, or whose Open record never comes, names the
+        order record's line.
         """
         ledger = cls()
         pending: dict[int, tuple[Order, int]] = {}
@@ -415,7 +413,8 @@ class Ledger:
             except (AttributeError, TypeError, ValueError) as exc:
                 raise CorruptionError(f"line {number}: malformed ledger record: {exc!r}") from None
         if pending:
-            raise CorruptionError(f"order {min(pending)} has no Open transition record")
+            order_id, (_, number) = min(pending.items())
+            raise CorruptionError(f"line {number}: order {order_id} has no Open transition record")
         by_orders = {(o.order_id, o.replacement_for) for o in ledger.orders.values()}
         by_tickets = {(t.replacement_order_id, t.ticket_id) for t in ledger.tickets.values()}
         unmatched = [(o, t) for o, t in by_orders ^ by_tickets if o is not None and t is not None]
@@ -429,10 +428,10 @@ class Ledger:
             return  # provenance line of exported artifact files
         fields = _fields(kind, rec)
         if kind == "order":
-            order = Order(**fields)
-            if order.order_id in pending:
-                raise CorruptionError(f"duplicate order id {order.order_id}")
-            pending[order.order_id] = (order, number)
+            order_id, expected = fields["order_id"], len(self.orders) + len(pending) + 1
+            if order_id != expected:  # ids are positions, and the export writes them in order
+                raise CorruptionError(f"order {order_id} out of sequence, expected {expected}")
+            pending[order_id] = (Order(**fields), number)
         elif kind == "transition":
             order_id, status, at = fields.values()
             order, order_line = pending.pop(order_id, (None, None))
@@ -441,7 +440,7 @@ class Ledger:
             elif status == _OPEN and at == order.created_at:
                 try:
                     self.append_order(order)
-                except LedgerError as exc:
+                except OrderValidationError as exc:
                     exc.line = order_line  # the fault is in the order's own line
                     raise
             else:
@@ -452,17 +451,19 @@ class Ledger:
         else:
             ticket = SupportTicket(**fields)
             ticket_id, order = ticket.ticket_id, self.orders.get(ticket.order_id)
-            expected = len(self.tickets) + 1  # the id open_ticket gives
-            if ticket_id != expected:
-                raise CorruptionError(f"ticket {ticket_id} out of sequence, expected {expected}")
             if order is None:
                 raise CorruptionError(f"ticket {ticket_id} for unknown order {ticket.order_id}")
-            if ticket.item != order.item:
-                raise CorruptionError(f"ticket {ticket_id} names another item than its order")
             if ticket.resolved_at is not None and not ticket.opened_at <= ticket.resolved_at < _INF:
                 raise CorruptionError(f"ticket {ticket_id} resolved before it opened or not finite")
-            self.open_ticket(order, ticket.defective_qty, ticket.customer, ticket.opened_at)
-            self.tickets[ticket_id] = ticket  # with its replacement and its resolution
+            opened = self.open_ticket(order, ticket.opened_at)
+            # a run sets the replacement and the resolution after it opens a ticket
+            opened.replacement_order_id = ticket.replacement_order_id
+            opened.resolved_at = ticket.resolved_at
+            if opened != ticket:
+                key = next(k for k in RECORDS["ticket"] if getattr(opened, k) != getattr(ticket, k))
+                raise CorruptionError(
+                    f"ticket {ticket_id}: its order opens it with {key} {getattr(opened, key)!r}"
+                )
 
 
 def _fields(kind, rec: dict) -> dict:

@@ -6,8 +6,10 @@ its mode, the horizon, then the sha256 of each artifact file in
 conservation suite (``test_acceptance._random_scenario``) at their own
 24-48 h horizons, and the first ``LONG_RUNS`` of them again at 480 h, long
 enough that production carries a fraction of capacity across activations
-and backlogs clear and refill. A slice of the runs is repeated in two
-subprocesses under other string hash seeds than this process's.
+and backlogs clear and refill. Each run's ``ledger.jsonl`` must also replay
+through ``Ledger.from_lines`` and export as written. A slice of the runs is
+repeated in two subprocesses under other string hash seeds than this
+process's.
 
 The manifest changes only with a deliberate change of model behaviour, as
 the goldens do. To rewrite it after one::
@@ -27,6 +29,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import vcsim
+from vcsim.ledger import Ledger, LedgerError
 from vcsim.simulation import run_scenario
 
 from test_acceptance import _random_scenario
@@ -67,8 +70,19 @@ def pinned() -> dict[tuple[int, float | None], str]:
     return dict(zip(corpus_runs(), lines, strict=True))
 
 
+def _replay_fault(ledger_file: Path) -> str | None:
+    """Why ``ledger_file`` does not replay and export as written, or None."""
+    lines = ledger_file.read_text(encoding="utf-8").splitlines()
+    try:
+        exported = Ledger.from_lines(lines).export_lines()
+    except LedgerError as exc:
+        return f"ledger.jsonl does not replay: {exc}"
+    return None if exported == lines[1:] else "ledger.jsonl exports other lines"
+
+
 def _differing(runs: list[tuple[int, float | None]], out_dir: Path) -> list[str]:
-    """The runs whose line differs from the manifest's, each with the files that differ."""
+    """The runs whose line differs from the manifest's, each with the files
+    that differ, and the runs whose ledger does not replay as written."""
     differing = []
     for run in runs:
         line, expected = manifest_line(*run, out_dir).split(), pinned()[run].split()
@@ -78,6 +92,9 @@ def _differing(runs: list[tuple[int, float | None]], out_dir: Path) -> list[str]
                 if got != want
             ]
             differing.append(f"{' '.join(line[:3])}: {', '.join(files) or 'mode or horizon'}")
+        fault = _replay_fault(out_dir / "ledger.jsonl")
+        if fault:
+            differing.append(f"{' '.join(line[:3])}: {fault}")
     return differing
 
 

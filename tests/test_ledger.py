@@ -255,7 +255,9 @@ class TestSupportTickets:
         ledger = make_ledger()
         order = ledger.place("customer1", "retailer", product(1), 200.0, at=0.0)
         deliver(ledger, order, at=5.0)
-        ticket = ledger.open_ticket(order, 20.0, "customer1", at=5.0)
+        order.defective_qty = 20.0
+        ticket = ledger.open_ticket(order, at=5.0)
+        assert (ticket.customer, ticket.item) == ("customer1", product(1))
         assert ticket.defective_qty == 20.0
         assert ledger.tickets[ticket.ticket_id].order_id == order.order_id
 
@@ -263,27 +265,23 @@ class TestSupportTickets:
         ledger = make_ledger()
         order = ledger.place("customer1", "retailer", product(1), 10.0, at=0.0)
         deliver(ledger, order, at=1.0)
+        order.defective_qty = 11.0
         with pytest.raises(OrderValidationError):
-            ledger.open_ticket(order, 11.0, "customer1", at=1.0)
+            ledger.open_ticket(order, at=1.0)
 
     @pytest.mark.parametrize(
-        "customer,delivered,at",
-        [
-            ("retailer", True, 5.0),
-            ("customer1", False, 5.0),
-            ("customer1", True, 1.0),
-            ("customer1", True, math.nan),
-            ("customer1", True, math.inf),
-        ],
-        ids=["another-customer", "undelivered", "before-delivery", "nan-time", "infinite-time"],
+        "delivered,at",
+        [(False, 5.0), (True, 1.0), (True, math.nan), (True, math.inf)],
+        ids=["undelivered", "before-delivery", "nan-time", "infinite-time"],
     )
-    def test_a_ticket_against_the_rules_is_rejected(self, customer, delivered, at):
+    def test_a_ticket_against_the_rules_is_rejected(self, delivered, at):
         ledger = make_ledger()
         order = ledger.place("customer1", "retailer", product(1), 10.0, at=0.0)
         if delivered:
             deliver(ledger, order, at=2.0)
+        order.defective_qty = 1.0
         with pytest.raises(OrderValidationError):
-            ledger.open_ticket(order, 1.0, customer, at=at)
+            ledger.open_ticket(order, at=at)
         assert ledger.tickets == {}
 
 
@@ -295,7 +293,8 @@ class TestExportImport:
         ledger.transition(a.order_id, OrderStatus.FGI, at=2.0)
         ledger.transition(a.order_id, OrderStatus.IN_TRANSIT, at=3.0)
         ledger.transition(a.order_id, OrderStatus.DELIVERED, at=4.0)
-        ledger.open_ticket(a, 2.0, "retailer", at=4.0)
+        a.defective_qty = 2.0
+        ledger.open_ticket(a, at=4.0)
 
         clone = Ledger.from_lines(ledger.export_lines())
         assert clone.export_lines() == ledger.export_lines()
@@ -330,6 +329,42 @@ class TestExportImport:
             Ledger.from_lines([order_line])  # no Open record
         with pytest.raises(CorruptionError):
             Ledger.from_lines([order_line, open_line.replace('"at":3.0', '"at":1.0')])
+
+    @staticmethod
+    def two_orders_and_their_open_records() -> list[str]:
+        ledger = make_ledger()
+        for at in (0.0, 1.0):
+            ledger.place("retailer", "firm", product(1), 5.0, at=at)
+        lines = ledger.export_lines()
+        assert [json.loads(line)["record"] for line in lines] == ["order"] * 2 + ["transition"] * 2
+        assert Ledger.from_lines(lines).export_lines() == lines
+        return lines
+
+    def test_an_order_without_its_open_record_names_its_own_line(self):
+        orders = self.two_orders_and_their_open_records()[:2]
+        with pytest.raises(CorruptionError, match="^line 1: order 1 has no Open transition record"):
+            Ledger.from_lines(orders)
+
+    def test_replay_rejects_a_gap_in_the_order_ids(self):
+        # order 2 renumbered 3 along with its Open record: consistent, but not
+        # the ids a run gives
+        lines = [
+            line.replace('"order_id":2,', '"order_id":3,')
+            for line in self.two_orders_and_their_open_records()
+        ]
+        assert sum('"order_id":3,' in line for line in lines) == 2
+        with pytest.raises(CorruptionError, match="^line 2: order 3 out of sequence, expected 2"):
+            Ledger.from_lines(lines)
+
+    def test_replay_rejects_a_repeated_order_record(self):
+        order_1, order_2, *opens = self.two_orders_and_their_open_records()
+        with pytest.raises(CorruptionError, match="^line 3: order 2 out of sequence, expected 3"):
+            Ledger.from_lines([order_1, order_2, order_2, *opens])
+
+    def test_replay_rejects_open_records_out_of_id_order(self):
+        order_1, order_2, open_1, open_2 = self.two_orders_and_their_open_records()
+        with pytest.raises(CorruptionError, match="^line 3: order 2 out of sequence, expected 1"):
+            Ledger.from_lines([order_1, order_2, open_2, open_1])
 
     @pytest.mark.parametrize("at", [math.nan, math.inf], ids=repr)
     def test_replay_rejects_a_transition_at_a_time_that_is_not_finite(self, at):
@@ -406,35 +441,43 @@ class TestExportImport:
         assert not ledger.orders and not ledger.transitions
 
     @pytest.mark.parametrize(
-        "change",
+        "change,error",
         [
-            {"order_id": 99},
-            {"defective_qty": 6.0},
-            {"ticket_id": 1},
-            {"item": "P2"},
-            {"customer": "retailer"},
-            {"opened_at": 0.5},
-            {"defective_qty": math.nan},
+            ({"order_id": 99}, CorruptionError),
+            ({"order_id": 1}, CorruptionError),
+            ({"defective_qty": 1.0}, CorruptionError),
+            ({"defective_qty": 6.0}, CorruptionError),
+            ({"defective_qty": math.nan}, CorruptionError),
+            ({"ticket_id": 1}, CorruptionError),
+            ({"ticket_id": 3}, CorruptionError),
+            ({"item": "P2"}, CorruptionError),
+            ({"customer": "retailer"}, CorruptionError),
+            ({"opened_at": 0.5}, OrderValidationError),
         ],
         ids=[
             "unknown-order",
+            "another-order",
+            "another-quantity",
             "defective-above-quantity",
+            "nan-defective-quantity",
             "duplicate-id",
+            "skipped-id",
             "other-item",
             "another-customer",
             "before-delivery",
-            "nan-defective-quantity",
         ],
     )
-    def test_replay_opens_tickets_as_the_live_writer_does(self, change):
+    def test_replay_opens_tickets_as_the_live_writer_does(self, change, error):
         ledger = make_ledger()
-        order = ledger.place("customer1", "retailer", product(1), 5.0, at=0.0)
-        deliver(ledger, order, at=1.0)
-        ledger.open_ticket(order, 1.0, "customer1", at=1.0)
-        ledger.open_ticket(order, 2.0, "customer1", at=2.0)
+        for quantity, delivered_at in [(1.0, 1.0), (2.0, 2.0)]:
+            order = ledger.place("customer1", "retailer", product(1), 5.0, at=0.0)
+            deliver(ledger, order, at=delivered_at)
+            order.defective_qty = quantity
+            ledger.open_ticket(order, at=delivered_at)
         lines = ledger.export_lines()
+        assert Ledger.from_lines(lines).export_lines() == lines
         lines[-1] = json.dumps({**json.loads(lines[-1]), **change})
-        with pytest.raises((CorruptionError, OrderValidationError)):
+        with pytest.raises(error, match=f"^line {len(lines)}: "):
             Ledger.from_lines(lines)
 
     @pytest.mark.parametrize("resolved_at", [0.5, math.nan, math.inf], ids=repr)
@@ -442,7 +485,8 @@ class TestExportImport:
         ledger = make_ledger()
         order = ledger.place("customer1", "retailer", product(1), 5.0, at=0.0)
         deliver(ledger, order, at=1.0)
-        ledger.open_ticket(order, 1.0, "customer1", at=1.0).resolved_at = 3.0
+        order.defective_qty = 1.0
+        ledger.open_ticket(order, at=1.0).resolved_at = 3.0
         lines = ledger.export_lines()
         assert Ledger.from_lines(lines).tickets[1].resolved_at == 3.0
         lines[-1] = json.dumps({**json.loads(lines[-1]), "resolved_at": resolved_at})
@@ -571,7 +615,8 @@ def every_record_kind() -> list[str]:
     ledger = make_ledger()
     order = ledger.place("customer1", "retailer", product(1), 10.0, at=0.0)
     deliver(ledger, order, at=1.0)
-    ticket = ledger.open_ticket(order, 2.0, "customer1", at=1.0)
+    order.defective_qty = 2.0
+    ticket = ledger.open_ticket(order, at=1.0)
     replacement = ledger.place(
         "customer1", "retailer", product(1), 2.0, at=1.0, replacement_for=ticket.ticket_id
     )
