@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .jsonl import ITEM_CODE, LEDGER_KINDS, LINES, RECORDS
 
@@ -120,6 +122,77 @@ LEGAL_TRANSITIONS: dict[OrderStatus, frozenset[OrderStatus]] = {
     OrderStatus.RESOLVED: frozenset(),
 }
 
+
+# -- logs ------------------------------------------------------------------
+
+#: the exact type of a value that an ``array`` column of each typecode keeps
+_EXACT = {"d": float, "q": int, "B": int}
+
+
+class _Rows:
+    """A log's rows held as columns, one per field: an ``array`` of machine
+    values of the field's typecode, 8 B for a float or an id and 1 B for a
+    status, where a list of tuples takes about 96 B a row. A column given
+    labels holds indexes into them and reads back as the label.
+
+    Rows are built only when read: ``len``, truth, iteration, ``[i]`` and
+    slices give tuples, as a list of tuples would. Writers on a hot path
+    append to ``columns`` themselves, one value per column; ``append(row)``
+    is the general path. A value that is not of its column's exact type
+    (``float`` for "d", ``int`` for "q"), such as an int time that a
+    hand-written ledger replays, first turns its column into a list
+    (``loose``), so every row reads back as it was written.
+    """
+
+    __slots__ = ("columns", "_labels")
+
+    def __init__(self, typecodes: str, labels: tuple = ()) -> None:
+        self.columns: list = list(map(array, typecodes))
+        self._labels = labels or (None,) * len(typecodes)  # per column: labels or None
+
+    def loose(self, i: int) -> list:
+        """Column ``i`` as a list, which keeps any value as it is."""
+        column = self.columns[i]
+        if type(column) is not list:
+            column = self.columns[i] = list(column)
+        return column
+
+    def append(self, row: Sequence) -> None:
+        values = [
+            v if labels is None else labels.index(v)
+            for v, labels in zip(row, self._labels, strict=True)
+        ]
+        for i, value in enumerate(values):
+            column = self.columns[i]
+            if type(column) is not list and type(value) is not _EXACT[column.typecode]:
+                column = self.loose(i)
+            column.append(value)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return zip(*self._read(self.columns))
+
+    def __getitem__(self, i):
+        if type(i) is slice:
+            return list(zip(*self._read([column[i] for column in self.columns])))
+        return tuple(
+            column[i] if labels is None else labels[column[i]]
+            for column, labels in zip(self.columns, self._labels)
+        )
+
+    def _read(self, columns: list) -> list:
+        return [
+            column if labels is None else map(labels.__getitem__, column)
+            for column, labels in zip(columns, self._labels)
+        ]
+
+
+_STATUSES = tuple(status._value_ for status in OrderStatus)
+_STATUS_CODE = {status: code for code, status in enumerate(OrderStatus)}
+
+
 @dataclass(slots=True)
 class Order:
     """One order: the unit of information flow between a client and a provider.
@@ -167,6 +240,8 @@ _OLDEST_FIRST = attrgetter("created_at", "order_id")
 _OPEN = OrderStatus.OPEN
 _FGI = OrderStatus.FGI
 _DELIVERED = OrderStatus.DELIVERED
+_RETURN_REQUESTED = OrderStatus.RETURN_REQUESTED
+_RESOLVED = OrderStatus.RESOLVED
 _INF = math.inf
 
 
@@ -174,7 +249,10 @@ class Ledger:
     """Append-only store of orders, status transitions, and support tickets.
 
     Single-writer within a run; the transition log replays to the current
-    state, which the test suite uses as an oracle. Order and ticket ids are
+    state, which the test suite uses as an oracle. ``transitions`` reads as
+    a list of ``(order_id, status, at)`` tuples, but holds three columns
+    (an id, a status code and a time: about 17 B a row), and builds a row
+    only when it is read. Order and ticket ids are
     positions, 1, 2, ..., as neither is ever removed. ``append_order`` and
     ``transition`` are the only writers of ``Order.status``, and they keep
     three status buckets current, so each demand view costs O(matching
@@ -188,7 +266,7 @@ class Ledger:
     ) -> None:
         self.orders: dict[int, Order] = {}
         self.tickets: dict[int, SupportTicket] = {}
-        self.transitions: list[tuple[int, str, float]] = []  # (order_id, status, at)
+        self.transitions = _Rows("qBd", (None, _STATUSES, None))  # (order_id, status, at)
         self._known_actors = set(known_actors) if known_actors is not None else None
         self._known_items = set(known_items) if known_items is not None else None
         # status buckets: Open orders per (provider, item), FGI orders per
@@ -196,6 +274,7 @@ class Ledger:
         self._open: dict[tuple[str, Item], dict[int, Order]] = {}
         self._fgi: dict[str, dict[int, Order]] = {}
         self._outstanding: dict[tuple[str, Item], int] = {}
+        self._ticket_of: dict[int, int] = {}  # order id -> the id of its ticket
 
     # -- appends --------------------------------------------------------
 
@@ -258,7 +337,11 @@ class Ledger:
         if self._known_items is not None and order.item not in self._known_items:
             raise OrderValidationError(f"unknown item: {order.item.code}")
         self.orders[order.order_id] = order
-        self.transitions.append((order.order_id, order.status._value_, order.created_at))
+        log = self.transitions
+        ids, statuses, times = log.columns
+        (ids if type(order.order_id) is int else log.loose(0)).append(order.order_id)
+        statuses.append(_STATUS_CODE[_OPEN])
+        (times if type(order.created_at) is float else log.loose(2)).append(order.created_at)
         order.last_transition_at = order.created_at
         key = (order.provider, order.item)
         bucket = self._open.get(key)
@@ -298,12 +381,22 @@ class Ledger:
             order.delivered_at = at
             self._outstanding[(order.client, order.item)] -= 1
         order.last_transition_at = at
-        self.transitions.append((order_id, new_status._value_, at))
+        log = self.transitions
+        ids, statuses, times = log.columns
+        ids.append(order.order_id)  # append_order made the column a list for a non-int id
+        statuses.append(_STATUS_CODE[new_status])
+        (times if type(at) is float else log.loose(2)).append(at)
 
     def open_ticket(self, order: Order, at: float) -> SupportTicket:
         """Register a defective delivery, as the order's client reports it:
         the order's defective quantity, at a finite time no earlier than the
-        delivery, under the next ticket id."""
+        delivery, under the next ticket id.
+
+        An order takes one ticket, after its move to ReturnRequested; it
+        may since be Resolved, as in replay, where ticket records come after
+        every transition. A second ticket, or one for an order that never
+        moved to ReturnRequested, is a ``CorruptionError``.
+        """
         if order.order_id not in self.orders:
             raise OrderValidationError(f"ticket for unknown order {order.order_id}")
         if order.delivered_at is None:
@@ -317,6 +410,14 @@ class Ledger:
             raise OrderValidationError(
                 f"defective quantity {order.defective_qty} outside (0, {order.quantity}]"
             )
+        if order.status is not _RETURN_REQUESTED and order.status is not _RESOLVED:
+            raise CorruptionError(
+                f"ticket for order {order.order_id}, which is {order.status.value}, "
+                "not ReturnRequested"
+            )
+        earlier = self._ticket_of.get(order.order_id)
+        if earlier is not None:
+            raise CorruptionError(f"order {order.order_id} already has ticket {earlier}")
         ticket = SupportTicket(
             ticket_id=len(self.tickets) + 1,
             order_id=order.order_id,
@@ -326,6 +427,7 @@ class Ledger:
             opened_at=at,
         )
         self.tickets[ticket.ticket_id] = ticket
+        self._ticket_of[order.order_id] = ticket.ticket_id
         return ticket
 
     # -- demand views -----------------------------------------------------
@@ -364,7 +466,7 @@ class Ledger:
 
     # -- persistence --------------------------------------------------------
 
-    def export_parts(self) -> tuple[tuple[list, Callable[[list], list[str]]], ...]:
+    def export_parts(self) -> tuple[tuple[Sequence, Callable[[list], list[str]]], ...]:
         """The export order, declared once: orders by id, then transitions in
         log order, then tickets by id.
 
@@ -393,8 +495,9 @@ class Ledger:
         entry ``append_order`` logs, so the Open records come in id order too
         and the rebuilt log keeps the exported interleaving. A ticket record
         is the ticket ``open_ticket`` opens for its order, replacement and
-        resolution aside, and a ticket and its replacement order must name
-        each other. An error in a line names the line and keeps its class:
+        resolution aside: one per order, for an order moved to
+        ReturnRequested. A ticket and its replacement order must name each
+        other. An error in a line names the line and keeps its class:
         ``TransitionError`` for an illegal move, ``CorruptionError`` for a
         record that the export does not write. An order whose fields
         ``append_order`` rejects, or whose Open record never comes, names the
@@ -489,11 +592,10 @@ def _fields(kind, rec: dict) -> dict:
 
 
 def replay_final_statuses(transitions: Iterable[tuple[int, str, float]]) -> dict[int, str]:
-    """Fold a transition log into each order's final status (test oracle)."""
-    final: dict[int, str] = {}
-    for order_id, status, _ in transitions:
-        final[order_id] = status
-    return final
+    """Fold a transition log, ``Ledger.transitions`` or any iterable of
+    ``(order_id, status, at)`` rows, into each order's final status: the
+    status of its last row (test oracle)."""
+    return {order_id: status for order_id, status, _ in transitions}
 
 
 # -- inventory -----------------------------------------------------------
@@ -505,7 +607,9 @@ class InventoryRecord:
 
     Levels never go negative: callers must backlog instead of overdrawing.
     Every change appends a (time, level) sample so holding cost and mean
-    stock value integrate the exact step function.
+    stock value integrate the exact step function. ``samples`` reads as a
+    list of ``(time, level)`` tuples, the first ``(0.0, on_hand)``, but holds
+    two float columns (16 B a sample) and builds a row only when it is read.
     """
 
     owner: str
@@ -513,13 +617,15 @@ class InventoryRecord:
     on_hand: float
     unit_holding_cost: float = 0.0  # currency per unit-hour
     unit_value: float = 0.0
-    samples: list[tuple[float, float]] = field(default_factory=list)
+    samples: _Rows = field(init=False)
 
     def __post_init__(self) -> None:
         if self.on_hand < 0:
             raise ReservationError(f"initial stock negative: {self.on_hand}")
-        if not self.samples:
-            self.samples.append((0.0, self.on_hand))
+        samples = self.samples = _Rows("dd")
+        times, levels = samples.columns
+        times.append(0.0)
+        (levels if type(self.on_hand) is float else samples.loose(1)).append(self.on_hand)
 
     def adjust(self, delta: float, at: float) -> None:
         level = self.on_hand + delta
@@ -528,17 +634,22 @@ class InventoryRecord:
                 f"{self.owner}/{self.item}: adjustment {delta} would drive "
                 f"stock {self.on_hand} negative"
             )
-        self.on_hand = max(0.0, level)
-        self.samples.append((at, self.on_hand))
+        self.on_hand = level = max(0.0, level)
+        samples = self.samples
+        times, levels = samples.columns
+        (times if type(at) is float else samples.loose(0)).append(at)
+        # a level is a float unless the first one was not, which made its column a list
+        levels.append(level)
 
     def level_integral(self, t_end: float) -> float:
         """Integral of the stock level step function over [0, t_end] (unit-hours)."""
+        times, levels = self.samples.columns
         total = 0.0
-        for (t0, level), (t1, _) in zip(self.samples, self.samples[1:]):
+        for t0, level, t1 in zip(times, levels, islice(times, 1, None)):
             if t0 >= t_end:
                 break
             total += level * (min(t1, t_end) - t0)
-        last_t, last_level = self.samples[-1]
+        last_t = times[-1]
         if last_t < t_end:
-            total += last_level * (t_end - last_t)
+            total += levels[-1] * (t_end - last_t)
         return total

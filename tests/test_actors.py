@@ -295,6 +295,7 @@ def educated(chain_builder, p_def: float, decay: float) -> float:
     chain.ledger.transition(order.order_id, OrderStatus.IN_TRANSIT, at=1.0)
     chain.ledger.transition(order.order_id, OrderStatus.DELIVERED, at=1.0)
     order.defective_qty = 1.0
+    chain.ledger.transition(order.order_id, OrderStatus.RETURN_REQUESTED, at=1.0)
     ticket = chain.ledger.open_ticket(order, at=1.0)
     replacement = chain.ledger.place(
         "customer1", "retailer", product(1), 1.0, at=1.0, replacement_for=ticket.ticket_id

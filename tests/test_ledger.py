@@ -1,7 +1,9 @@
 """Order ledger: validation, transitions, demand views, inventory, replay."""
 
+import gc
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -256,6 +258,7 @@ class TestSupportTickets:
         order = ledger.place("customer1", "retailer", product(1), 200.0, at=0.0)
         deliver(ledger, order, at=5.0)
         order.defective_qty = 20.0
+        ledger.transition(order.order_id, OrderStatus.RETURN_REQUESTED, at=5.0)
         ticket = ledger.open_ticket(order, at=5.0)
         assert (ticket.customer, ticket.item) == ("customer1", product(1))
         assert ticket.defective_qty == 20.0
@@ -266,6 +269,7 @@ class TestSupportTickets:
         order = ledger.place("customer1", "retailer", product(1), 10.0, at=0.0)
         deliver(ledger, order, at=1.0)
         order.defective_qty = 11.0
+        ledger.transition(order.order_id, OrderStatus.RETURN_REQUESTED, at=1.0)
         with pytest.raises(OrderValidationError):
             ledger.open_ticket(order, at=1.0)
 
@@ -279,10 +283,24 @@ class TestSupportTickets:
         order = ledger.place("customer1", "retailer", product(1), 10.0, at=0.0)
         if delivered:
             deliver(ledger, order, at=2.0)
+            ledger.transition(order.order_id, OrderStatus.RETURN_REQUESTED, at=2.0)
         order.defective_qty = 1.0
         with pytest.raises(OrderValidationError):
             ledger.open_ticket(order, at=at)
         assert ledger.tickets == {}
+
+    def test_an_order_takes_one_ticket_after_its_return_request(self):
+        ledger = make_ledger()
+        order = ledger.place("customer1", "retailer", product(1), 10.0, at=0.0)
+        deliver(ledger, order, at=1.0)
+        order.defective_qty = 1.0
+        with pytest.raises(CorruptionError, match="order 1, which is Delivered, not ReturnRequested"):
+            ledger.open_ticket(order, at=1.0)
+        ledger.transition(order.order_id, OrderStatus.RETURN_REQUESTED, at=1.0)
+        ticket = ledger.open_ticket(order, at=1.0)
+        with pytest.raises(CorruptionError, match="order 1 already has ticket 1"):
+            ledger.open_ticket(order, at=2.0)
+        assert ledger.tickets == {1: ticket}
 
 
 class TestExportImport:
@@ -294,11 +312,12 @@ class TestExportImport:
         ledger.transition(a.order_id, OrderStatus.IN_TRANSIT, at=3.0)
         ledger.transition(a.order_id, OrderStatus.DELIVERED, at=4.0)
         a.defective_qty = 2.0
+        ledger.transition(a.order_id, OrderStatus.RETURN_REQUESTED, at=4.0)
         ledger.open_ticket(a, at=4.0)
 
         clone = Ledger.from_lines(ledger.export_lines())
         assert clone.export_lines() == ledger.export_lines()
-        assert clone.orders[a.order_id].status is OrderStatus.DELIVERED
+        assert clone.orders[a.order_id].status is OrderStatus.RETURN_REQUESTED
         assert clone.orders[a.order_id].delivered_at == 4.0
         assert clone.orders[b.order_id].status is OrderStatus.OPEN
         assert clone.tickets[1].defective_qty == 2.0
@@ -473,6 +492,7 @@ class TestExportImport:
             order = ledger.place("customer1", "retailer", product(1), 5.0, at=0.0)
             deliver(ledger, order, at=delivered_at)
             order.defective_qty = quantity
+            ledger.transition(order.order_id, OrderStatus.RETURN_REQUESTED, at=delivered_at)
             ledger.open_ticket(order, at=delivered_at)
         lines = ledger.export_lines()
         assert Ledger.from_lines(lines).export_lines() == lines
@@ -480,12 +500,68 @@ class TestExportImport:
         with pytest.raises(error, match=f"^line {len(lines)}: "):
             Ledger.from_lines(lines)
 
+    @staticmethod
+    def one_ticket_lines() -> list[str]:
+        """An order delivered with a defect and moved to ReturnRequested,
+        then its ticket, as a run writes them."""
+        ledger = make_ledger()
+        order = ledger.place("customer1", "retailer", product(1), 5.0, at=0.0)
+        deliver(ledger, order, at=1.0)
+        order.defective_qty = 1.0
+        ledger.transition(order.order_id, OrderStatus.RETURN_REQUESTED, at=1.0)
+        ledger.open_ticket(order, at=1.0)
+        lines = ledger.export_lines()
+        assert Ledger.from_lines(lines).export_lines() == lines
+        return lines
+
+    def test_replay_rejects_a_duplicated_ticket_record(self):
+        lines = self.one_ticket_lines()
+        lines.append(json.dumps({**json.loads(lines[-1]), "ticket_id": 2}))
+        with pytest.raises(CorruptionError, match=f"^line {len(lines)}: order 1 already has ticket 1"):
+            Ledger.from_lines(lines)
+
+    def test_replay_rejects_a_ticket_for_an_order_never_returned(self):
+        lines = self.one_ticket_lines()
+        lines = [line for line in lines if '"ReturnRequested"' not in line]
+        with pytest.raises(
+            CorruptionError, match=f"^line {len(lines)}: ticket for order 1, which is Delivered"
+        ):
+            Ledger.from_lines(lines)
+
+    @pytest.mark.parametrize(
+        "created_at,moves,types",
+        [
+            ("6", ["6", "7", "8.25"], [float, int, int, float]),
+            ("6.0", ["6.0", "7", "8.25"], [float, float, int, float]),
+        ],
+        ids=["first-int-opens", "first-int-moves"],
+    )
+    def test_int_times_replay_and_export_as_written(self, created_at, moves, types):
+        # a hand-written ledger may drop the ".0"; each time re-exports as
+        # written, also after a float in the same column
+        lines = [
+            '{"client":"customer1","created_at":0.5,"defective_qty":0.0,"item":"P1",'
+            '"order_id":1,"provider":"retailer","quantity":5.0,"record":"order",'
+            '"replacement_for":null,"shippable_after":0.5}',
+            f'{{"client":"customer1","created_at":{created_at},"defective_qty":0,"item":"P1",'
+            '"order_id":2,"provider":"retailer","quantity":5,"record":"order",'
+            f'"replacement_for":null,"shippable_after":{created_at}}}',
+            '{"at":0.5,"order_id":1,"record":"transition","status":"Open"}',
+            f'{{"at":{moves[0]},"order_id":2,"record":"transition","status":"Open"}}',
+            f'{{"at":{moves[1]},"order_id":2,"record":"transition","status":"InTransit"}}',
+            f'{{"at":{moves[2]},"order_id":1,"record":"transition","status":"InTransit"}}',
+        ]
+        ledger = Ledger.from_lines(lines)
+        assert ledger.export_lines() == lines
+        assert [type(at) for _, _, at in ledger.transitions] == types
+
     @pytest.mark.parametrize("resolved_at", [0.5, math.nan, math.inf], ids=repr)
     def test_replay_rejects_a_ticket_resolved_before_it_opened_or_never(self, resolved_at):
         ledger = make_ledger()
         order = ledger.place("customer1", "retailer", product(1), 5.0, at=0.0)
         deliver(ledger, order, at=1.0)
         order.defective_qty = 1.0
+        ledger.transition(order.order_id, OrderStatus.RETURN_REQUESTED, at=1.0)
         ledger.open_ticket(order, at=1.0).resolved_at = 3.0
         lines = ledger.export_lines()
         assert Ledger.from_lines(lines).tickets[1].resolved_at == 3.0
@@ -616,6 +692,7 @@ def every_record_kind() -> list[str]:
     order = ledger.place("customer1", "retailer", product(1), 10.0, at=0.0)
     deliver(ledger, order, at=1.0)
     order.defective_qty = 2.0
+    ledger.transition(order.order_id, OrderStatus.RETURN_REQUESTED, at=1.0)
     ticket = ledger.open_ticket(order, at=1.0)
     replacement = ledger.place(
         "customer1", "retailer", product(1), 2.0, at=1.0, replacement_for=ticket.ticket_id
@@ -623,6 +700,7 @@ def every_record_kind() -> list[str]:
     ticket.replacement_order_id = replacement.order_id
     deliver(ledger, replacement, at=3.0)
     ticket.resolved_at = 3.0
+    ledger.transition(order.order_id, OrderStatus.RESOLVED, at=3.0)
     return ledger.export_lines()
 
 
@@ -746,3 +824,91 @@ class TestInventory:
             total += level * (t1 - t0)
         total += rec.samples[-1][1] * (horizon - rec.samples[-1][0])
         assert rec.level_integral(horizon) == pytest.approx(total)
+
+    def test_int_levels_and_times_read_back_as_written(self):
+        rec = InventoryRecord(owner="x", item=raw(1), on_hand=500)
+        rec.adjust(-200, at=3)
+        rec.adjust(0.5, at=4.0)
+        assert list(rec.samples) == [(0.0, 500), (3, 300), (4.0, 300.5)]
+        assert [tuple(map(type, row)) for row in rec.samples] == [
+            (float, int), (int, int), (float, float)
+        ]
+        assert rec.level_integral(10.0) == 500 * 3 + 300 * 1.0 + 300.5 * 6.0
+
+
+class TestLogColumns:
+    """``Ledger.transitions`` and ``InventoryRecord.samples`` are held as
+    columns but read as lists of tuples."""
+
+    @pytest.fixture(scope="class")
+    def logs(self):
+        artifacts = run_scenario(case_study_scenario("vcor", 42, 480.0))
+        return [artifacts.ledger.transitions] + [
+            record.samples for record in artifacts.inventories.values()
+        ]
+
+    def test_a_log_reads_as_a_list_of_tuples(self, logs):
+        for log in logs:
+            rows = list(log)
+            assert rows and len(log) == len(rows) and log
+            assert all(type(row) is tuple for row in rows)
+            assert [log[i] for i in range(-len(rows), len(rows))] == rows + rows
+            for part in [slice(None), slice(3, 700), slice(-5, None), slice(None, None, -2),
+                         slice(10, 5)]:
+                assert log[part] == rows[part]
+        assert {status for _, status, _ in logs[0]} == {s.value for s in OrderStatus}
+
+    def test_an_empty_log_is_false_and_reads_as_nothing(self):
+        log = Ledger().transitions
+        assert not log and len(log) == 0 and list(log) == [] and log[:] == []
+
+    def test_append_keeps_each_value_as_given(self):
+        log = InventoryRecord(owner="x", item=raw(1), on_hand=5.0).samples
+        log.append((1.0, -1.0))
+        log.append((2, 3))
+        with pytest.raises(ValueError):
+            log.append((3.0,))
+        assert list(log) == [(0.0, 5.0), (1.0, -1.0), (2, 3)]
+        assert type(log[-1][0]) is int and type(log[1][0]) is float
+
+    # a list of (id, status, time) tuples took about 96 B a row
+    BYTES_PER_ROW = 32
+    ROWS = 10_000
+
+    def grown_per_row(self, write) -> float:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write()
+            return (tracemalloc.get_traced_memory()[0] - before) / self.ROWS
+        finally:
+            tracemalloc.stop()
+
+    def test_a_transition_row_adds_at_most_32_bytes(self):
+        ledger = make_ledger()
+        orders = [
+            ledger.place("retailer", "firm", product(1), 1.0, at=0.0) for _ in range(self.ROWS // 5)
+        ]
+        moves = [OrderStatus.FGI, OrderStatus.IN_TRANSIT, OrderStatus.DELIVERED,
+                 OrderStatus.RETURN_REQUESTED, OrderStatus.RESOLVED]
+        at = 1.0  # one time object, so the orders hold no new object
+
+        def write():
+            for order in orders:
+                for status in moves:
+                    ledger.transition(order.order_id, status, at)
+
+        assert self.grown_per_row(write) <= self.BYTES_PER_ROW
+        assert len(ledger.transitions) == len(orders) + self.ROWS
+
+    def test_a_stock_sample_adds_at_most_32_bytes(self):
+        rec = InventoryRecord(owner="x", item=raw(1), on_hand=0.0)
+        times = [float(t) for t in range(1, self.ROWS + 1)]
+
+        def write():
+            for t in times:
+                rec.adjust(1.0, at=t)
+
+        assert self.grown_per_row(write) <= self.BYTES_PER_ROW
+        assert len(rec.samples) == self.ROWS + 1
