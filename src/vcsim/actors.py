@@ -34,14 +34,7 @@ from .ledger import (
     raw,
 )
 from .metrics import CostLedger, _left_sum
-from .satisfaction import (
-    InputSignals,
-    VoteEntry,
-    VoteState,
-    customer_input,
-    innovation_gain,
-    update_vote,
-)
+from .satisfaction import VoteEntry, Voter
 from .scenario import CustomerSpec, HOURS_PER_MONTH, ProspectSpec, ReorderPolicy, Scenario
 
 _EPS = 1e-9
@@ -90,19 +83,6 @@ def admit_prospects(
             admitted.append(p)
             total += p.boxes_per_day
     return admitted
-
-
-@dataclass(slots=True)
-class Voter:
-    """The satisfaction state of one (customer, product) pair: its vote, the
-    new-product flag, the last unit price paid and the running sums behind
-    the delay and quality signals, over the ``vote.k`` deliveries so far."""
-
-    vote: VoteState
-    new_product: bool = False
-    last_price: float = 0.0  # 0: no delivery yet, so no price change
-    time_total: float = 0.0
-    conform_total: float = 0.0
 
 
 class Chain:
@@ -183,7 +163,7 @@ class Chain:
         self.defect_probability = dict(scenario.support.defect_probability)
 
         # satisfaction state, one voter per (customer, product) with demand
-        initial = VoteState(x=scenario.satisfaction.initial_vote)
+        initial = scenario.satisfaction.initial_vote
         self.voters: dict[tuple[str, int], Voter] = {key: Voter(initial) for key in self._arrivals}
         # each product's voters in ``voters`` order, so a peer mean adds the
         # same floats in the same order as a scan of every voter
@@ -565,55 +545,24 @@ class Chain:
 
     def _peer_vote(self, voter: Voter, pid: int) -> float:
         """Mean vote of the product's other voters."""
-        others = [v.vote.x for v in self._voters_of[pid] if v is not voter]
+        others = [v.x for v in self._voters_of[pid] if v is not voter]
         return _left_sum(others) / len(others) if others else 0.0
 
     def _update_vote(self, voter: Voter, order: Order, now: float, unit_price: float) -> None:
         customer = order.client
-        state = voter.vote
-        params = self.scenario.satisfaction
-
-        delivery_time = now - order.created_at
-        conform = (order.quantity - order.defective_qty) / order.quantity
-
-        if state.k:
-            mean_time = voter.time_total / state.k
-            delay_pct = 100.0 * (delivery_time - mean_time) / mean_time if mean_time > 0 else 0.0
-            mean_conform = voter.conform_total / state.k
-            quality_pct = 100.0 * conform / mean_conform if mean_conform > 0 else 100.0 * conform
-        else:
-            delay_pct = 0.0
-            quality_pct = 100.0
-        previous_price = voter.last_price
-        price_change_pct = (
-            100.0 * (unit_price - previous_price) / previous_price
-            if previous_price
-            else 0.0
+        voter._deliver(
+            self.scenario.satisfaction,
+            now - order.created_at,
+            (order.quantity - order.defective_qty) / order.quantity,
+            unit_price,
+            self.support_latch.get(customer, False),
+            self._peer_vote(voter, order.item.id),
         )
-
-        flagged_new = voter.new_product
-        signals = InputSignals(
-            new_product=flagged_new,
-            support_resolved=self.support_latch.get(customer, False),
-            price_change_pct=price_change_pct,
-            delay_pct=delay_pct,
-            quality_pct=quality_pct,
-            peer_vote=self._peer_vote(voter, order.item.id),
-        )
-        gain = innovation_gain(state.x, params.forgetting_factor) if flagged_new else 0.0
-        new_state = update_vote(state, customer_input(gain, signals, params), params)
-        voter.vote = new_state
         # built in C: VoteEntry(...) would go through a Python-level __new__
         self.satisfaction_series.append(
-            tuple.__new__(VoteEntry, (now, customer, order.item.code, new_state.k, new_state.x))
+            tuple.__new__(VoteEntry, (now, customer, order.item.code, voter.k, voter.x))
         )
-
-        # consume the one-shot signals, then roll the running means forward
-        voter.new_product = False
-        self.support_latch[customer] = False
-        voter.last_price = unit_price
-        voter.time_total += delivery_time
-        voter.conform_total += conform
+        self.support_latch[customer] = False  # consume the one-shot signal
 
     # ------------------------------------------------------------------
     # market, research & develop
@@ -628,7 +577,7 @@ class Chain:
             return None
         if self.renewing is not None or not self.voters:
             return None
-        mean_vote = _left_sum(v.vote.x for v in self.voters.values()) / len(self.voters)
+        mean_vote = _left_sum(v.x for v in self.voters.values()) / len(self.voters)
         if mean_vote >= self.scenario.market.vote_threshold:
             return None
         target = renewal_target(self.firm_sales_boxes, self.renewed_products)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -73,11 +74,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _finite(text: str) -> float:
+    """A JSON number or constant as a float; vcsim writes no NaN or infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _load_report(run_dir: Path) -> KpiReport:
     path = run_dir / "kpi.json"
     try:
-        data = json.loads(_read_text(path, "KPI report"))
-    except json.JSONDecodeError as exc:
+        data = json.loads(
+            _read_text(path, "KPI report"), parse_float=_finite, parse_constant=_finite
+        )
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise ScenarioError("parse", f"{path}: {exc}") from exc
     try:
         return KpiReport.from_dict(data)

@@ -513,7 +513,7 @@ class Ledger:
                 ledger._replay(json.loads(line), number, pending)
             except LedgerError as exc:
                 raise type(exc)(f"line {exc.line or number}: {exc}") from None
-            except (AttributeError, TypeError, ValueError) as exc:
+            except (AttributeError, TypeError, ValueError, RecursionError) as exc:
                 raise CorruptionError(f"line {number}: malformed ledger record: {exc!r}") from None
         if pending:
             order_id, (_, number) = min(pending.items())

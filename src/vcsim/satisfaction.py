@@ -1,7 +1,7 @@
 """Adaptive-learning customer satisfaction model.
 
-Each (customer, product) pair carries a vote x in [0, 10] that is updated
-once per delivered order:
+Each (customer, product) pair is a :class:`Voter` whose vote x in [0, 10]
+is updated once per delivered order:
 
     x' = (1 - a) * x + a * u
 
@@ -19,35 +19,10 @@ every other spec, and this module takes them from there.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from .jsonl import RECORDS
 from .scenario import SatisfactionParams
-
-
-class InputSignals(NamedTuple):
-    """Signals observed at one delivery.
-
-    new_product and support_resolved are boolean flags; price_change_pct is
-    the price variation as a percentage of the previous price; delay_pct the
-    delivery-time deviation as a percentage of the mean lead time;
-    quality_pct the conform-products ratio as a percentage of the mean
-    quality level; peer_vote summarizes the other customers' current votes.
-    """
-
-    new_product: bool = False
-    support_resolved: bool = False
-    price_change_pct: float = 0.0
-    delay_pct: float = 0.0
-    quality_pct: float = 0.0
-    peer_vote: float = 0.0
-
-
-class VoteState(NamedTuple):
-    """Vote for one (customer, product): value in [0, 10] and update count."""
-
-    x: float
-    k: int = 0
 
 
 #: One vote update, a line of ``satisfaction.jsonl``: a tuple of the keys
@@ -73,23 +48,86 @@ def innovation_gain(vote: float, forgetting_factor: float) -> float:
 
 
 def customer_input(
-    f_value: float, signals: InputSignals, params: SatisfactionParams
+    f_value: float,
+    params: SatisfactionParams,
+    new_product: bool = False,
+    support_resolved: bool = False,
+    price_change_pct: float = 0.0,
+    delay_pct: float = 0.0,
+    quality_pct: float = 0.0,
+    peer_vote: float = 0.0,
 ) -> float:
-    """Weighted input u for one vote update, exactly as the model states it."""
+    """Weighted input u for one vote update, exactly as the model states it.
+
+    new_product and support_resolved are flags; the percentages are the price
+    change against the last price, the delivery time's deviation from the
+    mean and the conform ratio against the mean (see ``Voter``); peer_vote is
+    the mean of the other customers' current votes.
+    """
     return (
-        f_value * (1.0 if signals.new_product else 0.0)
-        + params.support_weight * (1.0 if signals.support_resolved else 0.0)
-        + params.price_weight * signals.price_change_pct
-        + params.delay_weight * signals.delay_pct
-        + params.quality_weight * signals.quality_pct
-        + params.peer_weight * signals.peer_vote
+        f_value * (1.0 if new_product else 0.0)
+        + params.support_weight * (1.0 if support_resolved else 0.0)
+        + params.price_weight * price_change_pct
+        + params.delay_weight * delay_pct
+        + params.quality_weight * quality_pct
+        + params.peer_weight * peer_vote
     )
 
 
-def update_vote(state: VoteState, u: float, params: SatisfactionParams) -> VoteState:
+def update_vote(x: float, u: float, params: SatisfactionParams) -> float:
     """One vote update: convex mix of old vote and input, clamped to [0, 10]."""
     a = params.forgetting_factor
-    x = (1.0 - a) * state.x + a * u
-    x = min(VOTE_MAX, max(VOTE_MIN, x))
-    return VoteState(x=x, k=state.k + 1)
+    return min(VOTE_MAX, max(VOTE_MIN, (1.0 - a) * x + a * u))
 
+
+@dataclass(slots=True)
+class Voter:
+    """One (customer, product) pair: its vote ``x``, the update count ``k``,
+    the new-product flag, the last unit price paid and the running sums
+    behind the delay and quality signals over the ``k`` deliveries so far.
+    What depends on other voters, the support outcome and the peer vote,
+    the caller supplies."""
+
+    x: float
+    k: int = 0
+    new_product: bool = False
+    last_price: float = 0.0  # 0: no delivery yet, so no price change
+    time_total: float = 0.0
+    conform_total: float = 0.0
+
+    def _deliver(
+        self,
+        params: SatisfactionParams,
+        delivery_time: float,
+        conform: float,
+        unit_price: float,
+        support_resolved: bool,
+        peer_vote: float,
+    ) -> None:
+        """One delivery: its delay, quality and price signals against this
+        pair's memory, the vote update, then the memory rolled forward."""
+        k = self.k
+        if k:
+            mean_time = self.time_total / k
+            delay_pct = 100.0 * (delivery_time - mean_time) / mean_time if mean_time > 0 else 0.0
+            mean_conform = self.conform_total / k
+            quality_pct = 100.0 * conform / mean_conform if mean_conform > 0 else 100.0 * conform
+        else:
+            delay_pct = 0.0
+            quality_pct = 100.0
+        last = self.last_price
+        price_change_pct = 100.0 * (unit_price - last) / last if last else 0.0
+
+        flagged_new = self.new_product
+        gain = innovation_gain(self.x, params.forgetting_factor) if flagged_new else 0.0
+        u = customer_input(
+            gain, params, flagged_new, support_resolved,
+            price_change_pct, delay_pct, quality_pct, peer_vote,
+        )
+        self.x = update_vote(self.x, u, params)
+        self.k = k + 1
+        # consume the one-shot flag, then roll the running means forward
+        self.new_product = False
+        self.last_price = unit_price
+        self.time_total += delivery_time
+        self.conform_total += conform

@@ -14,9 +14,7 @@ import pytest
 from vcsim.ledger import product, raw
 from vcsim.metrics import sales_profitability, stock_mean_time, stock_rotation
 from vcsim.satisfaction import (
-    InputSignals,
     SatisfactionParams,
-    VoteState,
     customer_input,
     innovation_gain,
     update_vote,
@@ -110,22 +108,20 @@ def test_satisfaction_closed_forms():
         assert innovation_step(0.0, alpha) == 9.0
         # the two-step route through the gain agrees to float precision
         params = SatisfactionParams(forgetting_factor=alpha)
-        u = customer_input(
-            innovation_gain(0.0, alpha), InputSignals(new_product=True), params
-        )
-        assert abs(update_vote(VoteState(x=0.0), u, params).x - 9.0) <= 1e-12
+        u = customer_input(innovation_gain(0.0, alpha), params, new_product=True)
+        assert abs(update_vote(0.0, u, params) - 9.0) <= 1e-12
 
     # (c) constant input: |x_k - u| shrinks by exactly (1-a) each step
     for _ in range(100):
         alpha = rng.uniform(0.01, 0.99)
         u = rng.uniform(0.0, 10.0)
-        state = VoteState(x=rng.uniform(0.0, 10.0))
+        x = rng.uniform(0.0, 10.0)
         params = SatisfactionParams(forgetting_factor=alpha)
-        gap = abs(state.x - u)
+        gap = abs(x - u)
         for _step in range(20):
-            state = update_vote(state, u, params)
+            x = update_vote(x, u, params)
             gap *= 1.0 - alpha
-            assert abs(abs(state.x - u) - gap) <= 1e-12
+            assert abs(abs(x - u) - gap) <= 1e-12
 
 
 # -- 3 ---------------------------------------------------------------------

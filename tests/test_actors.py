@@ -6,7 +6,6 @@ import pytest
 
 from vcsim.actors import admit_prospects, renewal_target
 from vcsim.ledger import OrderStatus, OrderValidationError, product, raw
-from vcsim.satisfaction import VoteState
 from vcsim.scenario import (
     CustomerSpec,
     DemandTable,
@@ -336,14 +335,14 @@ class TestMonitorExperience:
 
 def set_every_vote(chain, x: float) -> None:
     for voter in chain.voters.values():
-        voter.vote = VoteState(x=x)
+        voter.x = x
 
 
 class TestAnalyzeMarket:
     def test_low_mean_vote_triggers_project_on_least_sold_product(self, chain_builder):
         chain = chain_builder(mode="vcor")
-        chain.voters[("customer1", 1)].vote = VoteState(x=5.8)
-        chain.voters[("customer1", 2)].vote = VoteState(x=6.1)
+        chain.voters[("customer1", 1)].x = 5.8
+        chain.voters[("customer1", 2)].x = 6.1
         chain.firm_sales_boxes = {1: 296.0, 2: 150.0}
         target = chain.analyze_market(now=10.0)
         assert target == 2
@@ -385,7 +384,7 @@ class TestPeerVote:
         # the voters follow the customer order; each product's mean follows theirs
         assert list(chain.voters) == list(votes)
         for key, x in votes.items():
-            chain.voters[key].vote = VoteState(x=x)
+            chain.voters[key].x = x
         assert chain._peer_vote(chain.voters[("c1", 1)], 1) == (2.0 + 7.0) / 2
         assert chain._peer_vote(chain.voters[("c2", 2)], 2) == 0.0
 

@@ -223,6 +223,29 @@ class TestDemoAndCompare:
         err = capsys.readouterr().err
         assert "error[parse]" in err and "kpi.json: not UTF-8 text" in err
 
+    @pytest.mark.parametrize(
+        "period",
+        ["[" * 1000 + "]" * 1000, "NaN", "-Infinity", "1e400"],
+        ids=["nested", "NaN", "-Infinity", "overflow"],
+    )
+    def test_a_kpi_file_that_json_cannot_hold_exits_one(self, tmp_path, capsys, period):
+        # nesting too deep for the decoder, or a number that is not finite,
+        # which comparison.json could not write as JSON
+        from vcsim.simulation import run_scenario
+
+        report = run_scenario(case_study_scenario(mode="scor", seed=9, horizon_hours=24.0)).report
+        good = report.to_json()
+        bad = good.replace(f'"period_hours": {report.period_hours!r}', f'"period_hours": {period}')
+        assert bad != good
+        for name, text in (("a", good), ("b", bad)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "kpi.json").write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error[parse]" in err and "kpi.json" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_a_missing_kpi_file_exits_three(self, tmp_path, capsys):
         for name in ("a", "b"):
             (tmp_path / name).mkdir()

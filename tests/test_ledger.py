@@ -645,6 +645,14 @@ class TestExportImport:
         with pytest.raises(CorruptionError, match="^line 2: "):
             Ledger.from_lines(lines)
 
+    def test_a_line_nested_too_deep_is_corruption_naming_its_number(self, case_study_lines):
+        # the JSON decoder raises RecursionError at about 1,000 levels
+        lines = [*case_study_lines[:2], "[" * 1000 + "]" * 1000, *case_study_lines[2:]]
+        with pytest.raises(
+            CorruptionError, match="^line 3: malformed ledger record: RecursionError"
+        ):
+            Ledger.from_lines(lines)
+
 
     def test_int_quantities_replay_and_export_as_written(self):
         # round() gives an int defective quantity, which the replacement order

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vcsim.satisfaction import (
-    InputSignals,
     SatisfactionParams,
-    VoteState,
+    Voter,
     customer_input,
     innovation_gain,
     update_vote,
@@ -52,22 +51,20 @@ def innovation_step(vote: float, forgetting_factor: float) -> float:
 
 class TestCustomerInput:
     def test_all_zero_signals_give_zero(self):
-        assert customer_input(0.0, InputSignals(), params()) == 0.0
+        assert customer_input(0.0, params()) == 0.0
 
     def test_innovation_term_alone(self):
-        signals = InputSignals(new_product=True)
-        assert customer_input(18.0, signals, params()) == 18.0
+        assert customer_input(18.0, params(), new_product=True) == 18.0
 
     def test_weighted_sum_by_hand(self):
         # 0.5*1 + 0.1*8 = 1.3
         p = params(support_weight=0.5, peer_weight=0.1, delay_weight=0.0,
                    quality_weight=0.0)
-        signals = InputSignals(support_resolved=True, peer_vote=8.0)
-        assert customer_input(0.0, signals, p) == pytest.approx(1.3, abs=1e-12)
+        got = customer_input(0.0, p, support_resolved=True, peer_vote=8.0)
+        assert got == pytest.approx(1.3, abs=1e-12)
 
     def test_flag_off_zeroes_gain_term(self):
-        signals = InputSignals(new_product=False)
-        assert customer_input(1e6, signals, params()) == 0.0
+        assert customer_input(1e6, params(), new_product=False) == 0.0
 
 
 class TestInnovationGain:
@@ -89,65 +86,113 @@ class TestInnovationGain:
 
 class TestUpdateVote:
     def test_midpoint(self):
-        state = update_vote(VoteState(x=8.0), 4.0, params(forgetting_factor=0.5))
-        assert state.x == 6.0
-        assert state.k == 1
+        assert update_vote(8.0, 4.0, params(forgetting_factor=0.5)) == 6.0
 
     def test_pure_decay_step(self):
-        state = update_vote(VoteState(x=10.0), 0.0, params(forgetting_factor=0.3))
-        assert state.x == pytest.approx(7.0, abs=1e-12)
+        x = update_vote(10.0, 0.0, params(forgetting_factor=0.3))
+        assert x == pytest.approx(7.0, abs=1e-12)
 
     @given(alpha=ALPHAS)
     def test_innovation_from_zero_hits_nine_for_any_alpha(self, alpha):
         p = params(forgetting_factor=alpha)
-        u = customer_input(innovation_gain(0.0, alpha), InputSignals(new_product=True), p)
-        state = update_vote(VoteState(x=0.0), u, p)
-        assert state.x == pytest.approx(9.0, abs=1e-12)
+        u = customer_input(innovation_gain(0.0, alpha), p, new_product=True)
+        assert update_vote(0.0, u, p) == pytest.approx(9.0, abs=1e-12)
 
     @given(alpha=ALPHAS, x=VOTES)
     def test_full_path_matches_closed_form_step(self, alpha, x):
         p = params(forgetting_factor=alpha)
-        u = customer_input(innovation_gain(x, alpha), InputSignals(new_product=True), p)
-        assert update_vote(VoteState(x=x), u, p).x == pytest.approx(
+        u = customer_input(innovation_gain(x, alpha), p, new_product=True)
+        assert update_vote(x, u, p) == pytest.approx(
             innovation_step(x, alpha), abs=1e-9
         )
 
     @given(alpha=ALPHAS, x=VOTES, u=st.floats(min_value=-50, max_value=50))
     def test_vote_stays_clamped(self, alpha, x, u):
-        state = update_vote(VoteState(x=x), u, params(forgetting_factor=alpha))
-        assert 0.0 <= state.x <= 10.0
+        assert 0.0 <= update_vote(x, u, params(forgetting_factor=alpha)) <= 10.0
 
     @given(alpha=ALPHAS, x0=VOTES, u=VOTES)
     def test_constant_input_converges_geometrically(self, alpha, x0, u):
         # |x_k - u| = (1-a)^k |x0 - u|; u in [0,10] keeps the clamp inactive
         p = params(forgetting_factor=alpha)
-        state = VoteState(x=x0)
+        x = x0
         gap = abs(x0 - u)
         for _ in range(8):
-            state = update_vote(state, u, p)
+            x = update_vote(x, u, p)
             gap *= 1.0 - alpha
-            assert abs(state.x - u) == pytest.approx(gap, abs=1e-12)
+            assert abs(x - u) == pytest.approx(gap, abs=1e-12)
 
     @given(alpha=ALPHAS, x0=st.floats(min_value=0.01, max_value=10.0))
     def test_zero_input_votes_strictly_decrease_while_positive(self, alpha, x0):
         p = params(forgetting_factor=alpha)
-        state = VoteState(x=x0)
+        x = x0
         for _ in range(6):
-            nxt = update_vote(state, 0.0, p)
-            if state.x > 0:
-                assert nxt.x < state.x
-            state = nxt
+            nxt = update_vote(x, 0.0, p)
+            if x > 0:
+                assert nxt < x
+            x = nxt
 
     @given(alpha=ALPHAS, x0=VOTES)
     def test_two_identical_customers_stay_in_lockstep(self, alpha, x0):
         p = params(forgetting_factor=alpha)
-        a, b = VoteState(x=x0), VoteState(x=x0)
+        a = b = x0
         for step in range(6):
-            signals_a = InputSignals(quality_pct=100.0, peer_vote=b.x)
-            signals_b = InputSignals(quality_pct=100.0, peer_vote=a.x)
-            a = update_vote(a, customer_input(0.0, signals_a, p), p)
-            b = update_vote(b, customer_input(0.0, signals_b, p), p)
-            assert a.x == b.x
+            u_a = customer_input(0.0, p, quality_pct=100.0, peer_vote=b)
+            u_b = customer_input(0.0, p, quality_pct=100.0, peer_vote=a)
+            a, b = update_vote(a, u_a, p), update_vote(b, u_b, p)
+            assert a == b
+
+
+# weights that are powers of two, so every hand-worked vote below is exact
+DYADIC = dict(forgetting_factor=0.5, support_weight=1.0, price_weight=0.25,
+              delay_weight=-0.125, quality_weight=0.0625, peer_weight=0.5)
+
+
+class TestVoterDelivery:
+    """``Voter._deliver``: the delay, quality and price signals of one delivery."""
+
+    def test_first_delivery_has_no_delay_full_quality_and_no_price_change(self):
+        voter = Voter(x=4.0)
+        voter._deliver(params(**DYADIC), 30.0, 0.5, 8.0, False, 0.0)
+        # delay 0, quality 100 (not 100 * 0.5), price change 0
+        assert voter.x == 0.5 * 4.0 + 0.5 * (0.0625 * 100.0) == 5.125
+        assert (voter.k, voter.last_price, voter.time_total, voter.conform_total) == (
+            1, 8.0, 30.0, 0.5
+        )
+
+    def test_later_delivery_against_running_means_and_last_price(self):
+        voter = Voter(x=4.0, k=2, last_price=8.0, time_total=20.0, conform_total=1.0)
+        voter._deliver(params(**DYADIC), 15.0, 0.75, 10.0, True, 6.0)
+        # mean time 10 -> delay 100*(15-10)/10 = 50; mean conform 0.5 ->
+        # quality 100*0.75/0.5 = 150; price 100*(10-8)/8 = 25
+        u = 1.0 + 0.25 * 25.0 - 0.125 * 50.0 + 0.0625 * 150.0 + 0.5 * 6.0
+        assert voter.x == 0.5 * 4.0 + 0.5 * u == 8.6875
+        assert (voter.k, voter.last_price, voter.time_total, voter.conform_total) == (
+            3, 10.0, 35.0, 1.75
+        )
+
+    def test_zero_mean_delivery_time_gives_no_delay(self):
+        voter = Voter(x=4.0, k=2, last_price=8.0, time_total=0.0, conform_total=2.0)
+        voter._deliver(params(**DYADIC), 5.0, 1.0, 8.0, False, 0.0)
+        # delay 0, quality 100*1/1 = 100, price change 0
+        assert voter.x == 0.5 * 4.0 + 0.5 * (0.0625 * 100.0) == 5.125
+
+    def test_zero_mean_conform_ratio_gives_quality_of_the_ratio_alone(self):
+        voter = Voter(x=4.0, k=2, last_price=8.0, time_total=20.0, conform_total=0.0)
+        voter._deliver(params(**DYADIC), 10.0, 0.5, 8.0, False, 0.0)
+        # delay 100*(10-10)/10 = 0, quality 100*0.5 = 50, price change 0
+        assert voter.x == 0.5 * 4.0 + 0.5 * (0.0625 * 50.0) == 3.5625
+
+    def test_new_product_flag_is_used_exactly_once(self):
+        p = params(forgetting_factor=0.5, support_weight=0.0, delay_weight=0.0,
+                   quality_weight=0.0, peer_weight=0.0)
+        voter = Voter(x=0.0, new_product=True)
+        voter._deliver(p, 10.0, 1.0, 8.0, False, 0.0)
+        # gain (9 - 1.2*0.5*0) / 0.5 = 18, the only input: 0.5*0 + 0.5*18
+        assert voter.x == 0.5 * 0.0 + 0.5 * 18.0 == 9.0
+        assert not voter.new_product
+        voter._deliver(p, 10.0, 1.0, 8.0, False, 0.0)
+        assert voter.x == 0.5 * 9.0 == 4.5  # no gain the second time
+        assert voter.k == 2
 
 
 class TestDecayTrajectory:
