@@ -74,20 +74,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _finite(text: str) -> float:
-    """A JSON number or constant as a float; vcsim writes no NaN or infinity."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
+def _number(text: str) -> int | float:
+    """A JSON number or constant; vcsim writes none that is NaN, infinite or
+    past the float range, of which ``float`` gives an infinity."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"number not finite or past the float range: {text}")
+    return int(text) if text.lstrip("-").isdigit() else float(text)
 
 
 def _load_report(run_dir: Path) -> KpiReport:
     path = run_dir / "kpi.json"
     try:
-        data = json.loads(
-            _read_text(path, "KPI report"), parse_float=_finite, parse_constant=_finite
-        )
+        text = _read_text(path, "KPI report")
+        data = json.loads(text, parse_float=_number, parse_int=_number, parse_constant=_number)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise ScenarioError("parse", f"{path}: {exc}") from exc
     try:

@@ -8,6 +8,7 @@ so a missing value can never masquerade as bad performance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from operator import add
@@ -20,7 +21,7 @@ from .scenario import Scenario
 
 
 class ComparisonError(Exception):
-    """The two runs are not comparable (different topology or seed)."""
+    """The runs are not comparable: different topology or seed, or an infinite delta."""
 
 
 COST_CATEGORIES = (
@@ -297,6 +298,8 @@ def _pair(scor_value, vcor_value) -> dict:
         row["delta"] = vcor_value - scor_value
         if scor_value not in (0, None):
             row["ratio"] = vcor_value / scor_value
+        if any(type(v) is float and not math.isfinite(v) for v in (row["delta"], row["ratio"])):
+            raise ComparisonError(f"{scor_value!r} vs {vcor_value!r}: no finite delta or ratio")
     return row
 
 

@@ -113,8 +113,7 @@ class Voter:
             mean_conform = self.conform_total / k
             quality_pct = 100.0 * conform / mean_conform if mean_conform > 0 else 100.0 * conform
         else:
-            delay_pct = 0.0
-            quality_pct = 100.0
+            delay_pct, quality_pct = 0.0, 100.0
         last = self.last_price
         price_change_pct = 100.0 * (unit_price - last) / last if last else 0.0
 

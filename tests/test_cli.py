@@ -225,12 +225,13 @@ class TestDemoAndCompare:
 
     @pytest.mark.parametrize(
         "period",
-        ["[" * 1000 + "]" * 1000, "NaN", "-Infinity", "1e400"],
-        ids=["nested", "NaN", "-Infinity", "overflow"],
+        ["[" * 100_000 + "]" * 100_000, "NaN", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nested", "NaN", "-Infinity", "overflow", "whole-overflow"],
     )
     def test_a_kpi_file_that_json_cannot_hold_exits_one(self, tmp_path, capsys, period):
-        # nesting too deep for the decoder, or a number that is not finite,
-        # which comparison.json could not write as JSON
+        # nesting too deep for the decoder on every supported Python, or a
+        # number that is not a finite float, which comparison.json could not
+        # write as JSON
         from vcsim.simulation import run_scenario
 
         report = run_scenario(case_study_scenario(mode="scor", seed=9, horizon_hours=24.0)).report
@@ -244,6 +245,30 @@ class TestDemoAndCompare:
         assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "error[parse]" in err and "kpi.json" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scor_value, vcor_value",
+        [(1e308, -1e308), (1e-308, 1e308), (-(10**308), 1.7e308)],
+        ids=["delta", "ratio", "whole-delta"],
+    )
+    def test_a_delta_or_ratio_past_the_float_range_exits_one(
+        self, tmp_path, capsys, scor_value, vcor_value
+    ):
+        # finite values whose delta or ratio JSON could not hold
+        from vcsim.simulation import run_scenario
+
+        report = run_scenario(case_study_scenario(mode="scor", seed=9, horizon_hours=24.0)).report
+        actor = sorted(report.actors)[0]
+        for name, value in (("a", scor_value), ("b", vcor_value)):
+            data = report.to_dict()
+            data["actors"][actor]["sales_profit"] = value
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "kpi.json").write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error[comparison]" in err and "no finite delta" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_a_missing_kpi_file_exits_three(self, tmp_path, capsys):

@@ -646,8 +646,9 @@ class TestExportImport:
             Ledger.from_lines(lines)
 
     def test_a_line_nested_too_deep_is_corruption_naming_its_number(self, case_study_lines):
-        # the JSON decoder raises RecursionError at about 1,000 levels
-        lines = [*case_study_lines[:2], "[" * 1000 + "]" * 1000, *case_study_lines[2:]]
+        # the JSON decoder raises RecursionError well before 100,000 levels on
+        # every supported Python (about 1,000 to 3.11; 3.12 and 3.13 allow more)
+        lines = [*case_study_lines[:2], "[" * 100_000 + "]" * 100_000, *case_study_lines[2:]]
         with pytest.raises(
             CorruptionError, match="^line 3: malformed ledger record: RecursionError"
         ):
